@@ -5,12 +5,15 @@ die satisfies a one-unknown linear recurrence: from a recycled s-sided
 die it takes k(s) = ceil(log2(n/s)) flips to double up to s' = s*2^k in
 [n, 2n-1], acceptance happens with probability n/s', and rejection
 recycles to an (s'-n)-sided die.  Since each s has exactly one successor
-the recurrence forms a rho-shaped chain that is solved by composing
-affine maps along it, all in exact integer arithmetic.
+the recurrence forms a rho-shaped chain.  Each step is an integer affine
+map E(s) = (a + b*E(s')) / d, and the maps are composed pairwise as a
+balanced product tree, so the chain of length L costs O(L log n) bits of
+memory and its multiplications are balanced big-by-big products.  The
+repeated state closes one linear equation in one unknown.
 
 The independent cross-check sums j * P(N = j) directly from the binary
 expansion of 1/n, closing the eventually-periodic tail with a geometric
-series, again exactly.
+series, in integer arithmetic normalised once at the end.
 """
 
 import math
@@ -99,32 +102,47 @@ def _chain(n: int):
     return steps, seen[s]
 
 
+def _compose(maps: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Compose affine maps (a, b, d): x -> (a + b*y) / d, first map outermost.
+
+    Adjacent pairs are merged level by level, a balanced product tree, so
+    operands grow together instead of one long product absorbing each
+    small factor in turn.
+    """
+    while len(maps) > 1:
+        merged = [
+            (a1 * d2 + b1 * a2, b1 * b2, d1 * d2)
+            for (a1, b1, d1), (a2, b2, d2) in zip(maps[::2], maps[1::2])
+        ]
+        if len(maps) % 2:
+            merged.append(maps[-1])
+        maps = merged
+    return maps[0]
+
+
 def exact_expected_flips(n: int) -> Fraction:
     """Exact expected number of coin flips to roll a fair n-sided die.
 
-    Composes E(1) = C + D * E(s) along the recycle chain, keeping C and D
-    as unreduced integer pairs over a common denominator; a repeated
-    state gives one linear equation in one unknown.
+    Step (s, k, s') of the recycle chain is the integer affine map
+    E(s) = (k*s' + (s' - n) * E(s')) / s'.  The cycle's maps compose to
+    E(s*) = (a + b*E(s*)) / d, so E(s*) = a / (d - b); the prefix maps,
+    if any, carry that back to E(1).  Composition runs as a balanced
+    product tree and one Fraction is normalised at the end, so memory is
+    O(L log n) bits for a chain of length L.
     """
     _check_sides(n)
     if n == 1:
         return Fraction(0)
     steps, cycle_start = _chain(n)
-    c_num, d_num, den = 0, 1, 1
-    snapshots = []
-    for s, k, s2 in steps:
-        snapshots.append((c_num, d_num, den))
-        c_num = (c_num + d_num * k) * s2
-        d_num = d_num * (s2 - n)
-        den *= s2
+    maps = [(k * s2, s2 - n, s2) for _, k, s2 in steps]
     if cycle_start is None:
-        # a doubling landed exactly on n: acceptance was certain, D = 0
-        return Fraction(c_num, den)
-    c1, d1, den1 = snapshots[cycle_start]
-    scale = den // den1
-    # E(1) = c1/den1 + (d1/den1) E(s*) and E(1) = c_num/den + (d_num/den) E(s*)
-    e_rev = Fraction(c_num - c1 * scale, d1 * scale - d_num)
-    return Fraction(c1, den1) + Fraction(d1, den1) * e_rev
+        # a doubling landed exactly on n: acceptance was certain, b = 0
+        a, _, d = _compose(maps)
+        return Fraction(a, d)
+    a_c, b_c, d_c = _compose(maps[cycle_start:])
+    a_p, b_p, d_p = _compose(maps[:cycle_start]) if cycle_start else (0, 1, 1)
+    # E(1) = (a_p + b_p * a_c / (d_c - b_c)) / d_p
+    return Fraction(a_p * (d_c - b_c) + b_p * a_c, d_p * (d_c - b_c))
 
 
 def solve_recurrence(n: int) -> RecurrenceSolution:
@@ -187,7 +205,9 @@ def series_expected_flips(n: int) -> Fraction:
     The expansion of 1/n has v2(n) leading zeros followed by a periodic
     block whose length is the multiplicative order of 2 modulo the odd
     part of n; the infinite tail collapses with geometric series sums.
-    Agrees with exact_expected_flips by construction of both.
+    The block is accumulated as integers and normalised once, so the cost
+    is O(period) big-int additions.  Never touches the recycle chain, so
+    it checks exact_expected_flips independently.
     """
     _check_sides(n)
     if n == 1:
@@ -197,24 +217,21 @@ def series_expected_flips(n: int) -> Fraction:
     if q == 1:
         return Fraction(a)  # n = 2^a: exactly a flips, always
     period = _multiplicative_order_of_two(q)
-    # periodic digits c_1..c_period of 1/n starting after the a zeros
-    digits = []
+    # Horner over the periodic digits c_1..c_period of 1/n that follow the
+    # a zeros: over the common denominator 2^(a+period),
+    #   weighted = sum of (a+u) c_u 2^(period-u),  plain = sum of c_u 2^(period-u)
+    weighted = plain = 0
     r = (1 << a) % n
-    for _ in range(period):
+    for u in range(1, period + 1):
         r *= 2
-        digits.append(r // n)
+        c = r // n
         r %= n
-    pow_period = 1 << period
-    repeat = Fraction(pow_period, pow_period - 1)  # sum of x^t, x = 2^-period
-    drift = Fraction(pow_period, (pow_period - 1) ** 2)  # sum of t * x^t
-    weighted = Fraction(0)  # sum over block of (a+u) c_u 2^-(a+u)
-    plain = Fraction(0)  # sum over block of c_u 2^-(a+u)
-    for u, c in enumerate(digits, start=1):
-        if c:
-            term = Fraction(1, 1 << (a + u))
-            weighted += (a + u) * term
-            plain += term
-    return n * (weighted * repeat + period * drift * plain)
+        weighted = 2 * weighted + c * (a + u)
+        plain = 2 * plain + c
+    # closing the tail with sum of x^t = 1/(1-x) and sum of t x^t = x/(1-x)^2,
+    # x = 2^-period, turns n * sum_j j P(N=j) into one fraction
+    ones = (1 << period) - 1
+    return Fraction(n * (weighted * ones + period * plain), (ones * ones) << a)
 
 
 @dataclass

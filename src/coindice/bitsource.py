@@ -49,7 +49,7 @@ class ReplaySource(BitSource):
         super().__init__()
         self._bits = list(bits)
         for b in self._bits:
-            if b not in (0, 1):
+            if not isinstance(b, int) or b not in (0, 1):
                 raise ValueError(f"bit sequence may only contain 0 and 1, got {b!r}")
         self._cursor = 0
 

@@ -9,6 +9,7 @@ runs.
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -74,7 +75,7 @@ def cmd_sample(args) -> int:
         else:
             print(r.outcome)
     total = sum(r.flips for r in rolls)
-    floor = analysis.entropy(_target_probs(n, p))
+    floor = math.log2(n) if p is None else analysis.entropy(p)
     print(
         f"# total_flips={total} flips_per_roll={total / len(rolls):.4f} "
         f"entropy_floor={floor:.4f}"
@@ -95,6 +96,8 @@ def cmd_analyze(args) -> int:
     if args.die is None and args.dist is None:
         raise UsageError("one of --die, --dist or --sweep is required")
     n, p = _target(args)
+    if args.depth is not None:
+        _check_cli_depth(args.depth)
     probs = _target_probs(n, p)
     ent = analysis.entropy(probs)
     if p is None:

@@ -37,7 +37,10 @@ def _as_exact_fraction(value) -> Fraction:
             raise InvalidDistribution(
                 f'cannot parse {value!r}: probabilities must be exact fractions "a/b"'
             )
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise InvalidDistribution(f"zero denominator in {value!r}") from None
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise InvalidDistribution(f"unsupported probability type {type(value).__name__}")
@@ -97,14 +100,17 @@ def parse_distribution(text: str) -> ProbabilityVector:
             raise InvalidDistribution(f"bad JSON distribution: {exc}") from exc
         entries = []
         for item in items:
+            # bool is an int subclass, but JSON true is not a number
             if (
                 not isinstance(item, dict)
-                or not isinstance(item.get("num"), int)
-                or not isinstance(item.get("den"), int)
+                or type(item.get("num")) is not int
+                or type(item.get("den")) is not int
             ):
                 raise InvalidDistribution(
                     'JSON distribution entries must be {"num": <int>, "den": <int>}'
                 )
+            if item["den"] == 0:
+                raise InvalidDistribution(f"zero denominator in {item!r}")
             entries.append(Fraction(item["num"], item["den"]))
         return ProbabilityVector(entries)
     return ProbabilityVector(text.split(","))

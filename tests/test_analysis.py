@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import coindice
 from coindice import (
     BoundViolation,
     FlipDistribution,
@@ -41,11 +45,34 @@ class TestExactExpectedFlips:
     def test_powers_of_two_never_reject(self, k):
         assert exact_expected_flips(1 << k) == k
 
-    @pytest.mark.parametrize("n", range(1, 65))
+    # 4099 and 20011 have long periods (2049 and 3335 chain steps); the
+    # even sizes enter their cycle after a non-empty chain prefix
+    @pytest.mark.parametrize("n", [*range(1, 65), 4099, 20011, 2 * 4099, 2 * 20011])
     def test_recurrence_equals_series_closure(self, n):
         # two independent routes: the recycle-chain solve vs summing
         # j * P(N=j) from the expansion of 1/n in closed form
         assert exact_expected_flips(n) == series_expected_flips(n)
+
+    def test_long_period_fits_in_bounded_memory(self):
+        # period 50001: the child caps its own address space at 1 GB
+        script = (
+            "import resource\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+            "from coindice import exact_expected_flips, series_expected_flips\n"
+            "e = exact_expected_flips(100003)\n"
+            "assert e == series_expected_flips(100003)\n"
+            "assert 17 <= e <= 18, e\n"
+        )
+        src = os.path.dirname(os.path.dirname(coindice.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 12])
     def test_recurrence_vs_truncated_enumeration(self, n):

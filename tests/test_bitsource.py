@@ -17,6 +17,12 @@ def test_replay_rejects_non_bits():
         ReplaySource([0, 2])
 
 
+def test_replay_rejects_non_int_bits():
+    # 1.0 == 1, so a value check alone would let roll() return float outcomes
+    with pytest.raises(ValueError):
+        ReplaySource([1.0])
+
+
 def test_exhaustion_does_not_count_as_a_flip():
     source = ReplaySource([1])
     source.next_bit()

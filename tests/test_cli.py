@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -46,6 +47,13 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--dist", "0.5,0.5")
         assert code == 1
         assert "a/b" in err
+
+    def test_huge_die_does_no_per_side_work(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "sample", "--die", str(10**12), "--count", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.endswith("entropy_floor=39.8631\n")
 
 
 class TestAnalyze:
@@ -216,3 +224,21 @@ class TestUsage:
     def test_unknown_die_value(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--die", "0")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--dist", "1/0,1"],
+            ["sample", "--dist", '[{"num": 1, "den": 0}]'],
+            ["sample", "--dist", '[{"num": true, "den": 1}]'],
+            ["analyze", "--dist", "1/3,2/3", "--depth", "0"],
+            ["analyze", "--die", "5", "--depth", "-1"],
+        ],
+        ids=["zero-den", "json-zero-den", "json-bool", "dist-depth-0", "die-depth-negative"],
+    )
+    def test_bad_input_is_one_line_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
