@@ -3,7 +3,7 @@
 Every sampler in this package pulls single bits from a ``BitSource``.  The
 source counts each successful draw, so the entropy cost of any run can be
 read off ``flips_consumed`` afterwards.  Two backends are provided: a
-scripted ``ReplaySource`` used by the enumeration machinery and the tests,
+scripted ``ReplaySource`` that plays back fixed bits, used by the tests,
 and a seeded ``SeededSource`` for actual random sampling.
 """
 

@@ -50,12 +50,6 @@ def _target(args) -> tuple[int | None, ProbabilityVector | None]:
         raise UsageError(str(exc)) from exc
 
 
-def _target_probs(n, p) -> ProbabilityVector:
-    if p is not None:
-        return p
-    return ProbabilityVector([Fraction(1, n)] * n)
-
-
 def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -98,13 +92,18 @@ def cmd_analyze(args) -> int:
     n, p = _target(args)
     if args.depth is not None:
         _check_cli_depth(args.depth)
-    probs = _target_probs(n, p)
-    ent = analysis.entropy(probs)
     if p is None:
+        # the sequential float sum analysis.entropy does, without n Fractions
+        x = 1 / n
+        t = x * math.log2(x)
+        ent = 0.0
+        for _ in range(n):
+            ent -= t
         depth = args.depth if args.depth is not None else 2 * analysis.ceil_log2(n) + 8
         expected, lower, dist = _die_analysis(n, depth)
         exact = True
     else:
+        ent = analysis.entropy(p)
         depth = args.depth if args.depth is not None else 16
         dist = ddg.flip_distribution(ddg.build_canonical(p, depth))
         exact = dist.residual == 0
@@ -137,7 +136,7 @@ def cmd_analyze(args) -> int:
         print(f"bounds [{lower}, {lower + 1}]")
     else:
         kind = "exact" if exact else f"truncated at depth {depth}"
-        print(f"distribution = {','.join(_frac(q) for q in probs)}")
+        print(f"distribution = {','.join(_frac(q) for q in p)}")
         print(f"E[N] = {_frac(expected)} = {float(expected)} ({kind})")
     print(f"entropy = {ent:.4f} bits")
     print(f"flip distribution (depth {depth}):")
@@ -197,7 +196,8 @@ def cmd_tree(args) -> int:
     sys.stdout.write(ddg.export_dot(tree))
     if args.check:
         try:
-            verdict = ddg.check_optimal(tree, _target_probs(n, p))
+            probs = p if p is not None else ProbabilityVector([Fraction(1, n)] * n)
+            verdict = ddg.check_optimal(tree, probs)
         except ddg.MassMismatch as exc:
             print(f"mass mismatch: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -230,8 +230,7 @@ def cmd_oracle_dump(args) -> int:
 
 def cmd_chisq(args) -> int:
     n, p = _target(args)
-    probs = _target_probs(n, p)
-    outcomes = len(probs)
+    outcomes = n if p is None else len(p)
     minimum = 50 * outcomes
     if args.count < minimum:
         raise UsageError(
@@ -245,7 +244,8 @@ def cmd_chisq(args) -> int:
     else:
         for _ in range(args.count):
             counts[sample(p, source).outcome - 1] += 1
-    result = gof.chi_square_test(counts, probs.probs, significance=0.001)
+    probs = [Fraction(1, n)] * n if p is None else p.probs
+    result = gof.chi_square_test(counts, probs, significance=0.001)
     print(f"samples = {args.count}  seed = {args.seed}")
     print(f"chi-square = {result.statistic:.4f}  df = {result.df}  p-value = {result.p_value:.6f}")
     if result.passed:

@@ -9,8 +9,11 @@ exporter stable node ids.
 Two builders are provided: ``build_canonical`` places leaves straight
 from the binary expansions of the probabilities (the optimal shape), and
 ``build_from_uniform`` / ``build_from_discrete`` materialise whatever
-tree the samplers actually walk, by replaying them on scripted bit
-strings.  ``check_optimal`` compares any tree against the expansion-bit
+tree the samplers actually walk, in O(nodes), from the oracle's
+level-by-level trie walk of their (x, m) states: a history that
+terminates is a leaf, one still running is internal.  The tests keep a
+reference builder that replays the samplers on every history.
+``check_optimal`` compares any tree against the expansion-bit
 characterisation of optimality.
 """
 
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import FlipDistribution
-from .bitsource import ReplaySource, SourceExhausted
-from .discrete import ProbabilityVector, expansion_bit, sample
-from .uniform import _check_sides, roll
+from .discrete import ProbabilityVector, expansion_bit
+from .oracle import _expand_discrete, _expand_uniform
+from .uniform import _check_sides
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
 INTERNAL = None
@@ -51,7 +54,9 @@ class DdgTree:
         return not self.frontier()
 
     def live_mass(self) -> Fraction:
-        return sum((Fraction(1, 1 << len(h)) for h in self.frontier()), Fraction(0))
+        frontier = self.frontier()
+        depth = max(map(len, frontier), default=0)
+        return Fraction(sum(1 << (depth - len(h)) for h in frontier), 1 << depth)
 
 
 @dataclass
@@ -106,40 +111,19 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     return DdgTree(nodes, depth_bound)
 
 
-def _build_by_replay(run, depth_bound: int) -> DdgTree:
-    """Classify each bit history by replaying the sampler on exactly
-    those bits: terminated on the last bit = leaf, ran dry = internal."""
-    nodes: dict[str, int | None] = {}
-    frontier = [[]]
-    for depth in range(depth_bound + 1):
-        next_frontier = []
-        for bits in frontier:
-            history = "".join("1" if b else "0" for b in bits)
-            try:
-                result = run(ReplaySource(bits))
-            except SourceExhausted:
-                nodes[history] = INTERNAL
-                if depth < depth_bound:
-                    next_frontier.append(bits + [0])
-                    next_frontier.append(bits + [1])
-                continue
-            assert result.flips == len(bits)
-            nodes[history] = result.outcome
-        frontier = next_frontier
-    return DdgTree(nodes, depth_bound)
-
-
 def build_from_uniform(n: int, depth_bound: int) -> DdgTree:
     """The tree the n-sided die roller actually walks."""
     _check_sides(n)
     _check_depth_bound(depth_bound)
-    return _build_by_replay(lambda source: roll(n, source), depth_bound)
+    states, leaves, _ = _expand_uniform(n, depth_bound)
+    return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
 def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """The tree the discrete sampler actually walks."""
     _check_depth_bound(depth_bound)
-    return _build_by_replay(lambda source: sample(p, source), depth_bound)
+    states, leaves, _ = _expand_discrete(p, depth_bound)
+    return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
 def census(tree: DdgTree) -> LevelCensus:
@@ -169,29 +153,38 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
     """
     tree_census = census(tree)
     outcomes = len(p)
-    leaf_mass = {i: Fraction(0) for i in range(1, outcomes + 1)}
+    # leaf mass of outcome i is weight[i] / 2^depth
+    depth = max((level for level, _ in tree_census.counts), default=0)
+    weight = [0] * (outcomes + 1)
     for (level, outcome), count in tree_census.counts.items():
         if not 1 <= outcome <= outcomes:
             raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
-        leaf_mass[outcome] += Fraction(count, 1 << level)
+        weight[outcome] += count << (depth - level)
     complete = tree.is_complete()
     for i in range(1, outcomes + 1):
-        if complete and leaf_mass[i] != p.prob(i):
+        q = p.prob(i)
+        scaled, target = weight[i] * q.denominator, q.numerator << depth
+        if complete and scaled != target:
             raise MassMismatch(
-                f"outcome {i} has leaf mass {leaf_mass[i]}, distribution says {p.prob(i)}"
+                f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)}, "
+                f"distribution says {q}"
             )
-        if leaf_mass[i] > p.prob(i):
+        if scaled > target:
             raise MassMismatch(
-                f"outcome {i} has leaf mass {leaf_mass[i]} exceeding {p.prob(i)}"
+                f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)} exceeding {q}"
             )
 
     violations = []
     for (level, outcome), count in sorted(tree_census.counts.items()):
         if count > 1:
             violations.append(f"outcome {outcome} appears {count} times at level {level}")
+    # uniform targets repeat one probability n times: one bit per value and level
+    distinct = {}
+    slot = [distinct.setdefault(q, len(distinct)) for q in p.probs]
     for level in range(tree.depth_bound + 1):
+        bits = [expansion_bit(q, level) for q in distinct]
         for i in range(1, outcomes + 1):
-            want = expansion_bit(p.prob(i), level)
+            want = bits[slot[i - 1]]
             got = tree_census.count(level, i)
             if got != want and got <= 1:
                 violations.append(
@@ -202,10 +195,11 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
 
 def flip_distribution(tree: DdgTree) -> FlipDistribution:
     """P(N = j) = (leaves at level j) * 2^-j; frontier mass is residual."""
-    mass: dict[int, Fraction] = {}
+    level_leaves: dict[int, int] = {}
     for history, _ in tree.leaves():
         j = len(history)
-        mass[j] = mass.get(j, Fraction(0)) + Fraction(1, 1 << j)
+        level_leaves[j] = level_leaves.get(j, 0) + 1
+    mass = {j: Fraction(count, 1 << j) for j, count in level_leaves.items()}
     return FlipDistribution(mass, tree.live_mass())
 
 

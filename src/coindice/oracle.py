@@ -15,7 +15,7 @@ from .uniform import RecyclerState, _check_sides
 
 @dataclass
 class EnumerationResult:
-    """Exact tallies from replaying all bit strings up to a depth bound."""
+    """Exact tallies from walking all bit strings up to a depth bound."""
 
     outcome_mass: dict[int, Fraction]
     flip_mass: dict[int, Fraction]
@@ -35,11 +35,11 @@ def _expand_uniform(n: int, depth: int):
     """Trie walk of the die roller.
 
     Returns (states, leaves, live) where states maps every reached bit
-    history to its post-resolution state, leaves maps terminating
+    history to its post-resolution (x, m) pair, leaves maps terminating
     histories to outcomes, and live lists the histories still running at
     ``depth``.
     """
-    states: dict[str, RecyclerState] = {"": RecyclerState(1, 1)}
+    states: dict[str, tuple[int, int]] = {"": (1, 1)}
     leaves: dict[str, int] = {}
     if n == 1:
         leaves[""] = 1
@@ -57,19 +57,19 @@ def _expand_uniform(n: int, depth: int):
                 m2 = 2 * m
                 if m2 >= n:
                     if x2 <= n:
-                        states[h2] = RecyclerState(x2, n)
+                        states[h2] = (x2, n)
                         leaves[h2] = x2
                         continue
                     x2 -= n
                     m2 -= n
-                states[h2] = RecyclerState(x2, m2)
+                states[h2] = (x2, m2)
                 next_frontier.append((h2, x2, m2))
         frontier = next_frontier
     return states, leaves, [h for h, _, _ in frontier]
 
 
 def _expand_discrete(p: ProbabilityVector, depth: int):
-    states: dict[str, RecyclerState] = {"": RecyclerState(1, 1)}
+    states: dict[str, tuple[int, int]] = {"": (1, 1)}
     leaves: dict[str, int] = {}
     certain = p.certain_outcome()
     if certain is not None:
@@ -90,25 +90,28 @@ def _expand_discrete(p: ProbabilityVector, depth: int):
                 m2 = 2 * m
                 if k and m2 >= k:
                     if x2 <= k:
-                        states[h2] = RecyclerState(x2, k)
+                        states[h2] = (x2, k)
                         leaves[h2] = accept[x2 - 1]
                         continue
                     x2 -= k
                     m2 -= k
-                states[h2] = RecyclerState(x2, m2)
+                states[h2] = (x2, m2)
                 next_frontier.append((h2, x2, m2))
         frontier = next_frontier
     return states, leaves, [h for h, _, _ in frontier]
 
 
 def _tally(leaves: dict[str, int], live: list[str], depth: int) -> EnumerationResult:
-    outcome_mass: dict[int, Fraction] = {}
-    flip_mass: dict[int, Fraction] = {}
+    # a leaf at level j carries 2^(depth - j) / 2^depth
+    outcome_weight: dict[int, int] = {}
+    level_leaves: dict[int, int] = {}
     for history, outcome in leaves.items():
-        mass = Fraction(1, 1 << len(history))
-        outcome_mass[outcome] = outcome_mass.get(outcome, Fraction(0)) + mass
-        flip_mass[len(history)] = flip_mass.get(len(history), Fraction(0)) + mass
-    live_mass = Fraction(len(live), 1 << depth) if live else Fraction(0)
+        j = len(history)
+        outcome_weight[outcome] = outcome_weight.get(outcome, 0) + (1 << (depth - j))
+        level_leaves[j] = level_leaves.get(j, 0) + 1
+    outcome_mass = {o: Fraction(w, 1 << depth) for o, w in outcome_weight.items()}
+    flip_mass = {j: Fraction(count, 1 << j) for j, count in level_leaves.items()}
+    live_mass = Fraction(len(live), 1 << depth)
     return EnumerationResult(outcome_mass, flip_mass, live_mass, leaves)
 
 
@@ -136,10 +139,10 @@ def state_tree_uniform(n: int, depth: int) -> dict[str, RecyclerState]:
     _check_sides(n)
     _check_depth(depth)
     states, _, _ = _expand_uniform(n, depth)
-    return states
+    return {h: RecyclerState(*s) for h, s in states.items()}
 
 
 def state_tree_discrete(p: ProbabilityVector, depth: int) -> dict[str, RecyclerState]:
     _check_depth(depth)
     states, _, _ = _expand_discrete(p, depth)
-    return states
+    return {h: RecyclerState(*s) for h, s in states.items()}

@@ -19,6 +19,12 @@ def random_dyadic_distribution(
     return ProbabilityVector([Fraction(part, denom) for part in parts])
 
 
+def dyadic_suite() -> list[ProbabilityVector]:
+    """Fifty fixed random distributions over denominator 2^10."""
+    rng = random.Random(20240501)
+    return [random_dyadic_distribution(rng, max_outcomes=6, denom_power=10) for _ in range(50)]
+
+
 def level_multisets(states) -> dict[int, Counter]:
     """Group a state-tree mapping by bit-history length."""
     grouped: dict[int, Counter] = {}

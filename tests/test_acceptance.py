@@ -2,7 +2,6 @@
 runtime budget and tolerance.  Run with ``pytest tests/test_acceptance.py
 -v -s`` to see one PASS/FAIL line per criterion."""
 
-import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +25,7 @@ from coindice import (
     verify_bounds,
 )
 from coindice.cli import _bench_naive, _bench_recycler, main
-from conftest import level_multisets, random_dyadic_distribution
+from conftest import dyadic_suite, level_multisets
 
 _RESULTS: list[tuple[str, bool, float]] = []
 
@@ -64,11 +63,6 @@ def _best_of(repeats, fn):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return value, best
-
-
-def _dyadic_suite():
-    rng = random.Random(20240501)
-    return [random_dyadic_distribution(rng, max_outcomes=6, denom_power=10) for _ in range(50)]
 
 
 def test_criterion_01_exact_expected_flips_five_sided():
@@ -171,7 +165,7 @@ def test_criterion_07_census_matches_expansion_bits():
                 bit = expansion_bit(q, level)
                 for outcome in range(1, n + 1):
                     assert counts.get((level, outcome), 0) == bit, (n, level, outcome)
-        for p in _dyadic_suite():
+        for p in dyadic_suite():
             tree = build_from_discrete(p, 12)
             counts = census(tree).counts
             assert all(c == 1 for c in counts.values())
@@ -184,7 +178,7 @@ def test_criterion_07_census_matches_expansion_bits():
 
 def test_criterion_08_builders_agree():
     with _criterion("criterion 08: canonical and replay builders give equal censuses", 60.0):
-        for p in _dyadic_suite():
+        for p in dyadic_suite():
             algo = census(build_from_discrete(p, 12)).counts
             canonical = census(build_canonical(p, 12)).counts
             assert algo == canonical, p

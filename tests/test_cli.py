@@ -1,10 +1,11 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from coindice.cli import main, naive_rejection_roll
-from coindice import ReplaySource, SeededSource
+from coindice import ProbabilityVector, ReplaySource, SeededSource, entropy
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,13 @@ class TestAnalyze:
         payload = json.loads(out)
         assert (payload["expected_num"], payload["expected_den"]) == (18, 5)
         assert (payload["lower"], payload["upper"]) == (3, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 257, 4099])
+    def test_die_entropy_equals_the_distribution_entropy(self, capsys, n):
+        code, out, _ = run_cli(capsys, "analyze", "--die", str(n), "--json")
+        assert code == 0
+        probs = ProbabilityVector([Fraction(1, n)] * n)
+        assert json.loads(out)["entropy"] == entropy(probs)
 
     def test_sweep_lines(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--sweep", "16", "--json")

@@ -10,18 +10,23 @@ from coindice import (
     FlipDistribution,
     MassMismatch,
     ProbabilityVector,
+    ReplaySource,
+    SourceExhausted,
     build_canonical,
     build_from_discrete,
     build_from_uniform,
     census,
+    ceil_log2,
     check_optimal,
     dominates,
     enumerate_uniform,
     exact_expected_flips,
     export_dot,
     flip_distribution,
+    roll,
+    sample,
 )
-from conftest import random_dyadic_distribution
+from conftest import dyadic_suite, random_dyadic_distribution
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
 
@@ -49,8 +54,54 @@ FLAT_DEPTH3_TREE = DdgTree(
 )
 
 
+NON_DYADIC = [
+    ProbabilityVector(["1/3", "2/3"]),
+    ProbabilityVector(["1/3", "1/5", "7/15"]),
+    ProbabilityVector(["1/5", "2/5", "2/5"]),
+]
+
+
 def uniform_probs(n):
     return ProbabilityVector([Fraction(1, n)] * n)
+
+
+def _bits(history):
+    return [int(b) for b in history]
+
+
+def replay_tree(run, depth_bound):
+    """Reference builder: classify every bit history up to the depth bound
+    by replaying the sampler on exactly those bits.  A run that terminates
+    on the last bit is a leaf, one that runs dry is internal.  It costs
+    O(nodes x depth)."""
+    nodes = {}
+    frontier = [""]
+    for depth in range(depth_bound + 1):
+        next_frontier = []
+        for history in frontier:
+            try:
+                result = run(ReplaySource(_bits(history)))
+            except SourceExhausted:
+                nodes[history] = None
+                if depth < depth_bound:
+                    next_frontier += [history + "0", history + "1"]
+                continue
+            assert result.flips == len(history)
+            nodes[history] = result.outcome
+        frontier = next_frontier
+    return DdgTree(nodes, depth_bound)
+
+
+def assert_equals_replay(tree, run):
+    reference = replay_tree(run, tree.depth_bound)
+    assert tree == reference
+    assert list(tree.nodes) == list(reference.nodes)  # same insertion order
+    for history, outcome in tree.leaves():
+        result = run(ReplaySource(_bits(history)))
+        assert (result.outcome, result.flips) == (outcome, len(history))
+    for history in tree.frontier():
+        with pytest.raises(SourceExhausted):
+            run(ReplaySource(_bits(history)))
 
 
 class TestBuildCanonical:
@@ -108,6 +159,32 @@ class TestBuildFromAlgorithm:
         tree_leaves = dict(tree.leaves())
         assert tree_leaves == oracle_leaves
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_uniform_tree_equals_replay_reference(self, n):
+        tree = build_from_uniform(n, 2 * ceil_log2(n) + 4)
+        assert_equals_replay(tree, lambda source: roll(n, source))
+
+    @pytest.mark.parametrize(
+        "p", dyadic_suite() + NON_DYADIC, ids=lambda p: ",".join(map(str, p))
+    )
+    def test_discrete_tree_equals_replay_reference(self, p):
+        tree = build_from_discrete(p, 12)
+        assert_equals_replay(tree, lambda source: sample(p, source))
+
+    def test_builders_and_tallies_never_replay(self, monkeypatch):
+        # a replay per node costs O(nodes x depth); the trie walk needs none
+        def refuse(self, bits):
+            raise AssertionError("ReplaySource constructed")
+
+        monkeypatch.setattr(ReplaySource, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            ReplaySource([0])
+        p = NON_DYADIC[1]
+        assert not build_from_uniform(37, 16).is_complete()
+        assert not build_from_discrete(p, 12).is_complete()
+        assert enumerate_uniform(97, 24).live_mass > 0
+        assert flip_distribution(build_canonical(p, 20)).residual > 0
+
     def test_builder_agreement_on_random_dyadic_distributions(self):
         rng = random.Random(1234)
         for _ in range(10):
@@ -139,6 +216,39 @@ class TestCheckOptimal:
         tree = DdgTree({"": None, "0": 1, "1": 7}, 1)
         with pytest.raises(MassMismatch):
             check_optimal(tree, ProbabilityVector(["1/2", "1/2"]))
+
+    @pytest.mark.parametrize(
+        "nodes, probs, message",
+        [
+            (
+                {"": None, "0": 2, "1": None, "10": 1, "11": 2},
+                ["1/2", "1/2"],
+                "outcome 1 has leaf mass 1/4, distribution says 1/2",
+            ),
+            (
+                {"": None, "0": 2, "1": 2},
+                ["1/2", "1/2"],
+                "outcome 1 has leaf mass 0, distribution says 1/2",
+            ),
+            # "11" is an unexpanded frontier node: the tree is truncated
+            (
+                {"": None, "0": 1, "1": None, "10": 1, "11": None},
+                ["1/2", "1/2"],
+                "outcome 1 has leaf mass 3/4 exceeding 1/2",
+            ),
+            (
+                {"": None, "0": 2, "1": None, "10": 2, "11": None},
+                ["3/8", "1/2", "1/8"],
+                "outcome 2 has leaf mass 3/4 exceeding 1/2",
+            ),
+            ({"": None, "0": 1, "1": 7}, ["1/2", "1/2"], "leaf outcome 7 outside 1..2"),
+        ],
+    )
+    def test_mass_mismatch_message_names_exact_masses(self, nodes, probs, message):
+        tree = DdgTree(nodes, max(map(len, nodes)))
+        with pytest.raises(MassMismatch) as excinfo:
+            check_optimal(tree, ProbabilityVector(probs))
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_recycler_trees_optimal_through_checked_depth(self, n):
