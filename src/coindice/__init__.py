@@ -11,13 +11,10 @@ from .analysis import (
     BoundsReport,
     BoundViolation,
     FlipDistribution,
-    RecurrenceSolution,
     ceil_log2,
     entropy,
     exact_expected_flips,
     flip_distribution_uniform,
-    series_expected_flips,
-    solve_recurrence,
     verify_bounds,
 )
 from .bitsource import Bit, BitSource, ReplaySource, SeededSource, SourceExhausted
@@ -72,7 +69,6 @@ __all__ = [
     "MassMismatch",
     "OptimalityVerdict",
     "ProbabilityVector",
-    "RecurrenceSolution",
     "RecyclerState",
     "ReplaySource",
     "SeededSource",
@@ -102,8 +98,6 @@ __all__ = [
     "roll",
     "roll_many",
     "sample",
-    "series_expected_flips",
-    "solve_recurrence",
     "state_tree_discrete",
     "state_tree_uniform",
     "verify_bounds",

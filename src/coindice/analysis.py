@@ -1,19 +1,28 @@
 """Exact rational analysis of the die roller's entropy cost.
 
-Everything here is closed-form.  The expected flip count for an n-sided
-die satisfies a one-unknown linear recurrence: from a recycled s-sided
-die it takes k(s) = ceil(log2(n/s)) flips to double up to s' = s*2^k in
-[n, 2n-1], acceptance happens with probability n/s', and rejection
-recycles to an (s'-n)-sided die.  Since each s has exactly one successor
-the recurrence forms a rho-shaped chain.  Each step is an integer affine
-map E(s) = (a + b*E(s')) / d, and the maps are composed pairwise as a
-balanced product tree, so the chain of length L costs O(L log n) bits of
-memory and its multiplications are balanced big-by-big products.  The
-repeated state closes one linear equation in one unknown.
+Everything here is closed-form.  The optimal n-sided die roller stops
+after exactly j flips with probability P(N = j) = n * bit_j(1/n) * 2^-j
+(Knuth and Yao), so E[N] is a weighted sum over the binary expansion of
+1/n, and that expansion is periodic.  Write n = 2^a * q with q odd.  The
+expansion is a zeros followed by the repeating block B = (2^P - 1)/q of
+1/q, whose length P = ord_q(2) is the multiplicative order of 2 mod q.
+Digit u = 1..P of the block is bit_{P-u}(B), and it recurs at positions
+j = a + t*P + u for t = 0, 1, ...  With x = 2^-P,
 
-The independent cross-check sums j * P(N = j) directly from the binary
-expansion of 1/n, closing the eventually-periodic tail with a geometric
-series, in integer arithmetic normalised once at the end.
+    E[N] = q * sum_t x^t * sum_u (a + t*P + u) * bit_{P-u}(B) * 2^-u
+         = q * (x*W / (1 - x) + P*B * x^2 / (1 - x)^2)
+
+after summing sum_t x^t = 1/(1-x) and sum_t t*x^t = x/(1-x)^2, where
+
+    W = sum_i (a + P - i) * bit_i(B) * 2^i = (a + P)*B - sum_i i*bit_i(B)*2^i.
+
+Since q*B = 2^P - 1 this collapses to one fraction with P-bit parts,
+
+    E[N] = (q*W + P) / (2^P - 1).
+
+The bit-weighted sum takes ceil(log2 P) masked ANDs and P comes from
+doubling or from the Carmichael function, so no per-digit or per-state
+loop is left and memory is O(P) bits.
 """
 
 import math
@@ -68,108 +77,86 @@ class FlipDistribution:
         return sum((Fraction(j) * q for j, q in self.mass.items()), Fraction(0))
 
 
-@dataclass
-class RecurrenceSolution:
-    """Expected flips plus per-die-size expected visit counts."""
-
-    expected_flips: Fraction
-    visit_states: dict[int, Fraction]
-
-
 def ceil_log2(n: int) -> int:
     """Smallest k with 2^k >= n."""
     return (n - 1).bit_length()
 
 
-def _chain(n: int):
-    """Follow s -> s*2^k - n from s=1 until absorption or a repeat.
+def _order_of_two(q: int) -> int:
+    """ord_q(2) for odd q > 1: the period of the binary expansion of 1/q.
 
-    Yields (s, k, s_doubled) steps; the walk ends either because
-    acceptance is certain (s_doubled == n) or because a state repeated,
-    closing the cycle.
+    Doubling settles a short order within isqrt(q) + 1 steps; that covers
+    q such as 2^61 - 1, whose trial-division factorisation would take a
+    billion steps.  Past the cap the order divides the Carmichael
+    function lambda(q), read off trial-division factorisations of q and
+    lambda(q) that cost no more than the doubling did, and each prime
+    factor of lambda is stripped while 2 stays a root of unity.
     """
-    steps = []
-    seen = {}
-    s = 1
-    while s not in seen:
-        seen[s] = len(steps)
-        k = ceil_log2((n + s - 1) // s)
-        s2 = s << k
-        steps.append((s, k, s2))
-        s = s2 - n
-        if s == 0:
-            return steps, None
-    return steps, seen[s]
+    value = 2
+    for order in range(1, math.isqrt(q) + 2):
+        if value == 1:
+            return order
+        value = value * 2 % q
+    order = 1
+    for p, k in _factor(q).items():
+        order = math.lcm(order, p ** (k - 1) * (p - 1))
+    for p in _factor(order):
+        while order % p == 0 and pow(2, order // p, q) == 1:
+            order //= p
+    return order
 
 
-def _compose(maps: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """Compose affine maps (a, b, d): x -> (a + b*y) / d, first map outermost.
+def _factor(m: int) -> dict[int, int]:
+    """Prime factorisation of m >= 1 by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
 
-    Adjacent pairs are merged level by level, a balanced product tree, so
-    operands grow together instead of one long product absorbing each
-    small factor in turn.
+
+def _bit_weighted_sum(b: int, width: int) -> int:
+    """Sum of i * bit_i(b) * 2^i over the bits of b < 2^width.
+
+    Mask k has ones at the positions whose index has bit k set, so the sum
+    is sum_k 2^k * (b & mask_k): ceil(log2 width) ANDs, each mask built by
+    doubling its period-2^(k+1) pattern.
     """
-    while len(maps) > 1:
-        merged = [
-            (a1 * d2 + b1 * a2, b1 * b2, d1 * d2)
-            for (a1, b1, d1), (a2, b2, d2) in zip(maps[::2], maps[1::2])
-        ]
-        if len(maps) % 2:
-            merged.append(maps[-1])
-        maps = merged
-    return maps[0]
+    total = 0
+    run = 1  # 2^k
+    while run < width:
+        mask = ((1 << run) - 1) << run
+        span = 2 * run
+        while span < width:
+            mask |= mask << span
+            span *= 2
+        total += (b & mask) * run
+        run *= 2
+    return total
 
 
 def exact_expected_flips(n: int) -> Fraction:
     """Exact expected number of coin flips to roll a fair n-sided die.
 
-    Step (s, k, s') of the recycle chain is the integer affine map
-    E(s) = (k*s' + (s' - n) * E(s')) / s'.  The cycle's maps compose to
-    E(s*) = (a + b*E(s*)) / d, so E(s*) = a / (d - b); the prefix maps,
-    if any, carry that back to E(1).  Composition runs as a balanced
-    product tree and one Fraction is normalised at the end, so memory is
-    O(L log n) bits for a chain of length L.
+    E[N] = (q*W + P) / (2^P - 1) for n = 2^a * q, q odd, from the period
+    P = ord_q(2) of 1/n and its repeating block B (derived in the module
+    docstring).  One Fraction with P-bit parts is normalised at the end.
     """
     _check_sides(n)
-    if n == 1:
-        return Fraction(0)
-    steps, cycle_start = _chain(n)
-    maps = [(k * s2, s2 - n, s2) for _, k, s2 in steps]
-    if cycle_start is None:
-        # a doubling landed exactly on n: acceptance was certain, b = 0
-        a, _, d = _compose(maps)
-        return Fraction(a, d)
-    a_c, b_c, d_c = _compose(maps[cycle_start:])
-    a_p, b_p, d_p = _compose(maps[:cycle_start]) if cycle_start else (0, 1, 1)
-    # E(1) = (a_p + b_p * a_c / (d_c - b_c)) / d_p
-    return Fraction(a_p * (d_c - b_c) + b_p * a_c, d_p * (d_c - b_c))
-
-
-def solve_recurrence(n: int) -> RecurrenceSolution:
-    """Expected flips plus expected visits to each recycled die size."""
-    _check_sides(n)
-    expected = exact_expected_flips(n)
-    visits: dict[int, Fraction] = {}
-    if n == 1:
-        return RecurrenceSolution(expected, visits)
-    steps, cycle_start = _chain(n)
-    reach = Fraction(1)
-    reaches = []
-    for s, k, s2 in steps:
-        reaches.append(reach)
-        reach *= Fraction(s2 - n, s2)
-    if cycle_start is None:
-        for (s, _, _), r in zip(steps, reaches):
-            visits[s] = r
-    else:
-        # cycle weight: product of continuation probabilities once around
-        cycle_weight = reach / reaches[cycle_start]
-        boost = 1 / (1 - cycle_weight)
-        for idx, ((s, _, _), r) in enumerate(zip(steps, reaches)):
-            visits[s] = r * boost if idx >= cycle_start else r
-    # internal consistency: total flips spent at each size reproduce E
-    assert sum((visits[s] * k for s, k, _ in steps), Fraction(0)) == expected
-    return RecurrenceSolution(expected, visits)
+    a = (n & -n).bit_length() - 1  # v2(n)
+    q = n >> a
+    if q == 1:
+        return Fraction(a)  # n = 2^a: exactly a flips, always
+    period = _order_of_two(q)
+    ones = (1 << period) - 1
+    block = ones // q
+    weighted = (a + period) * block - _bit_weighted_sum(block, period)
+    return Fraction(q * weighted + period, ones)
 
 
 def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
@@ -188,50 +175,6 @@ def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
             mass[j] = Fraction(n, 1 << j)
     residual = 1 - sum(mass.values(), Fraction(0))
     return FlipDistribution(mass, residual)
-
-
-def _multiplicative_order_of_two(q: int) -> int:
-    order = 1
-    value = 2 % q
-    while value != 1:
-        value = (2 * value) % q
-        order += 1
-    return order
-
-
-def series_expected_flips(n: int) -> Fraction:
-    """E[N] summed directly from the bits of 1/n, closed in exact form.
-
-    The expansion of 1/n has v2(n) leading zeros followed by a periodic
-    block whose length is the multiplicative order of 2 modulo the odd
-    part of n; the infinite tail collapses with geometric series sums.
-    The block is accumulated as integers and normalised once, so the cost
-    is O(period) big-int additions.  Never touches the recycle chain, so
-    it checks exact_expected_flips independently.
-    """
-    _check_sides(n)
-    if n == 1:
-        return Fraction(0)
-    a = (n & -n).bit_length() - 1  # v2(n)
-    q = n >> a
-    if q == 1:
-        return Fraction(a)  # n = 2^a: exactly a flips, always
-    period = _multiplicative_order_of_two(q)
-    # Horner over the periodic digits c_1..c_period of 1/n that follow the
-    # a zeros: over the common denominator 2^(a+period),
-    #   weighted = sum of (a+u) c_u 2^(period-u),  plain = sum of c_u 2^(period-u)
-    weighted = plain = 0
-    r = (1 << a) % n
-    for u in range(1, period + 1):
-        r *= 2
-        c = r // n
-        r %= n
-        weighted = 2 * weighted + c * (a + u)
-        plain = 2 * plain + c
-    # closing the tail with sum of x^t = 1/(1-x) and sum of t x^t = x/(1-x)^2,
-    # x = 2^-period, turns n * sum_j j P(N=j) into one fraction
-    ones = (1 << period) - 1
-    return Fraction(n * (weighted * ones + period * plain), (ones * ones) << a)
 
 
 @dataclass

@@ -148,6 +148,8 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_sweep(args) -> int:
+    if args.sweep < 1:
+        raise UsageError(f"--sweep must be >= 1, got {args.sweep}")
     report = analysis.verify_bounds(args.sweep)
     for row in report.rows:
         if args.json:

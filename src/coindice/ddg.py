@@ -68,9 +68,6 @@ class LevelCensus:
     def count(self, level: int, outcome: int) -> int:
         return self.counts.get((level, outcome), 0)
 
-    def max_count(self) -> int:
-        return max(self.counts.values(), default=0)
-
 
 class MassMismatch(Exception):
     """Tree leaf masses do not reproduce the target distribution (a

@@ -177,7 +177,7 @@ def test_criterion_07_census_matches_expansion_bits():
 
 
 def test_criterion_08_builders_agree():
-    with _criterion("criterion 08: canonical and replay builders give equal censuses", 60.0):
+    with _criterion("criterion 08: canonical and trie-walk builders give equal censuses", 60.0):
         for p in dyadic_suite():
             algo = census(build_from_discrete(p, 12)).counts
             canonical = census(build_canonical(p, 12)).counts

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,10 +20,100 @@ from coindice import (
     exact_expected_flips,
     flip_distribution,
     flip_distribution_uniform,
-    series_expected_flips,
-    solve_recurrence,
     verify_bounds,
 )
+from coindice.analysis import _order_of_two
+
+# Independent second route: the recycle chain.  From a recycled s-sided
+# die the roller flips k = ceil(log2(n/s)) coins up to s' = s*2^k in
+# [n, 2n-1], accepts with probability n/s' and otherwise recycles an
+# (s'-n)-sided die.  Each step is the integer affine map
+# E(s) = (k*s' + (s' - n) * E(s')) / s', and the repeated state closes
+# one linear equation.  It shares no step with the library's closed form
+# over the period of 1/n.
+
+
+def _chain(n: int):
+    """Follow s -> s*2^k - n from s=1 until absorption or a repeat.
+
+    Returns the (s, k, s') steps and the index where the cycle starts, or
+    None when a doubling lands exactly on n and acceptance is certain.
+    """
+    steps = []
+    seen = {}
+    s = 1
+    while s not in seen:
+        seen[s] = len(steps)
+        k = ceil_log2((n + s - 1) // s)
+        s2 = s << k
+        steps.append((s, k, s2))
+        s = s2 - n
+        if s == 0:
+            return steps, None
+    return steps, seen[s]
+
+
+def _compose(maps: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Compose affine maps (a, b, d): x -> (a + b*y) / d, first map
+    outermost, as a balanced product tree."""
+    while len(maps) > 1:
+        merged = [
+            (a1 * d2 + b1 * a2, b1 * b2, d1 * d2)
+            for (a1, b1, d1), (a2, b2, d2) in zip(maps[::2], maps[1::2])
+        ]
+        if len(maps) % 2:
+            merged.append(maps[-1])
+        maps = merged
+    return maps[0]
+
+
+def chain_expected_flips(n: int) -> Fraction:
+    """E[N] solved from the recycle chain in O(L log n) bits."""
+    if n == 1:
+        return Fraction(0)
+    steps, cycle_start = _chain(n)
+    maps = [(k * s2, s2 - n, s2) for _, k, s2 in steps]
+    if cycle_start is None:
+        a, _, d = _compose(maps)
+        return Fraction(a, d)
+    a_c, b_c, d_c = _compose(maps[cycle_start:])
+    a_p, b_p, d_p = _compose(maps[:cycle_start]) if cycle_start else (0, 1, 1)
+    # E(1) = (a_p + b_p * a_c / (d_c - b_c)) / d_p
+    return Fraction(a_p * (d_c - b_c) + b_p * a_c, d_p * (d_c - b_c))
+
+
+@dataclass
+class RecurrenceSolution:
+    """Expected flips plus per-die-size expected visit counts."""
+
+    expected_flips: Fraction
+    visit_states: dict[int, Fraction]
+
+
+def solve_recurrence(n: int) -> RecurrenceSolution:
+    """Expected flips plus expected visits to each recycled die size."""
+    expected = chain_expected_flips(n)
+    visits: dict[int, Fraction] = {}
+    if n == 1:
+        return RecurrenceSolution(expected, visits)
+    steps, cycle_start = _chain(n)
+    reach = Fraction(1)
+    reaches = []
+    for s, k, s2 in steps:
+        reaches.append(reach)
+        reach *= Fraction(s2 - n, s2)
+    if cycle_start is None:
+        for (s, _, _), r in zip(steps, reaches):
+            visits[s] = r
+    else:
+        # cycle weight: product of continuation probabilities once around
+        cycle_weight = reach / reaches[cycle_start]
+        boost = 1 / (1 - cycle_weight)
+        for idx, ((s, _, _), r) in enumerate(zip(steps, reaches)):
+            visits[s] = r * boost if idx >= cycle_start else r
+    # internal consistency: total flips spent at each size reproduce E
+    assert sum((visits[s] * k for s, k, _ in steps), Fraction(0)) == expected
+    return RecurrenceSolution(expected, visits)
 
 
 class TestExactExpectedFlips:
@@ -47,22 +139,33 @@ class TestExactExpectedFlips:
 
     # 4099 and 20011 have long periods (2049 and 3335 chain steps); the
     # even sizes enter their cycle after a non-empty chain prefix
-    @pytest.mark.parametrize("n", [*range(1, 65), 4099, 20011, 2 * 4099, 2 * 20011])
+    @pytest.mark.parametrize("n", [*range(1, 2000), 4099, 20011, 2 * 4099, 2 * 20011])
     def test_recurrence_equals_series_closure(self, n):
         # two independent routes: the recycle-chain solve vs summing
         # j * P(N=j) from the expansion of 1/n in closed form
-        assert exact_expected_flips(n) == series_expected_flips(n)
+        assert exact_expected_flips(n) == chain_expected_flips(n)
+
+    # 2^61 - 1 and 2^89 - 1 are Mersenne primes (order 61 and 89) and
+    # 2^64 + 1 has order 128: doubling settles them at once, where trial
+    # division to their square roots would not finish
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**89 - 1, 2**64 + 1])
+    def test_huge_short_period_sizes_are_cheap(self, n):
+        start = time.perf_counter()
+        value = exact_expected_flips(n)
+        assert time.perf_counter() - start < 1.0
+        assert value == chain_expected_flips(n)
 
     def test_long_period_fits_in_bounded_memory(self):
-        # period 50001: the child caps its own address space at 1 GB
+        # period 50001: the child caps its own address space at 1 GB and
+        # prints E[N] in hex, which has no int-to-str digit limit
         script = (
             "import resource\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
-            "from coindice import exact_expected_flips, series_expected_flips\n"
+            "from coindice import exact_expected_flips\n"
             "e = exact_expected_flips(100003)\n"
-            "assert e == series_expected_flips(100003)\n"
             "assert 17 <= e <= 18, e\n"
+            "print(hex(e.numerator), hex(e.denominator))\n"
         )
         src = os.path.dirname(os.path.dirname(coindice.__file__))
         child = subprocess.run(
@@ -73,6 +176,8 @@ class TestExactExpectedFlips:
             timeout=120,
         )
         assert child.returncode == 0, child.stderr
+        num, den = (int(h, 16) for h in child.stdout.split())
+        assert Fraction(num, den) == chain_expected_flips(100003)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 12])
     def test_recurrence_vs_truncated_enumeration(self, n):
@@ -103,6 +208,16 @@ class TestExactExpectedFlips:
     def test_invalid_sides(self):
         with pytest.raises(ValueError):
             exact_expected_flips(0)
+
+
+class TestOrderOfTwo:
+    def test_matches_brute_force_doubling(self):
+        for q in range(3, 5000, 2):
+            order, value = 1, 2 % q
+            while value != 1:
+                value = value * 2 % q
+                order += 1
+            assert _order_of_two(q) == order, q
 
 
 class TestFlipDistributionUniform:

@@ -241,8 +241,18 @@ class TestUsage:
             ["sample", "--dist", '[{"num": true, "den": 1}]'],
             ["analyze", "--dist", "1/3,2/3", "--depth", "0"],
             ["analyze", "--die", "5", "--depth", "-1"],
+            ["analyze", "--sweep", "0"],
+            ["analyze", "--sweep", "-3"],
         ],
-        ids=["zero-den", "json-zero-den", "json-bool", "dist-depth-0", "die-depth-negative"],
+        ids=[
+            "zero-den",
+            "json-zero-den",
+            "json-bool",
+            "dist-depth-0",
+            "die-depth-negative",
+            "sweep-0",
+            "sweep-negative",
+        ],
     )
     def test_bad_input_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
