@@ -28,17 +28,14 @@ from .ddg import (
     build_from_uniform,
     census,
     check_optimal,
-    dominates,
     export_dot,
     flip_distribution,
 )
 from .discrete import (
     InvalidDistribution,
-    LevelState,
     ProbabilityVector,
     acceptance_set,
     expansion_bit,
-    level_state,
     parse_distribution,
     sample,
 )
@@ -65,7 +62,6 @@ __all__ = [
     "FlipDistribution",
     "InvalidDistribution",
     "LevelCensus",
-    "LevelState",
     "MassMismatch",
     "OptimalityVerdict",
     "ProbabilityVector",
@@ -83,7 +79,6 @@ __all__ = [
     "check_optimal",
     "chi_square_pvalue",
     "chi_square_test",
-    "dominates",
     "entropy",
     "enumerate_discrete",
     "enumerate_uniform",
@@ -92,7 +87,6 @@ __all__ = [
     "export_dot",
     "flip_distribution",
     "flip_distribution_uniform",
-    "level_state",
     "parse_distribution",
     "regularized_gamma_q",
     "roll",

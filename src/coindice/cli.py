@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import analysis, ddg, gof, oracle
 from .bitsource import BitSource, SeededSource
-from .discrete import InvalidDistribution, ProbabilityVector, parse_distribution, sample
-from .uniform import roll, roll_many
+from .discrete import InvalidDistribution, ProbabilityVector, _levels, parse_distribution, sample
+from .uniform import _die_levels, roll, roll_many
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,15 +215,11 @@ def cmd_tree(args) -> int:
 def cmd_oracle_dump(args) -> int:
     n, p = _target(args)
     _check_cli_depth(args.depth)
-    if p is None:
-        states = oracle.state_tree_uniform(n, args.depth)
-        leaves = oracle.enumerate_uniform(n, args.depth).leaf_histories
-    else:
-        states = oracle.state_tree_discrete(p, args.depth)
-        leaves = oracle.enumerate_discrete(p, args.depth).leaf_histories
+    levels = _die_levels(n) if p is None else _levels(p)
+    states, leaves, _ = oracle._expand(levels, args.depth)
     for history in sorted(states, key=lambda h: (len(h), h)):
-        s = states[history]
-        line = f'{len(history)} "{history}" ({s.x}, {s.m})'
+        x, m = states[history]
+        line = f'{len(history)} "{history}" ({x}, {m})'
         if history in leaves:
             line += f" -> {leaves[history]}"
         print(line)

@@ -7,23 +7,24 @@ trees directly comparable with the enumeration oracle and gives the DOT
 exporter stable node ids.
 
 Two builders are provided: ``build_canonical`` places leaves straight
-from the binary expansions of the probabilities (the optimal shape), and
-``build_from_uniform`` / ``build_from_discrete`` materialise whatever
-tree the samplers actually walk, in O(nodes), from the oracle's
-level-by-level trie walk of their (x, m) states: a history that
-terminates is a leaf, one still running is internal.  The tests keep a
-reference builder that replays the samplers on every history.
-``check_optimal`` compares any tree against the expansion-bit
-characterisation of optimality.
+from ``acceptance_set``, the random-access expansion bits of the
+probabilities (the optimal shape), and ``build_from_uniform`` /
+``build_from_discrete`` materialise whatever tree the samplers actually
+walk, in O(nodes), from the oracle's one trie walk of their (x, m)
+states under the samplers' own level rules: a history that terminates
+is a leaf, one still running is internal.  The tests keep a reference
+builder that replays the samplers on every history.  ``check_optimal``
+compares any tree against the expansion-bit characterisation of
+optimality.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import FlipDistribution
-from .discrete import ProbabilityVector, expansion_bit
-from .oracle import _expand_discrete, _expand_uniform
-from .uniform import _check_sides
+from .discrete import ProbabilityVector, _levels, acceptance_set, expansion_bit
+from .oracle import _expand
+from .uniform import _check_sides, _die_levels
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
 INTERNAL = None
@@ -94,7 +95,7 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     nodes: dict[str, int | None] = {"": INTERNAL}
     open_positions = ["0", "1"]
     for level in range(1, depth_bound + 1):
-        accept = [i for i in range(1, len(p) + 1) if expansion_bit(p.prob(i), level)]
+        accept = acceptance_set(p, level)
         assert len(accept) <= len(open_positions), "expansion bits exceed open slots"
         for position, outcome in zip(open_positions, accept):
             nodes[position] = outcome
@@ -112,14 +113,14 @@ def build_from_uniform(n: int, depth_bound: int) -> DdgTree:
     """The tree the n-sided die roller actually walks."""
     _check_sides(n)
     _check_depth_bound(depth_bound)
-    states, leaves, _ = _expand_uniform(n, depth_bound)
+    states, leaves, _ = _expand(_die_levels(n), depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
 def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """The tree the discrete sampler actually walks."""
     _check_depth_bound(depth_bound)
-    states, leaves, _ = _expand_discrete(p, depth_bound)
+    states, leaves, _ = _expand(_levels(p), depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
@@ -198,16 +199,6 @@ def flip_distribution(tree: DdgTree) -> FlipDistribution:
         level_leaves[j] = level_leaves.get(j, 0) + 1
     mass = {j: Fraction(count, 1 << j) for j, count in level_leaves.items()}
     return FlipDistribution(mass, tree.live_mass())
-
-
-def dominates(a: FlipDistribution, b: FlipDistribution) -> bool:
-    """True iff a's flip count is stochastically no worse than b's:
-    P(N_a > i) <= P(N_b > i) for every i."""
-    horizon = max(a.max_level(), b.max_level())
-    for i in range(horizon + 1):
-        if a.tail(i) > b.tail(i):
-            return False
-    return a.residual <= b.residual
 
 
 def export_dot(tree: DdgTree) -> str:

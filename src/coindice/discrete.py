@@ -4,14 +4,16 @@ The sampler generalises the fair-die roller: at flip j the outcomes
 whose probability has a 1 at position j of its binary expansion form the
 acceptance set for that level, and the recycled pair (x, m) selects
 uniformly among them.  Probabilities are exact ``fractions.Fraction``
-values throughout; expansion bits are always recomputed from the
-original probability (random access, no cumulative doubling), so there
-is no drift and no rounding anywhere.
+values throughout.  The sampler reads the acceptance sets off integer
+residuals, one per outcome: doubling r_i = num_i * 2^j mod den_i gives
+the next expansion bit of every outcome at once, with no drift, no
+rounding and memory linear in the input.  ``expansion_bit`` and
+``acceptance_set`` compute the same bits by random access and stay the
+reference the tests and the canonical tree builder use.
 """
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitsource import BitSource
@@ -131,24 +133,6 @@ def expansion_bit(q: Fraction, j: int) -> int:
     return hi - 2 * lo
 
 
-@dataclass(frozen=True)
-class LevelState:
-    """Residual probabilities after the first ``level`` expansion bits."""
-
-    residual_probs: tuple[Fraction, ...]
-    level: int
-
-
-def level_state(p: ProbabilityVector, level: int) -> LevelState:
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    residuals = tuple(
-        Fraction((q.numerator << level) % q.denominator, q.denominator)
-        for q in p.probs
-    )
-    return LevelState(residuals, level)
-
-
 def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
     """Outcomes whose expansion has a 1 bit at ``level``, ascending."""
     if level < 1:
@@ -156,6 +140,29 @@ def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
     return tuple(
         i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level) == 1
     )
+
+
+def _levels(p: ProbabilityVector):
+    """Acceptance set of each level 0, 1, 2, ... of the DDG tree of ``p``.
+
+    Keeps one integer residual per outcome, num * 2^j mod den after
+    level j, so each stays below its denominator.  Doubling it gives the
+    next level, which accepts the outcomes whose doubled residual reaches
+    den and takes den off them.  Level 0 starts from num itself, so it
+    accepts only an outcome of probability 1.
+    """
+    residuals = [q.numerator for q in p.probs]
+    dens = [q.denominator for q in p.probs]
+    outcomes = range(len(dens))
+    while True:
+        accept = []
+        for i in outcomes:
+            r = residuals[i]
+            if r >= dens[i]:
+                accept.append(i + 1)
+                r -= dens[i]
+            residuals[i] = 2 * r
+        yield accept
 
 
 def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
@@ -166,16 +173,14 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     smallest member; otherwise the leftover uniformity carries to the
     next level.  An empty acceptance level just flips again.
     """
-    certain = p.certain_outcome()
-    if certain is not None:
-        return TracedRoll(certain, 0, [RecyclerState(1, 1)] if trace else None)
+    levels = _levels(p)
+    certain = next(levels)
+    if certain:
+        return TracedRoll(certain[0], 0, [RecyclerState(1, 1)] if trace else None)
 
     x, m = 1, 1
-    level = 0
     states = [RecyclerState(1, 1)] if trace else None
-    while True:
-        level += 1
-        accept = acceptance_set(p, level)
+    for level, accept in enumerate(levels, start=1):
         k = len(accept)
         bit = source.next_bit()
         x += bit * m

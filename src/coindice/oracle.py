@@ -2,15 +2,19 @@
 
 Walks every bit string up to a depth bound as a shared-prefix trie, so
 the cost is proportional to the number of live states per level (at most
-2n - 1 for the die roller) times the depth, not 2^depth.  All masses are
-exact rationals: a path that terminates after j bits carries 2^-j.
+2n - 1 for the die roller) times the depth, not 2^depth.  One walk serves
+both samplers: it steps the recycled pair (x, m) through a level rule,
+the die's (``uniform._die_levels``) or the residual doubling of a
+distribution (``discrete._levels``), which yields each level's
+acceptance set.  All masses are exact rationals: a path that terminates
+after j bits carries 2^-j.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import ProbabilityVector, acceptance_set
-from .uniform import RecyclerState, _check_sides
+from .discrete import ProbabilityVector, _levels
+from .uniform import RecyclerState, _check_sides, _die_levels
 
 
 @dataclass
@@ -31,78 +35,53 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth must be >= 1, got {depth}")
 
 
-def _expand_uniform(n: int, depth: int):
-    """Trie walk of the die roller.
+def _expand(levels, depth: int):
+    """Trie walk of a sampler, given its level rule.
 
-    Returns (states, leaves, live) where states maps every reached bit
-    history to its post-resolution (x, m) pair, leaves maps terminating
-    histories to outcomes, and live lists the histories still running at
-    ``depth``.
+    ``levels`` yields the acceptance set of level 0 (only an outcome of
+    probability 1) and then of each flip.  Returns (states, leaves, live)
+    where states maps every reached bit history to its post-resolution
+    (x, m) pair, leaves maps terminating histories to outcomes, and live
+    lists the histories still running at ``depth``.
     """
     states: dict[str, tuple[int, int]] = {"": (1, 1)}
-    leaves: dict[str, int] = {}
-    if n == 1:
-        leaves[""] = 1
-        return states, leaves, []
+    certain = next(levels)
+    if certain:
+        return states, {"": certain[0]}, []
 
-    frontier: list[tuple[str, int, int]] = [("", 1, 1)]
-    for _ in range(depth):
+    leaves: dict[str, int] = {}
+    # every state still running at a level has the same m
+    frontier: list[tuple[str, int]] = [("", 1)]
+    m = 1
+    for _, accept in zip(range(depth), levels):
         if not frontier:
             break
-        next_frontier: list[tuple[str, int, int]] = []
-        for history, x, m in frontier:
-            for bit in (0, 1):
-                h2 = history + ("1" if bit else "0")
-                x2 = x + bit * m
-                m2 = 2 * m
-                if m2 >= n:
-                    if x2 <= n:
-                        states[h2] = (x2, n)
-                        leaves[h2] = x2
-                        continue
-                    x2 -= n
-                    m2 -= n
-                states[h2] = (x2, m2)
-                next_frontier.append((h2, x2, m2))
-        frontier = next_frontier
-    return states, leaves, [h for h, _, _ in frontier]
-
-
-def _expand_discrete(p: ProbabilityVector, depth: int):
-    states: dict[str, tuple[int, int]] = {"": (1, 1)}
-    leaves: dict[str, int] = {}
-    certain = p.certain_outcome()
-    if certain is not None:
-        leaves[""] = certain
-        return states, leaves, []
-
-    frontier: list[tuple[str, int, int]] = [("", 1, 1)]
-    for level in range(1, depth + 1):
-        if not frontier:
-            break
-        accept = acceptance_set(p, level)
         k = len(accept)
-        next_frontier: list[tuple[str, int, int]] = []
-        for history, x, m in frontier:
-            for bit in (0, 1):
-                h2 = history + ("1" if bit else "0")
-                x2 = x + bit * m
-                m2 = 2 * m
-                if k and m2 >= k:
+        branches = (("0", 0), ("1", m))
+        m *= 2
+        resolves = 0 < k <= m
+        if resolves:
+            m -= k
+        next_frontier: list[tuple[str, int]] = []
+        for history, x in frontier:
+            for suffix, dx in branches:
+                h2 = history + suffix
+                x2 = x + dx
+                if resolves:
                     if x2 <= k:
                         states[h2] = (x2, k)
                         leaves[h2] = accept[x2 - 1]
                         continue
                     x2 -= k
-                    m2 -= k
-                states[h2] = (x2, m2)
-                next_frontier.append((h2, x2, m2))
+                states[h2] = (x2, m)
+                next_frontier.append((h2, x2))
         frontier = next_frontier
-    return states, leaves, [h for h, _, _ in frontier]
+    return states, leaves, [h for h, _ in frontier]
 
 
-def _tally(leaves: dict[str, int], live: list[str], depth: int) -> EnumerationResult:
+def _tally(walk, depth: int) -> EnumerationResult:
     # a leaf at level j carries 2^(depth - j) / 2^depth
+    _, leaves, live = walk
     outcome_weight: dict[int, int] = {}
     level_leaves: dict[int, int] = {}
     for history, outcome in leaves.items():
@@ -119,15 +98,13 @@ def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the n-sided die roller."""
     _check_sides(n)
     _check_depth(depth)
-    _, leaves, live = _expand_uniform(n, depth)
-    return _tally(leaves, live, depth)
+    return _tally(_expand(_die_levels(n), depth), depth)
 
 
 def enumerate_discrete(p: ProbabilityVector, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the discrete sampler."""
     _check_depth(depth)
-    _, leaves, live = _expand_discrete(p, depth)
-    return _tally(leaves, live, depth)
+    return _tally(_expand(_levels(p), depth), depth)
 
 
 def state_tree_uniform(n: int, depth: int) -> dict[str, RecyclerState]:
@@ -138,11 +115,11 @@ def state_tree_uniform(n: int, depth: int) -> dict[str, RecyclerState]:
     """
     _check_sides(n)
     _check_depth(depth)
-    states, _, _ = _expand_uniform(n, depth)
+    states, _, _ = _expand(_die_levels(n), depth)
     return {h: RecyclerState(*s) for h, s in states.items()}
 
 
 def state_tree_discrete(p: ProbabilityVector, depth: int) -> dict[str, RecyclerState]:
     _check_depth(depth)
-    states, _, _ = _expand_discrete(p, depth)
+    states, _, _ = _expand(_levels(p), depth)
     return {h: RecyclerState(*s) for h, s in states.items()}

@@ -18,7 +18,6 @@ from coindice import (
     census,
     ceil_log2,
     check_optimal,
-    dominates,
     enumerate_uniform,
     exact_expected_flips,
     export_dot,
@@ -59,6 +58,16 @@ NON_DYADIC = [
     ProbabilityVector(["1/3", "1/5", "7/15"]),
     ProbabilityVector(["1/5", "2/5", "2/5"]),
 ]
+
+
+def dominates(a: FlipDistribution, b: FlipDistribution) -> bool:
+    """True iff a's flip count is stochastically no worse than b's:
+    P(N_a > i) <= P(N_b > i) for every i."""
+    horizon = max(a.max_level(), b.max_level())
+    for i in range(horizon + 1):
+        if a.tail(i) > b.tail(i):
+            return False
+    return a.residual <= b.residual
 
 
 def uniform_probs(n):
@@ -170,6 +179,14 @@ class TestBuildFromAlgorithm:
     def test_discrete_tree_equals_replay_reference(self, p):
         tree = build_from_discrete(p, 12)
         assert_equals_replay(tree, lambda source: sample(p, source))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_die_tree_is_the_uniform_distribution_tree(self, n):
+        depth = 2 * ceil_log2(n) + 4
+        die = build_from_uniform(n, depth)
+        dist = build_from_discrete(uniform_probs(n), depth)
+        assert list(die.nodes.items()) == list(dist.nodes.items())
+        assert die.depth_bound == dist.depth_bound
 
     def test_builders_and_tallies_never_replay(self, monkeypatch):
         # a replay per node costs O(nodes x depth); the trie walk needs none

@@ -1,4 +1,6 @@
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,56 @@ from coindice import (
     acceptance_set,
     enumerate_discrete,
     expansion_bit,
-    level_state,
     parse_distribution,
     sample,
+    state_tree_discrete,
 )
+from coindice.discrete import _levels
+from coindice.uniform import _die_levels
+from conftest import dyadic_suite
+
+
+@dataclass(frozen=True)
+class LevelState:
+    """Residual probabilities after the first ``level`` expansion bits."""
+
+    residual_probs: tuple[Fraction, ...]
+    level: int
+
+
+def level_state(p: ProbabilityVector, level: int) -> LevelState:
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    residuals = tuple(
+        Fraction((q.numerator << level) % q.denominator, q.denominator)
+        for q in p.probs
+    )
+    return LevelState(residuals, level)
+
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
 THIRDS = ProbabilityVector(["1/3", "2/3"])
+UNIFORM_997 = ProbabilityVector([Fraction(1, 997)] * 997)
+
+
+def expansion_levels(p: ProbabilityVector, depth: int) -> list[tuple[int, ...]]:
+    """Acceptance sets of levels 0..depth by random-access expansion bits."""
+    certain = tuple(i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, 0))
+    return [certain] + [acceptance_set(p, j) for j in range(1, depth + 1)]
+
+
+def rule_levels(levels, depth: int) -> list[tuple[int, ...]]:
+    """The first depth + 1 acceptance sets a level rule yields."""
+    return [tuple(accept) for accept in islice(levels, depth + 1)]
+
+
+def rule_depth(p: ProbabilityVector) -> int:
+    return 3 * max(q.denominator for q in p.probs).bit_length()
+
+
+nonnegative_weights = st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=60), min_size=1, max_size=7
+).filter(lambda ws: sum(ws) > 0)
 
 
 class TestProbabilityVector:
@@ -187,3 +232,69 @@ class TestMassConservation:
             residuals = level_state(p, depth).residual_probs
             live = enumerate_discrete(p, depth).live_mass
             assert sum(residuals) == live * (1 << depth)
+
+
+class TestLevelRule:
+    """The residual-doubling rule that feeds ``sample`` and the trie walk
+    must reproduce the expansion bits read by random access."""
+
+    @given(nonnegative_weights)
+    @settings(max_examples=100)
+    def test_residual_rule_matches_expansion_bits(self, weights):
+        total = sum(weights)
+        p = ProbabilityVector([w / total for w in weights])
+        depth = rule_depth(p)
+        assert rule_levels(_levels(p), depth) == expansion_levels(p, depth)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            THIRDS,
+            EIGHTHS,
+            UNIFORM_997,
+            ProbabilityVector(["0", "1/3", "0", "2/3"]),
+            ProbabilityVector(["0", "1", "0"]),
+            ProbabilityVector(["1"]),
+        ],
+        ids=lambda p: f"K{len(p)}",
+    )
+    def test_residual_rule_on_fixed_targets(self, p):
+        depth = rule_depth(p)
+        assert rule_levels(_levels(p), depth) == expansion_levels(p, depth)
+
+    def test_residual_rule_on_the_dyadic_suite(self):
+        for p in dyadic_suite():
+            depth = rule_depth(p)
+            assert rule_levels(_levels(p), depth) == expansion_levels(p, depth)
+
+    def test_die_rule_is_the_rule_of_the_uniform_distribution(self):
+        for n in range(1, 301):
+            p = ProbabilityVector([Fraction(1, n)] * n)
+            depth = rule_depth(p)
+            assert rule_levels(_die_levels(n), depth) == expansion_levels(p, depth), n
+
+
+class TestSampleTrace:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            EIGHTHS,
+            THIRDS,
+            ProbabilityVector(["1/3", "1/5", "7/15"]),
+            ProbabilityVector(["0", "1/5", "0", "4/5"]),
+            ProbabilityVector(["0", "1"]),
+            ProbabilityVector([Fraction(1, 7)] * 7),
+        ]
+        + dyadic_suite()[:5],
+    )
+    def test_every_leaf_replays_to_its_oracle_state(self, p):
+        depth = 12
+        states = state_tree_discrete(p, depth)
+        leaves = enumerate_discrete(p, depth).leaf_histories
+        assert leaves
+        for history, outcome in leaves.items():
+            result = sample(p, ReplaySource([int(b) for b in history]), trace=True)
+            assert (result.outcome, result.flips) == (outcome, len(history))
+            assert result.trace[0] == (1, 1)
+            assert result.trace[-1] == states[history]
+            assert all(1 <= x <= m for x, m in result.trace)

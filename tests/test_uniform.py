@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coindice import (
+    ProbabilityVector,
     RecyclerState,
     ReplaySource,
     SeededSource,
@@ -10,6 +13,7 @@ from coindice import (
     enumerate_uniform,
     roll,
     roll_many,
+    sample,
 )
 
 
@@ -124,3 +128,16 @@ def test_flips_equal_loop_iterations(n, seed):
     before = source.flips_consumed
     result = roll(n, source)
     assert result.flips == source.flips_consumed - before
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [257, 997])
+def test_roll_is_sample_of_the_uniform_distribution(n):
+    # roll is the arithmetic fast path of sample(1/n x n): same outcomes,
+    # flip counts and traces on the same bit stream
+    p = ProbabilityVector([Fraction(1, n)] * n)
+    for seed in (0, 1, 2):
+        for trace in (False, True):
+            rolls = roll_many(n, 40, SeededSource(seed), trace=trace)
+            source = SeededSource(seed)
+            samples = [sample(p, source, trace=trace) for _ in range(40)]
+            assert rolls == samples
