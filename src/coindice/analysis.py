@@ -159,22 +159,25 @@ def exact_expected_flips(n: int) -> Fraction:
     return Fraction(q * weighted + period, ones)
 
 
-def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
-    """Flip-count distribution of the optimal n-sided die roller.
+def _flip_distribution(weighted, depth: int) -> FlipDistribution:
+    """Flip-count distribution of the optimal sampler of (probability,
+    multiplicity) pairs: P(N = j) = sum_i k_i * bit_j(p_i) * 2^-j (Knuth
+    and Yao), with the mass beyond ``depth`` as the residual."""
+    mass: dict[int, Fraction] = {}
+    for j in range(depth + 1):
+        leaves = sum(k * expansion_bit(q, j) for q, k in weighted)
+        if leaves:
+            mass[j] = Fraction(leaves, 1 << j)
+    return FlipDistribution(mass, 1 - sum(mass.values(), Fraction(0)))
 
-    P(N = j) = n * bit_j(1/n) * 2^-j; mass beyond ``depth`` is reported
-    as the residual.
-    """
+
+def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
+    """Flip-count distribution of the optimal n-sided die roller, the
+    target 1/n x n."""
     _check_sides(n)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    q = Fraction(1, n)
-    mass: dict[int, Fraction] = {}
-    for j in range(depth + 1):
-        if expansion_bit(q, j):
-            mass[j] = Fraction(n, 1 << j)
-    residual = 1 - sum(mass.values(), Fraction(0))
-    return FlipDistribution(mass, residual)
+    return _flip_distribution([(Fraction(1, n), n)], depth)
 
 
 @dataclass
@@ -224,14 +227,23 @@ def verify_bounds(n_max: int) -> BoundsReport:
     return BoundsReport(n_max, rows, min_slack, max_slack)
 
 
+def _entropy(weighted) -> float:
+    """Shannon entropy in bits of (probability, multiplicity) pairs.  Each
+    float term is subtracted once per multiplicity, so 1/n x n gives the
+    float that ``entropy`` gives the die's n-entry vector, bit for bit."""
+    total = 0.0
+    for q, k in weighted:
+        if q > 0:
+            x = float(q)
+            term = x * math.log2(x)
+            for _ in range(k):
+                total -= term
+    return total
+
+
 def entropy(p: ProbabilityVector) -> float:
     """Shannon entropy in bits, float64 precision.
 
     Reporting only: never used in exact assertions.
     """
-    total = 0.0
-    for q in p.probs:
-        if q > 0:
-            x = float(q)
-            total -= x * math.log2(x)
-    return total
+    return _entropy((q, 1) for q in p.probs)

@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import analysis, ddg, gof, oracle
 from .bitsource import BitSource, SeededSource
@@ -33,104 +34,95 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(text: str) -> int:
+    """argparse type of every size, count and depth: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:  # keep argparse's wording, which would name this function
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_target_options(parser, dist_help="exact distribution, e.g. 3/8,1/2,1/8"):
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--die", type=int, metavar="N", help="fair die with N sides")
+    group.add_argument("--die", type=_positive, metavar="N", help="fair die with N sides")
     group.add_argument("--dist", metavar="P", help=dist_help)
+    return group
 
 
 def _target(args) -> tuple[int | None, ProbabilityVector | None]:
-    if args.die is not None:
-        if args.die < 1:
-            raise UsageError(f"--die must be >= 1, got {args.die}")
-        return args.die, None
+    return (args.die, None) if args.dist is None else (None, parse_distribution(args.dist))
+
+
+def _exact(v: int) -> int | str:
+    """v, or v in hex when it has more digits than str() may print."""
     try:
-        return None, parse_distribution(args.dist)
-    except InvalidDistribution as exc:
-        raise UsageError(str(exc)) from exc
+        str(v)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return hex(v)
+    return v
 
 
 def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_exact(q.numerator)}/{_exact(q.denominator)}"
+
+
+def _draws(n: int | None, p: ProbabilityVector | None, args):
+    """Stream args.count variates of the target from one seeded source."""
+    source = SeededSource(args.seed)
+    draw = partial(roll, n) if p is None else partial(sample, p)
+    for _ in range(args.count):
+        yield draw(source)
 
 
 def cmd_sample(args) -> int:
     n, p = _target(args)
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
-    source = SeededSource(args.seed)
-    if p is None:
-        rolls = roll_many(n, args.count, source)
-    else:
-        rolls = [sample(p, source) for _ in range(args.count)]
-    for r in rolls:
-        if args.show_flips:
-            print(f"{r.outcome} {r.flips}")
-        else:
-            print(r.outcome)
-    total = sum(r.flips for r in rolls)
+    total = 0
+    for r in _draws(n, p, args):
+        total += r.flips
+        print(f"{r.outcome} {r.flips}" if args.show_flips else r.outcome)
     floor = math.log2(n) if p is None else analysis.entropy(p)
     print(
-        f"# total_flips={total} flips_per_roll={total / len(rolls):.4f} "
+        f"# total_flips={total} flips_per_roll={total / args.count:.4f} "
         f"entropy_floor={floor:.4f}"
     )
     return EXIT_OK
 
 
-def _die_analysis(n: int, depth: int):
-    expected = analysis.exact_expected_flips(n)
-    lower = analysis.ceil_log2(n)
-    dist = analysis.flip_distribution_uniform(n, depth)
-    return expected, lower, dist
-
-
 def cmd_analyze(args) -> int:
     if args.sweep is not None:
         return _analyze_sweep(args)
-    if args.die is None and args.dist is None:
-        raise UsageError("one of --die, --dist or --sweep is required")
     n, p = _target(args)
-    if args.depth is not None:
-        _check_cli_depth(args.depth)
-    if p is None:
-        # the sequential float sum analysis.entropy does, without n Fractions
-        x = 1 / n
-        t = x * math.log2(x)
-        ent = 0.0
-        for _ in range(n):
-            ent -= t
-        depth = args.depth if args.depth is not None else 2 * analysis.ceil_log2(n) + 8
-        expected, lower, dist = _die_analysis(n, depth)
-        exact = True
-    else:
-        ent = analysis.entropy(p)
-        depth = args.depth if args.depth is not None else 16
-        dist = ddg.flip_distribution(ddg.build_canonical(p, depth))
-        exact = dist.residual == 0
-        expected = dist.expectation() if exact else dist.partial_expectation()
-        lower = None
+    # the die is the target 1/n x n, with no n-entry list
+    weighted = [(Fraction(1, n), n)] if p is None else [(q, 1) for q in p]
+    lower = analysis.ceil_log2(n) if p is None else None
+    depth = args.depth or (2 * lower + 8 if p is None else 16)
+    dist = analysis._flip_distribution(weighted, depth)
+    exact = p is None or dist.residual == 0
+    expected = analysis.exact_expected_flips(n) if p is None else dist.partial_expectation()
+    ent = analysis._entropy(weighted)
     if args.json:
         payload = {
-            "expected_num": expected.numerator,
-            "expected_den": expected.denominator,
+            "expected_num": _exact(expected.numerator),
+            "expected_den": _exact(expected.denominator),
             "expected": float(expected),
             "expected_exact": exact,
             "entropy": ent,
             "depth": depth,
-            "residual_num": dist.residual.numerator,
-            "residual_den": dist.residual.denominator,
+            "residual_num": _exact(dist.residual.numerator),
+            "residual_den": _exact(dist.residual.denominator),
             "flip_distribution": [
-                {"flips": j, "num": q.numerator, "den": q.denominator}
+                {"flips": j, "num": _exact(q.numerator), "den": _exact(q.denominator)}
                 for j, q in sorted(dist.mass.items())
             ],
         }
-        if n is not None:
-            payload["n"] = n
-            payload["lower"] = lower
-            payload["upper"] = lower + 1
+        if p is None:
+            payload.update(n=n, lower=lower, upper=lower + 1)
         print(json.dumps(payload))
         return EXIT_OK
-    if n is not None:
+    if p is None:
         print(f"n = {n}")
         print(f"E[N] = {_frac(expected)} = {float(expected)}")
         print(f"bounds [{lower}, {lower + 1}]")
@@ -148,8 +140,6 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_sweep(args) -> int:
-    if args.sweep < 1:
-        raise UsageError(f"--sweep must be >= 1, got {args.sweep}")
     report = analysis.verify_bounds(args.sweep)
     for row in report.rows:
         if args.json:
@@ -157,8 +147,8 @@ def _analyze_sweep(args) -> int:
                 json.dumps(
                     {
                         "n": row.n,
-                        "expected_num": row.expected.numerator,
-                        "expected_den": row.expected.denominator,
+                        "expected_num": _exact(row.expected.numerator),
+                        "expected_den": _exact(row.expected.denominator),
                         "lower": row.lower,
                         "upper": row.upper,
                     }
@@ -180,21 +170,10 @@ def _analyze_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_cli_depth(depth: int) -> None:
-    if depth < 1:
-        raise UsageError(f"--depth must be >= 1, got {depth}")
-
-
 def cmd_tree(args) -> int:
     n, p = _target(args)
-    if p is None:
-        depth = args.depth if args.depth is not None else max(2 * analysis.ceil_log2(n) + 8, 1)
-        _check_cli_depth(depth)
-        tree = ddg.build_from_uniform(n, depth)
-    else:
-        depth = args.depth if args.depth is not None else 12
-        _check_cli_depth(depth)
-        tree = ddg.build_from_discrete(p, depth)
+    depth = args.depth or (2 * analysis.ceil_log2(n) + 8 if p is None else 12)
+    tree = ddg.build_from_uniform(n, depth) if p is None else ddg.build_from_discrete(p, depth)
     sys.stdout.write(ddg.export_dot(tree))
     if args.check:
         try:
@@ -214,7 +193,6 @@ def cmd_tree(args) -> int:
 
 def cmd_oracle_dump(args) -> int:
     n, p = _target(args)
-    _check_cli_depth(args.depth)
     levels = _die_levels(n) if p is None else _levels(p)
     states, leaves, _ = oracle._expand(levels, args.depth)
     for history in sorted(states, key=lambda h: (len(h), h)):
@@ -234,14 +212,9 @@ def cmd_chisq(args) -> int:
         raise UsageError(
             f"--count {args.count} too small: need at least 50 per category ({minimum})"
         )
-    source = SeededSource(args.seed)
     counts = [0] * outcomes
-    if p is None:
-        for r in roll_many(n, args.count, source):
-            counts[r.outcome - 1] += 1
-    else:
-        for _ in range(args.count):
-            counts[sample(p, source).outcome - 1] += 1
+    for r in _draws(n, p, args):
+        counts[r.outcome - 1] += 1
     probs = [Fraction(1, n)] * n if p is None else p.probs
     result = gof.chi_square_test(counts, probs, significance=0.001)
     print(f"samples = {args.count}  seed = {args.seed}")
@@ -256,8 +229,6 @@ def cmd_chisq(args) -> int:
 def naive_rejection_roll(n: int, source: BitSource) -> tuple[int, int]:
     """Baseline die roll: draw ceil(log2 n) bits, retry on overflow,
     discarding all bits of a failed attempt.  Returns (outcome, flips)."""
-    if n == 1:
-        return 1, 0
     k = analysis.ceil_log2(n)
     flips = 0
     while True:
@@ -273,8 +244,7 @@ def _bench_recycler(n: int, count: int, seed: int) -> tuple[float, float]:
     source = SeededSource(seed)
     start = time.perf_counter()
     roll_many(n, count, source)
-    elapsed = time.perf_counter() - start
-    return source.flips_consumed / count, elapsed
+    return source.flips_consumed / count, time.perf_counter() - start
 
 
 def _bench_naive(n: int, count: int, seed: int) -> tuple[float, float]:
@@ -282,8 +252,7 @@ def _bench_naive(n: int, count: int, seed: int) -> tuple[float, float]:
     start = time.perf_counter()
     for _ in range(count):
         naive_rejection_roll(n, source)
-    elapsed = time.perf_counter() - start
-    return source.flips_consumed / count, elapsed
+    return source.flips_consumed / count, time.perf_counter() - start
 
 
 def cmd_bench(args) -> int:
@@ -293,12 +262,10 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--die expects comma-separated integers: {exc}") from exc
     if any(n < 1 for n in sizes):
         raise UsageError("--die entries must be >= 1")
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
     for n in sizes:
         expected = analysis.exact_expected_flips(n)
         k = analysis.ceil_log2(n)
-        naive_expected = k * Fraction(1 << k, n) if n > 1 else Fraction(0)
+        naive_expected = k * Fraction(1 << k, n)
         recycler_rate, recycler_time = _bench_recycler(n, args.count, args.seed)
         naive_rate, naive_time = _bench_naive(n, args.count, args.seed)
         if args.json:
@@ -339,31 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw variates")
     _add_target_options(p_sample)
-    p_sample.add_argument("--count", type=int, default=1)
+    p_sample.add_argument("--count", type=_positive, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--show-flips", action="store_true")
     p_sample.set_defaults(func=cmd_sample)
 
     p_analyze = sub.add_parser("analyze", help="exact expected flips and distribution")
-    group = p_analyze.add_mutually_exclusive_group(required=True)
-    group.add_argument("--die", type=int, metavar="N")
-    group.add_argument("--dist", metavar="P")
-    group.add_argument("--sweep", type=int, metavar="N_MAX",
+    group = _add_target_options(p_analyze, dist_help=None)
+    group.add_argument("--sweep", type=_positive, metavar="N_MAX",
                        help="verify expected-flip bounds for all n up to N_MAX")
-    p_analyze.add_argument("--depth", type=int, default=None)
+    p_analyze.add_argument("--depth", type=_positive)
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_tree = sub.add_parser("tree", help="export the sampler's DDG tree as DOT")
     _add_target_options(p_tree)
-    p_tree.add_argument("--depth", type=int, default=None)
+    p_tree.add_argument("--depth", type=_positive)
     p_tree.add_argument("--check", action="store_true",
                         help="verify optimality; exit 2 on violation")
     p_tree.set_defaults(func=cmd_tree)
 
     p_dump = sub.add_parser("oracle-dump", help="dump the exhaustive state tree")
     _add_target_options(p_dump)
-    p_dump.add_argument("--depth", type=int, default=6)
+    p_dump.add_argument("--depth", type=_positive, default=6)
     p_dump.set_defaults(func=cmd_oracle_dump)
 
     p_chisq = sub.add_parser("chisq", help="chi-square goodness-of-fit run")
@@ -374,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="flips/roll and throughput vs naive rejection")
     p_bench.add_argument("--die", required=True, metavar="N[,N...]")
-    p_bench.add_argument("--count", type=int, default=100_000)
+    p_bench.add_argument("--count", type=_positive, default=100_000)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
@@ -386,7 +351,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidDistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

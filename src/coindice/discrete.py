@@ -43,6 +43,8 @@ def _as_exact_fraction(value) -> Fraction:
             return Fraction(token)
         except ZeroDivisionError:
             raise InvalidDistribution(f"zero denominator in {value!r}") from None
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidDistribution(str(exc)) from None
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise InvalidDistribution(f"unsupported probability type {type(value).__name__}")
@@ -98,7 +100,7 @@ def parse_distribution(text: str) -> ProbabilityVector:
     if text.startswith("["):
         try:
             items = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an int past the digit limit
             raise InvalidDistribution(f"bad JSON distribution: {exc}") from exc
         entries = []
         for item in items:

@@ -1,11 +1,27 @@
+import io
 import json
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from coindice.cli import main, naive_rejection_roll
-from coindice import ProbabilityVector, ReplaySource, SeededSource, entropy
+from coindice import (
+    ProbabilityVector,
+    ReplaySource,
+    SeededSource,
+    entropy,
+    exact_expected_flips,
+)
+
+HUGE = "7" * 5001  # past Python's default 4300-digit int/str limit
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +72,18 @@ class TestSample:
         assert code == 0
         assert out.endswith("entropy_floor=39.8631\n")
 
+    @pytest.mark.parametrize("target", [["--die", "6"], ["--dist", "1/3,1/5,7/15"]])
+    def test_output_streams_in_bounded_memory(self, target):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(_Discard()):
+                code = main(["sample", *target, "--count", "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20
+
 
 class TestAnalyze:
     def test_die_five(self, capsys):
@@ -90,6 +118,21 @@ class TestAnalyze:
         assert code == 0
         probs = ProbabilityVector([Fraction(1, n)] * n)
         assert json.loads(out)["entropy"] == entropy(probs)
+
+    def test_parts_past_the_digit_limit_print_in_hex(self, capsys):
+        expected = exact_expected_flips(100003)
+        code, out, err = run_cli(capsys, "analyze", "--die", "100003", "--json")
+        assert code == 0 and "Traceback" not in err
+        payload = json.loads(out)
+        parts = payload["expected_num"], payload["expected_den"]
+        assert all(part.startswith("0x") for part in parts)
+        assert Fraction(*(int(part, 16) for part in parts)) == expected
+        code, out, err = run_cli(capsys, "analyze", "--die", "100003")
+        assert code == 0 and "Traceback" not in err
+        line = out.splitlines()[1]
+        assert line.startswith("E[N] = 0x")
+        num, den = line.split()[2].split("/")
+        assert Fraction(int(num, 16), int(den, 16)) == expected
 
     def test_sweep_lines(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--sweep", "16", "--json")
@@ -243,6 +286,8 @@ class TestUsage:
             ["analyze", "--die", "5", "--depth", "-1"],
             ["analyze", "--sweep", "0"],
             ["analyze", "--sweep", "-3"],
+            ["sample", "--dist", f"1/{HUGE},1"],
+            ["sample", "--dist", f'[{{"num": {HUGE}, "den": 1}}]'],
         ],
         ids=[
             "zero-den",
@@ -252,6 +297,8 @@ class TestUsage:
             "die-depth-negative",
             "sweep-0",
             "sweep-negative",
+            "huge-int",
+            "json-huge-int",
         ],
     )
     def test_bad_input_is_one_line_usage_error(self, capsys, argv):
@@ -260,3 +307,21 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sample", "--die", "0"], "--die"),
+            (["sample", "--die", "6", "--count", "0"], "--count"),
+            (["bench", "--die", "6", "--count", "-1"], "--count"),
+            (["analyze", "--die", "5", "--depth", "0"], "--depth"),
+            (["tree", "--dist", "1/2,1/2", "--depth", "0"], "--depth"),
+            (["oracle-dump", "--die", "5", "--depth", "-2"], "--depth"),
+            (["analyze", "--sweep", "0"], "--sweep"),
+        ],
+    )
+    def test_range_error_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: argument {flag}: must be >= 1") and err.count("\n") == 1
