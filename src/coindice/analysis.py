@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import ProbabilityVector, expansion_bit
+from .discrete import ProbabilityVector, _die, expansion_bit
 from .uniform import _check_sides
 
 
@@ -159,25 +159,26 @@ def exact_expected_flips(n: int) -> Fraction:
     return Fraction(q * weighted + period, ones)
 
 
-def _flip_distribution(weighted, depth: int) -> FlipDistribution:
-    """Flip-count distribution of the optimal sampler of (probability,
-    multiplicity) pairs: P(N = j) = sum_i k_i * bit_j(p_i) * 2^-j (Knuth
-    and Yao), with the mass beyond ``depth`` as the residual."""
-    mass: dict[int, Fraction] = {}
-    for j in range(depth + 1):
-        leaves = sum(k * expansion_bit(q, j) for q, k in weighted)
-        if leaves:
-            mass[j] = Fraction(leaves, 1 << j)
+def _flip_distribution(runs, depth: int) -> FlipDistribution:
+    """Flip-count distribution of the optimal sampler of ``runs`` (see
+    ``discrete``): P(N = j) = sum_i |outcomes_i| * bit_j(num_i / den_i) * 2^-j
+    (Knuth and Yao), with the mass beyond ``depth`` as the residual."""
+    leaves = [0] * (depth + 1)
+    for num, den, outcomes in runs:
+        q = Fraction(num, den)
+        for j in range(depth + 1):
+            leaves[j] += len(outcomes) * expansion_bit(q, j)
+    mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
     return FlipDistribution(mass, 1 - sum(mass.values(), Fraction(0)))
 
 
 def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
     """Flip-count distribution of the optimal n-sided die roller, the
     target 1/n x n."""
-    _check_sides(n)
+    runs = _die(n)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return _flip_distribution([(Fraction(1, n), n)], depth)
+    return _flip_distribution(runs, depth)
 
 
 @dataclass
@@ -227,16 +228,17 @@ def verify_bounds(n_max: int) -> BoundsReport:
     return BoundsReport(n_max, rows, min_slack, max_slack)
 
 
-def _entropy(weighted) -> float:
-    """Shannon entropy in bits of (probability, multiplicity) pairs.  Each
-    float term is subtracted once per multiplicity, so 1/n x n gives the
-    float that ``entropy`` gives the die's n-entry vector, bit for bit."""
+def _entropy(runs) -> float:
+    """Shannon entropy in bits of ``runs`` (see ``discrete``).  Each float
+    term is subtracted once per outcome of its run, so the die's one run
+    gives the float that ``entropy`` gives its n-entry vector, bit for
+    bit.  A probability below the smallest float adds nothing."""
     total = 0.0
-    for q, k in weighted:
-        if q > 0:
-            x = float(q)
+    for num, den, outcomes in runs:
+        x = num / den  # the correctly rounded float(Fraction(num, den))
+        if x > 0:
             term = x * math.log2(x)
-            for _ in range(k):
+            for _ in outcomes:
                 total -= term
     return total
 
@@ -246,4 +248,4 @@ def entropy(p: ProbabilityVector) -> float:
 
     Reporting only: never used in exact assertions.
     """
-    return _entropy((q, 1) for q in p.probs)
+    return _entropy(p._runs)

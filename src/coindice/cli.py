@@ -17,8 +17,17 @@ from functools import partial
 
 from . import analysis, ddg, gof, oracle
 from .bitsource import BitSource, SeededSource
-from .discrete import InvalidDistribution, ProbabilityVector, _levels, parse_distribution, sample
-from .uniform import _die_levels, roll, roll_many
+from .discrete import (
+    InvalidDistribution,
+    ProbabilityVector,
+    _die,
+    _exact,
+    _frac,
+    _levels,
+    parse_distribution,
+    sample,
+)
+from .uniform import roll, roll_many
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +54,11 @@ def _positive(text: str) -> int:
     return value
 
 
+def _positives(text: str) -> list[int]:
+    """argparse type of a comma-separated list of sizes."""
+    return [_positive(token) for token in text.split(",")]
+
+
 def _add_target_options(parser, dist_help="exact distribution, e.g. 3/8,1/2,1/8"):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--die", type=_positive, metavar="N", help="fair die with N sides")
@@ -54,19 +68,6 @@ def _add_target_options(parser, dist_help="exact distribution, e.g. 3/8,1/2,1/8"
 
 def _target(args) -> tuple[int | None, ProbabilityVector | None]:
     return (args.die, None) if args.dist is None else (None, parse_distribution(args.dist))
-
-
-def _exact(v: int) -> int | str:
-    """v, or v in hex when it has more digits than str() may print."""
-    try:
-        str(v)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return hex(v)
-    return v
-
-
-def _frac(q: Fraction) -> str:
-    return f"{_exact(q.numerator)}/{_exact(q.denominator)}"
 
 
 def _draws(n: int | None, p: ProbabilityVector | None, args):
@@ -95,14 +96,13 @@ def cmd_analyze(args) -> int:
     if args.sweep is not None:
         return _analyze_sweep(args)
     n, p = _target(args)
-    # the die is the target 1/n x n, with no n-entry list
-    weighted = [(Fraction(1, n), n)] if p is None else [(q, 1) for q in p]
+    runs = _die(n) if p is None else p._runs
     lower = analysis.ceil_log2(n) if p is None else None
     depth = args.depth or (2 * lower + 8 if p is None else 16)
-    dist = analysis._flip_distribution(weighted, depth)
+    dist = analysis._flip_distribution(runs, depth)
     exact = p is None or dist.residual == 0
     expected = analysis.exact_expected_flips(n) if p is None else dist.partial_expectation()
-    ent = analysis._entropy(weighted)
+    ent = analysis._entropy(runs)
     if args.json:
         payload = {
             "expected_num": _exact(expected.numerator),
@@ -193,8 +193,7 @@ def cmd_tree(args) -> int:
 
 def cmd_oracle_dump(args) -> int:
     n, p = _target(args)
-    levels = _die_levels(n) if p is None else _levels(p)
-    states, leaves, _ = oracle._expand(levels, args.depth)
+    states, leaves, _ = oracle._expand(_levels(_die(n) if p is None else p._runs), args.depth)
     for history in sorted(states, key=lambda h: (len(h), h)):
         x, m = states[history]
         line = f'{len(history)} "{history}" ({x}, {m})'
@@ -256,13 +255,7 @@ def _bench_naive(n: int, count: int, seed: int) -> tuple[float, float]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = [int(tok) for tok in args.die.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--die expects comma-separated integers: {exc}") from exc
-    if any(n < 1 for n in sizes):
-        raise UsageError("--die entries must be >= 1")
-    for n in sizes:
+    for n in args.die:
         expected = analysis.exact_expected_flips(n)
         k = analysis.ceil_log2(n)
         naive_expected = k * Fraction(1 << k, n)
@@ -338,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chisq.set_defaults(func=cmd_chisq)
 
     p_bench = sub.add_parser("bench", help="flips/roll and throughput vs naive rejection")
-    p_bench.add_argument("--die", required=True, metavar="N[,N...]")
+    p_bench.add_argument("--die", type=_positives, required=True, metavar="N[,N...]")
     p_bench.add_argument("--count", type=_positive, default=100_000)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")

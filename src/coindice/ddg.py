@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import FlipDistribution
-from .discrete import ProbabilityVector, _levels, acceptance_set, expansion_bit
+from .discrete import ProbabilityVector, _die, _levels, acceptance_set, expansion_bit
 from .oracle import _expand
-from .uniform import _check_sides, _die_levels
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
 INTERNAL = None
@@ -75,11 +74,6 @@ class MassMismatch(Exception):
     different failure from being suboptimal)."""
 
 
-def _check_depth_bound(depth_bound: int) -> None:
-    if depth_bound < 1:
-        raise ValueError(f"depth_bound must be >= 1, got {depth_bound}")
-
-
 def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """Optimal tree straight from the binary expansions.
 
@@ -87,7 +81,8 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     placed at the lexicographically smallest open positions in ascending
     outcome order; remaining positions branch into the next level.
     """
-    _check_depth_bound(depth_bound)
+    if depth_bound < 1:
+        raise ValueError(f"depth_bound must be >= 1, got {depth_bound}")
     certain = p.certain_outcome()
     if certain is not None:
         return DdgTree({"": certain}, 0)
@@ -111,16 +106,13 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
 
 def build_from_uniform(n: int, depth_bound: int) -> DdgTree:
     """The tree the n-sided die roller actually walks."""
-    _check_sides(n)
-    _check_depth_bound(depth_bound)
-    states, leaves, _ = _expand(_die_levels(n), depth_bound)
+    states, leaves, _ = _expand(_levels(_die(n)), depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
 def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """The tree the discrete sampler actually walks."""
-    _check_depth_bound(depth_bound)
-    states, leaves, _ = _expand(_levels(p), depth_bound)
+    states, leaves, _ = _expand(_levels(p._runs), depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 

@@ -4,12 +4,15 @@ The sampler generalises the fair-die roller: at flip j the outcomes
 whose probability has a 1 at position j of its binary expansion form the
 acceptance set for that level, and the recycled pair (x, m) selects
 uniformly among them.  Probabilities are exact ``fractions.Fraction``
-values throughout.  The sampler reads the acceptance sets off integer
-residuals, one per outcome: doubling r_i = num_i * 2^j mod den_i gives
-the next expansion bit of every outcome at once, with no drift, no
-rounding and memory linear in the input.  ``expansion_bit`` and
-``acceptance_set`` compute the same bits by random access and stay the
-reference the tests and the canonical tree builder use.
+values throughout.  Every target, a vector or a fair die, is one form:
+runs (num, den, outcomes) of outcomes that share the probability
+num/den.  A vector has one run per entry; the n-sided die is the single
+run (1, n, 1..n), built in O(1).  The sampler reads the acceptance sets
+off integer residuals, one per run: doubling r = num * 2^j mod den gives
+the next expansion bit of every outcome in the run at once, with no
+drift, no rounding and memory linear in the input.  ``expansion_bit``
+and ``acceptance_set`` compute the same bits by random access and stay
+the reference the tests and the canonical tree builder use.
 """
 
 import json
@@ -17,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .bitsource import BitSource
-from .uniform import RecyclerState, TracedRoll
+from .uniform import RecyclerState, TracedRoll, _check_sides
 
 
 class InvalidDistribution(Exception):
@@ -50,6 +53,19 @@ def _as_exact_fraction(value) -> Fraction:
     raise InvalidDistribution(f"unsupported probability type {type(value).__name__}")
 
 
+def _exact(v: int) -> int | str:
+    """v, or v in hex when it has more digits than str() may print."""
+    try:
+        str(v)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return hex(v)
+    return v
+
+
+def _frac(q: Fraction) -> str:
+    return f"{_exact(q.numerator)}/{_exact(q.denominator)}"
+
+
 class ProbabilityVector:
     """Ordered exact probabilities for outcomes 1..K, summing to exactly 1."""
 
@@ -59,11 +75,13 @@ class ProbabilityVector:
             raise InvalidDistribution("distribution needs at least one outcome")
         for i, q in enumerate(probs, start=1):
             if q < 0:
-                raise InvalidDistribution(f"outcome {i} has negative probability {q}")
+                raise InvalidDistribution(f"outcome {i} has negative probability {_frac(q)}")
         total = sum(probs)
         if total != 1:
-            raise InvalidDistribution(f"probabilities sum to {total}, expected exactly 1")
+            raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
+        # one run per entry; a 1-tuple extends an acceptance list fastest
+        self._runs = tuple((q.numerator, q.denominator, (i,)) for i, q in enumerate(probs, 1))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -144,24 +162,31 @@ def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
     )
 
 
-def _levels(p: ProbabilityVector):
-    """Acceptance set of each level 0, 1, 2, ... of the DDG tree of ``p``.
+def _die(n: int):
+    """The fair n-sided die as runs: all n sides share probability 1/n."""
+    _check_sides(n)
+    return ((1, n, range(1, n + 1)),)
 
-    Keeps one integer residual per outcome, num * 2^j mod den after
-    level j, so each stays below its denominator.  Doubling it gives the
-    next level, which accepts the outcomes whose doubled residual reaches
-    den and takes den off them.  Level 0 starts from num itself, so it
-    accepts only an outcome of probability 1.
+
+def _levels(runs):
+    """Acceptance set of each level 0, 1, 2, ... of the DDG tree of ``runs``.
+
+    Keeps one integer residual per run, num * 2^j mod den after level j,
+    so each stays below its denominator.  Doubling it gives the next
+    level, which accepts the outcomes of every run whose doubled residual
+    reaches den and takes den off it.  Level 0 starts from num itself, so
+    it accepts only outcomes of probability 1.
     """
-    residuals = [q.numerator for q in p.probs]
-    dens = [q.denominator for q in p.probs]
-    outcomes = range(len(dens))
+    residuals = [num for num, _, _ in runs]
+    dens = [den for _, den, _ in runs]
+    members = [outcomes for _, _, outcomes in runs]
+    indices = range(len(dens))
     while True:
         accept = []
-        for i in outcomes:
+        for i in indices:
             r = residuals[i]
             if r >= dens[i]:
-                accept.append(i + 1)
+                accept += members[i]
                 r -= dens[i]
             residuals[i] = 2 * r
         yield accept
@@ -175,7 +200,7 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     smallest member; otherwise the leftover uniformity carries to the
     next level.  An empty acceptance level just flips again.
     """
-    levels = _levels(p)
+    levels = _levels(p._runs)
     certain = next(levels)
     if certain:
         return TracedRoll(certain[0], 0, [RecyclerState(1, 1)] if trace else None)

@@ -3,18 +3,18 @@
 Walks every bit string up to a depth bound as a shared-prefix trie, so
 the cost is proportional to the number of live states per level (at most
 2n - 1 for the die roller) times the depth, not 2^depth.  One walk serves
-both samplers: it steps the recycled pair (x, m) through a level rule,
-the die's (``uniform._die_levels``) or the residual doubling of a
-distribution (``discrete._levels``), which yields each level's
-acceptance set.  All masses are exact rationals: a path that terminates
-after j bits carries 2^-j.
+both samplers: it steps the recycled pair (x, m) through the one level
+rule, the residual doubling of ``discrete._levels``, fed the target's
+runs (a vector's, or the die's single run from ``discrete._die``), which
+yields each level's acceptance set.  All masses are exact rationals: a
+path that terminates after j bits carries 2^-j.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import ProbabilityVector, _levels
-from .uniform import RecyclerState, _check_sides, _die_levels
+from .discrete import ProbabilityVector, _die, _levels
+from .uniform import RecyclerState
 
 
 @dataclass
@@ -30,11 +30,6 @@ class EnumerationResult:
         return sum(self.outcome_mass.values(), Fraction(0))
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-
-
 def _expand(levels, depth: int):
     """Trie walk of a sampler, given its level rule.
 
@@ -44,6 +39,8 @@ def _expand(levels, depth: int):
     (x, m) pair, leaves maps terminating histories to outcomes, and live
     lists the histories still running at ``depth``.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     states: dict[str, tuple[int, int]] = {"": (1, 1)}
     certain = next(levels)
     if certain:
@@ -96,15 +93,12 @@ def _tally(walk, depth: int) -> EnumerationResult:
 
 def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the n-sided die roller."""
-    _check_sides(n)
-    _check_depth(depth)
-    return _tally(_expand(_die_levels(n), depth), depth)
+    return _tally(_expand(_levels(_die(n)), depth), depth)
 
 
 def enumerate_discrete(p: ProbabilityVector, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the discrete sampler."""
-    _check_depth(depth)
-    return _tally(_expand(_levels(p), depth), depth)
+    return _tally(_expand(_levels(p._runs), depth), depth)
 
 
 def state_tree_uniform(n: int, depth: int) -> dict[str, RecyclerState]:
@@ -113,13 +107,10 @@ def state_tree_uniform(n: int, depth: int) -> dict[str, RecyclerState]:
     Terminating histories appear with their final state (m == n) and are
     not extended further.
     """
-    _check_sides(n)
-    _check_depth(depth)
-    states, _, _ = _expand(_die_levels(n), depth)
+    states, _, _ = _expand(_levels(_die(n)), depth)
     return {h: RecyclerState(*s) for h, s in states.items()}
 
 
 def state_tree_discrete(p: ProbabilityVector, depth: int) -> dict[str, RecyclerState]:
-    _check_depth(depth)
-    states, _, _ = _expand(_levels(p), depth)
+    states, _, _ = _expand(_levels(p._runs), depth)
     return {h: RecyclerState(*s) for h, s in states.items()}

@@ -51,7 +51,9 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
 
     Returns the outcome in {1..n} together with the number of bits
     consumed.  Raises SourceExhausted if a scripted source runs dry
-    mid-roll.
+    mid-roll.  This is ``discrete.sample`` of 1/n x n, with the level
+    rule on the die's one run (``discrete._die``) inlined as arithmetic
+    on m.
     """
     _check_sides(n)
     if n == 1:
@@ -76,25 +78,6 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
             if states is not None and states[-1] != (x, m):
                 states.append(RecyclerState(x, m))
     return TracedRoll(x, flips, states)
-
-
-def _die_levels(n: int):
-    """Acceptance set of each level 0, 1, 2, ... of the die roller's tree.
-
-    Every state still running at a level has the same m, so a level
-    accepts all n sides once the doubled m reaches n, and none before.
-    This is ``discrete._levels`` of 1/n x n in O(1) per level; ``roll``
-    inlines it as the arithmetic fast path.
-    """
-    sides = range(1, n + 1)
-    m = 1
-    while True:
-        if m >= n:
-            m -= n
-            yield sides
-        else:
-            yield ()
-        m *= 2
 
 
 def roll_many(n: int, count: int, source: BitSource, trace: bool = False) -> list[TracedRoll]:

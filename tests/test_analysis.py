@@ -308,6 +308,10 @@ class TestEntropy:
     def test_certain(self):
         assert entropy(ProbabilityVector(["1"])) == 0.0
 
+    def test_probability_below_the_smallest_float_adds_nothing(self):
+        tiny = Fraction(1, 10**400)
+        assert entropy(ProbabilityVector([tiny, 1 - tiny])) == 0.0
+
     def test_three_outcomes(self):
         value = entropy(ProbabilityVector(["3/8", "1/2", "1/8"]))
         assert math.isclose(value, 1.405639, abs_tol=1e-6)

@@ -288,6 +288,7 @@ class TestUsage:
             ["analyze", "--sweep", "-3"],
             ["sample", "--dist", f"1/{HUGE},1"],
             ["sample", "--dist", f'[{{"num": {HUGE}, "den": 1}}]'],
+            ["sample", "--dist", f"1/{10**3999 + 1},1/{10**3999 + 2}"],
         ],
         ids=[
             "zero-den",
@@ -299,6 +300,7 @@ class TestUsage:
             "sweep-negative",
             "huge-int",
             "json-huge-int",
+            "huge-sum",
         ],
     )
     def test_bad_input_is_one_line_usage_error(self, capsys, argv):
@@ -318,6 +320,8 @@ class TestUsage:
             (["tree", "--dist", "1/2,1/2", "--depth", "0"], "--depth"),
             (["oracle-dump", "--die", "5", "--depth", "-2"], "--depth"),
             (["analyze", "--sweep", "0"], "--sweep"),
+            (["bench", "--die", "0"], "--die"),
+            (["bench", "--die", "5,0"], "--die"),
         ],
     )
     def test_range_error_names_its_flag(self, capsys, argv, flag):

@@ -17,8 +17,7 @@ from coindice import (
     sample,
     state_tree_discrete,
 )
-from coindice.discrete import _levels
-from coindice.uniform import _die_levels
+from coindice.discrete import _die, _levels
 from conftest import dyadic_suite
 
 
@@ -64,6 +63,16 @@ nonnegative_weights = st.lists(
     st.fractions(min_value=0, max_value=1, max_denominator=60), min_size=1, max_size=7
 ).filter(lambda ws: sum(ws) > 0)
 
+# (weight, run length) pairs: a run of k > 1 beside others, zero weights included
+weighted_runs = st.lists(
+    st.tuples(
+        st.just(Fraction(0)) | st.fractions(min_value=0, max_value=1, max_denominator=60),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=2,
+    max_size=6,
+).filter(lambda rs: sum(w * k for w, k in rs) > 0 and any(k > 1 for _, k in rs))
+
 
 class TestProbabilityVector:
     def test_requires_exact_unit_sum(self):
@@ -73,6 +82,11 @@ class TestProbabilityVector:
     def test_rejects_negative_entries(self):
         with pytest.raises(InvalidDistribution):
             ProbabilityVector(["3/2", "-1/2"])
+
+    def test_rejects_a_negative_entry_with_more_digits_than_str_prints(self):
+        tiny = Fraction(1, 10**5000)
+        with pytest.raises(InvalidDistribution, match="negative probability -1/0x"):
+            ProbabilityVector([-tiny, 1 + tiny])
 
     def test_rejects_floats(self):
         with pytest.raises(InvalidDistribution):
@@ -244,7 +258,21 @@ class TestLevelRule:
         total = sum(weights)
         p = ProbabilityVector([w / total for w in weights])
         depth = rule_depth(p)
-        assert rule_levels(_levels(p), depth) == expansion_levels(p, depth)
+        assert rule_levels(_levels(p._runs), depth) == expansion_levels(p, depth)
+
+    @given(weighted_runs)
+    @settings(max_examples=100)
+    def test_rule_on_mixed_runs_matches_the_expanded_vector(self, weighted):
+        total = sum(w * k for w, k in weighted)
+        runs, entries = [], []
+        for w, k in weighted:
+            q = w / total
+            start = len(entries) + 1
+            runs.append((q.numerator, q.denominator, range(start, start + k)))
+            entries += [q] * k
+        p = ProbabilityVector(entries)
+        depth = rule_depth(p)
+        assert rule_levels(_levels(runs), depth) == expansion_levels(p, depth)
 
     @pytest.mark.parametrize(
         "p",
@@ -260,18 +288,18 @@ class TestLevelRule:
     )
     def test_residual_rule_on_fixed_targets(self, p):
         depth = rule_depth(p)
-        assert rule_levels(_levels(p), depth) == expansion_levels(p, depth)
+        assert rule_levels(_levels(p._runs), depth) == expansion_levels(p, depth)
 
     def test_residual_rule_on_the_dyadic_suite(self):
         for p in dyadic_suite():
             depth = rule_depth(p)
-            assert rule_levels(_levels(p), depth) == expansion_levels(p, depth)
+            assert rule_levels(_levels(p._runs), depth) == expansion_levels(p, depth)
 
     def test_die_rule_is_the_rule_of_the_uniform_distribution(self):
         for n in range(1, 301):
             p = ProbabilityVector([Fraction(1, n)] * n)
             depth = rule_depth(p)
-            assert rule_levels(_die_levels(n), depth) == expansion_levels(p, depth), n
+            assert rule_levels(_levels(_die(n)), depth) == expansion_levels(p, depth), n
 
 
 class TestSampleTrace:
