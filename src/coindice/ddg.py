@@ -168,18 +168,16 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
     for (level, outcome), count in sorted(tree_census.counts.items()):
         if count > 1:
             violations.append(f"outcome {outcome} appears {count} times at level {level}")
-    # uniform targets repeat one probability n times: one bit per value and level
-    distinct = {}
-    slot = [distinct.setdefault(q, len(distinct)) for q in p.probs]
+    # one expansion bit per run and level: a uniform target is a single run
     for level in range(tree.depth_bound + 1):
-        bits = [expansion_bit(q, level) for q in distinct]
-        for i in range(1, outcomes + 1):
-            want = bits[slot[i - 1]]
-            got = tree_census.count(level, i)
-            if got != want and got <= 1:
-                violations.append(
-                    f"outcome {i} has {got} leaves at level {level}, expansion bit is {want}"
-                )
+        for _, _, run in p._runs:
+            want = expansion_bit(p.prob(run[0]), level)
+            for i in run:
+                got = tree_census.count(level, i)
+                if got != want and got <= 1:
+                    violations.append(
+                        f"outcome {i} has {got} leaves at level {level}, expansion bit is {want}"
+                    )
     return OptimalityVerdict(not violations, violations)
 
 

@@ -6,8 +6,9 @@ acceptance set for that level, and the recycled pair (x, m) selects
 uniformly among them.  Probabilities are exact ``fractions.Fraction``
 values throughout.  Every target, a vector or a fair die, is one form:
 runs (num, den, outcomes) of outcomes that share the probability
-num/den.  A vector has one run per entry; the n-sided die is the single
-run (1, n, 1..n), built in O(1).  The sampler reads the acceptance sets
+num/den.  A vector has one run per maximal block of equal neighbours, so
+1/n x n compiles to the die's single run (1, n, 1..n), which ``_die``
+builds in O(1).  The sampler reads the acceptance sets
 off integer residuals, one per run: doubling r = num * 2^j mod den gives
 the next expansion bit of every outcome in the run at once, with no
 drift, no rounding and memory linear in the input.  ``expansion_bit``
@@ -18,6 +19,7 @@ the reference the tests and the canonical tree builder use.
 import json
 import re
 from fractions import Fraction
+from itertools import groupby
 
 from .bitsource import BitSource
 from .uniform import RecyclerState, TracedRoll, _check_sides
@@ -80,8 +82,15 @@ class ProbabilityVector:
         if total != 1:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
-        # one run per entry; a 1-tuple extends an acceptance list fastest
-        self._runs = tuple((q.numerator, q.denominator, (i,)) for i, q in enumerate(probs, 1))
+        # one run per maximal block of equal neighbours, so each level
+        # costs O(runs); only neighbours merge, which keeps acceptance
+        # lists ascending, and a 1-tuple extends an acceptance list fastest
+        runs, first = [], 1
+        for (num, den), block in groupby((q.numerator, q.denominator) for q in probs):
+            end = first + sum(1 for _ in block)
+            runs.append((num, den, (first,) if end == first + 1 else range(first, end)))
+            first = end
+        self._runs = tuple(runs)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -93,7 +102,9 @@ class ProbabilityVector:
         return isinstance(other, ProbabilityVector) and self.probs == other.probs
 
     def __repr__(self) -> str:
-        return f"ProbabilityVector({', '.join(str(q) for q in self.probs)})"
+        # _frac prints parts past the digit limit in hex; str() prints 0 and 1 bare
+        parts = (str(q) if q.denominator == 1 else _frac(q) for q in self.probs)
+        return f"ProbabilityVector({', '.join(parts)})"
 
     def prob(self, outcome: int) -> Fraction:
         """Probability of the 1-indexed outcome."""

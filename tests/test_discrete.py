@@ -1,22 +1,29 @@
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coindice import (
+    DdgTree,
     InvalidDistribution,
     ProbabilityVector,
     ReplaySource,
+    SeededSource,
     acceptance_set,
+    build_from_discrete,
+    check_optimal,
     enumerate_discrete,
     expansion_bit,
     parse_distribution,
     sample,
     state_tree_discrete,
 )
+from coindice.analysis import _entropy, _flip_distribution
 from coindice.discrete import _die, _levels
 from conftest import dyadic_suite
 
@@ -102,6 +109,16 @@ class TestProbabilityVector:
 
     def test_prob_is_one_indexed(self):
         assert EIGHTHS.prob(2) == Fraction(1, 2)
+
+    def test_repr_prints_parts_as_str_does(self):
+        assert repr(EIGHTHS) == "ProbabilityVector(3/8, 1/2, 1/8)"
+        assert repr(ProbabilityVector(["0", "1", "0"])) == "ProbabilityVector(0, 1, 0)"
+
+    def test_repr_prints_parts_past_the_digit_limit_in_hex(self):
+        tiny = Fraction(1, 10**5000)
+        text = repr(ProbabilityVector([tiny, 1 - tiny]))
+        big = hex(10**5000)
+        assert text == f"ProbabilityVector(1/{big}, {hex(10**5000 - 1)}/{big})"
 
 
 class TestParseDistribution:
@@ -326,3 +343,113 @@ class TestSampleTrace:
             assert result.trace[0] == (1, 1)
             assert result.trace[-1] == states[history]
             assert all(1 <= x <= m for x, m in result.trace)
+
+
+def entry_runs(p: ProbabilityVector):
+    """The one-run-per-entry compile, the reference for merged blocks."""
+    return tuple((q.numerator, q.denominator, (i,)) for i, q in enumerate(p.probs, 1))
+
+
+def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
+    ref = copy.copy(p)
+    ref._runs = entry_runs(p)
+    return ref
+
+
+def blocks_vector(weighted) -> ProbabilityVector:
+    """The vector of ``weighted_runs``: each weight repeated k times, normalised."""
+    total = sum(w * k for w, k in weighted)
+    return ProbabilityVector([w / total for w, k in weighted for _ in range(k)])
+
+
+def deepened(tree: DdgTree) -> DdgTree:
+    """``tree`` with its first leaf split into two leaves of the same
+    outcome: the same masses, but not optimal."""
+    history, outcome = min(tree.leaves())
+    nodes = dict(tree.nodes)
+    nodes.update({history: None, history + "0": outcome, history + "1": outcome})
+    return DdgTree(nodes, max(tree.depth_bound, len(history) + 1))
+
+
+def walk_results(p: ProbabilityVector, depth: int):
+    """Every output of the layers that read ``p._runs``, in insertion order."""
+    streams = []
+    for seed in (1, 2, 3):
+        for trace in (False, True):
+            source = SeededSource(seed)
+            rolls = [sample(p, source, trace=trace) for _ in range(40)]
+            streams.append([(r.outcome, r.flips, r.trace) for r in rolls])
+            streams.append(source.flips_consumed)
+    walk = enumerate_discrete(p, depth)
+    tree = build_from_discrete(p, depth)
+    verdicts = [check_optimal(t, p) for t in (tree, deepened(tree))]
+    return (
+        streams,
+        walk,
+        list(walk.leaf_histories.items()),
+        list(state_tree_discrete(p, depth).items()),
+        list(tree.nodes.items()),
+        [(v.ok, v.violations) for v in verdicts],
+        _flip_distribution(p._runs, depth),
+        _entropy(p._runs),
+    )
+
+
+class TestBlockCompile:
+    """Equal neighbours compile into one run; every layer that reads the
+    runs must give what the one-run-per-entry compile gives, bit for bit."""
+
+    @given(weighted_runs)
+    @settings(max_examples=40, deadline=None)
+    def test_layers_match_the_per_entry_compile(self, weighted):
+        p = blocks_vector(weighted)
+        assert walk_results(p, 10) == walk_results(compiled_per_entry(p), 10)
+
+    @pytest.mark.parametrize(
+        "p",
+        [UNIFORM_997, ProbabilityVector(["1/4", "1/4", "1/2"])],
+        ids=lambda p: f"K{len(p)}",
+    )
+    def test_layers_match_the_per_entry_compile_on_fixed_targets(self, p):
+        assert len(p._runs) < len(p)
+        assert walk_results(p, 12) == walk_results(compiled_per_entry(p), 12)
+
+    def test_verdicts_list_levels_then_outcomes_ascending(self):
+        p = ProbabilityVector(["1/4", "1/4", "1/2"])
+        flat = DdgTree({"": None, "0": None, "1": None, "00": 1, "01": 2, "10": 3, "11": 3}, 2)
+        assert check_optimal(flat, p).violations == [
+            "outcome 3 appears 2 times at level 2",
+            "outcome 3 has 0 leaves at level 1, expansion bit is 1",
+        ]
+        # four quarters, each resolved twice one level too deep
+        nodes = {h: None for h in ("", "0", "1", "00", "01", "10", "11")}
+        nodes.update({format(b, "03b"): b // 2 + 1 for b in range(8)})
+        violations = check_optimal(DdgTree(nodes, 3), ProbabilityVector(["1/4"] * 4)).violations
+        assert violations == [f"outcome {i} appears 2 times at level 3" for i in range(1, 5)] + [
+            f"outcome {i} has 0 leaves at level 2, expansion bit is 1" for i in range(1, 5)
+        ]
+
+    @given(weighted_runs)
+    @settings(max_examples=100)
+    def test_runs_are_maximal_blocks_of_the_entries(self, weighted):
+        p = blocks_vector(weighted)
+        runs = p._runs
+        flat = [(i, Fraction(num, den)) for num, den, run in runs for i in run]
+        assert flat == list(enumerate(p.probs, start=1))
+        assert all(a[:2] != b[:2] for a, b in zip(runs, runs[1:]))
+        assert all(type(run) is tuple for _, _, run in runs if len(run) == 1)
+
+    def test_uniform_vector_compiles_to_the_die(self):
+        for n in range(1, 301):
+            runs = ProbabilityVector([Fraction(1, n)] * n)._runs
+            as_lists = [(num, den, list(run)) for num, den, run in runs]
+            assert as_lists == [(num, den, list(run)) for num, den, run in _die(n)], n
+
+    def test_sampling_a_huge_uniform_vector_costs_one_run(self):
+        n = 100003
+        p = ProbabilityVector([Fraction(1, n)] * n)
+        source = SeededSource(11)
+        start = perf_counter()
+        outcomes = [sample(p, source).outcome for _ in range(20)]
+        assert perf_counter() - start < 1.0
+        assert all(1 <= x <= n for x in outcomes)
