@@ -20,7 +20,6 @@ from .analysis import (
 from .bitsource import Bit, BitSource, ReplaySource, SeededSource, SourceExhausted
 from .ddg import (
     DdgTree,
-    LevelCensus,
     MassMismatch,
     OptimalityVerdict,
     build_canonical,
@@ -39,7 +38,7 @@ from .discrete import (
     parse_distribution,
     sample,
 )
-from .gof import ChiSquareResult, chi_square_pvalue, chi_square_test, regularized_gamma_q
+from .gof import ChiSquareResult, chi_square_test
 from .oracle import (
     EnumerationResult,
     enumerate_discrete,
@@ -61,7 +60,6 @@ __all__ = [
     "EnumerationResult",
     "FlipDistribution",
     "InvalidDistribution",
-    "LevelCensus",
     "MassMismatch",
     "OptimalityVerdict",
     "ProbabilityVector",
@@ -77,7 +75,6 @@ __all__ = [
     "ceil_log2",
     "census",
     "check_optimal",
-    "chi_square_pvalue",
     "chi_square_test",
     "entropy",
     "enumerate_discrete",
@@ -88,7 +85,6 @@ __all__ = [
     "flip_distribution",
     "flip_distribution_uniform",
     "parse_distribution",
-    "regularized_gamma_q",
     "roll",
     "roll_many",
     "sample",

@@ -13,7 +13,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import analysis, ddg, gof, oracle
 from .bitsource import BitSource, SeededSource
@@ -80,10 +80,11 @@ def _draws(n: int | None, p: ProbabilityVector | None, args):
 
 def cmd_sample(args) -> int:
     n, p = _target(args)
+    write = sys.stdout.write  # read per call: callers may redirect stdout
     total = 0
     for r in _draws(n, p, args):
         total += r.flips
-        print(f"{r.outcome} {r.flips}" if args.show_flips else r.outcome)
+        write(f"{r.outcome} {r.flips}\n" if args.show_flips else f"{r.outcome}\n")
     floor = math.log2(n) if p is None else analysis.entropy(p)
     print(
         f"# total_flips={total} flips_per_roll={total / args.count:.4f} "
@@ -290,6 +291,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache  # built on the first main call, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="coindice",

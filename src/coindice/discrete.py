@@ -33,6 +33,8 @@ _FRACTION_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _as_exact_fraction(value) -> Fraction:
+    if type(value) is Fraction:  # immutable, so no copy; a subclass is rebuilt below
+        return value
     if isinstance(value, float):
         raise InvalidDistribution(
             f"floats are not exact: got {value!r}; pass a Fraction, an int, "
@@ -76,12 +78,8 @@ class ProbabilityVector:
         if not probs:
             raise InvalidDistribution("distribution needs at least one outcome")
         for i, q in enumerate(probs, start=1):
-            if q < 0:
+            if q.numerator < 0:
                 raise InvalidDistribution(f"outcome {i} has negative probability {_frac(q)}")
-        total = sum(probs)
-        if total != 1:
-            raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
-        self.probs = probs
         # one run per maximal block of equal neighbours, so each level
         # costs O(runs); only neighbours merge, which keeps acceptance
         # lists ascending, and a 1-tuple extends an acceptance list fastest
@@ -90,6 +88,10 @@ class ProbabilityVector:
             end = first + sum(1 for _ in block)
             runs.append((num, den, (first,) if end == first + 1 else range(first, end)))
             first = end
+        total = sum(Fraction(num * len(outcomes), den) for num, den, outcomes in runs)
+        if total != 1:
+            raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
+        self.probs = probs
         self._runs = tuple(runs)
 
     def __len__(self) -> int:
@@ -129,7 +131,7 @@ def parse_distribution(text: str) -> ProbabilityVector:
     if text.startswith("["):
         try:
             items = json.loads(text)
-        except ValueError as exc:  # bad syntax, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # bad syntax, huge int, deep nesting
             raise InvalidDistribution(f"bad JSON distribution: {exc}") from exc
         entries = []
         for item in items:

@@ -1,12 +1,18 @@
+import argparse
+import hashlib
+import importlib
 import io
 import json
+import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+import coindice
+from coindice import cli
 from coindice.cli import main, naive_rejection_roll
 from coindice import (
     ProbabilityVector,
@@ -289,6 +295,7 @@ class TestUsage:
             ["sample", "--dist", f"1/{HUGE},1"],
             ["sample", "--dist", f'[{{"num": {HUGE}, "den": 1}}]'],
             ["sample", "--dist", f"1/{10**3999 + 1},1/{10**3999 + 2}"],
+            ["sample", "--dist", "[" * 1000],
         ],
         ids=[
             "zero-den",
@@ -301,6 +308,7 @@ class TestUsage:
             "huge-int",
             "json-huge-int",
             "huge-sum",
+            "deep-json",
         ],
     )
     def test_bad_input_is_one_line_usage_error(self, capsys, argv):
@@ -329,3 +337,64 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: argument {flag}: must be >= 1") and err.count("\n") == 1
+
+
+def _quiet(argv, main=main) -> tuple[int, str]:
+    """Exit code and sha256 of stdout, as the golden corpus records them."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture
+def fresh_cli(monkeypatch):
+    """coindice.cli imported afresh, and the prog of every parser built since."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.delitem(sys.modules, "coindice.cli")
+    monkeypatch.setattr(coindice, "cli", cli)  # restore the package attribute too
+    fresh = importlib.import_module("coindice.cli")
+    assert fresh is not cli
+    return fresh, built
+
+
+class TestParserReuse:
+    """main(argv) runs many times in one process on a parser built once."""
+
+    def test_golden_corpus_twice_between_failures(self):
+        from test_cli_golden import GOLDEN
+
+        def usage_error():
+            assert _quiet(["sample", "--die", "0"])[0] == 1
+
+        def invalid_distribution():
+            assert _quiet(["sample", "--dist", "1/2,1/3"])[0] == 1
+
+        def help_exit():
+            with pytest.raises(SystemExit) as exc:
+                _quiet(["sample", "--help"])
+            assert exc.value.code == 0
+
+        failures = [usage_error, invalid_distribution, help_exit]
+        for _ in range(2):
+            for i, command in enumerate(GOLDEN):
+                assert _quiet(command.split()) == GOLDEN[command], command
+                failures[i % len(failures)]()
+
+    def test_import_builds_no_parser(self, fresh_cli):
+        _, built = fresh_cli
+        assert built == []
+
+    def test_twenty_calls_build_the_parser_tree_once(self, fresh_cli):
+        fresh, built = fresh_cli
+        for _ in range(20):
+            assert _quiet(["sample", "--die", "6"], fresh.main)[0] == 0
+        assert built.count("coindice") == 1
+        assert len(built) == len(set(built))

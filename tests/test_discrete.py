@@ -83,12 +83,34 @@ weighted_runs = st.lists(
 
 class TestProbabilityVector:
     def test_requires_exact_unit_sum(self):
-        with pytest.raises(InvalidDistribution):
-            ProbabilityVector(["1/2", "1/3"])
+        for entries, total in [(["1/2", "1/3"], "5/6"), ([Fraction(1, 7)] * 6, "6/7")]:
+            with pytest.raises(InvalidDistribution) as exc:
+                ProbabilityVector(entries)
+            assert str(exc.value) == f"probabilities sum to {total}, expected exactly 1"
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(InvalidDistribution):
-            ProbabilityVector(["3/2", "-1/2"])
+        # the negative entry is named even when the sum is wrong too
+        for entries in (["3/2", "-1/2"], ["1/4", "-1/2"]):
+            with pytest.raises(InvalidDistribution) as exc:
+                ProbabilityVector(entries)
+            assert str(exc.value) == "outcome 2 has negative probability -1/2"
+
+    def test_build_adds_one_fraction_per_run(self, monkeypatch):
+        added = []
+        for name in ("__add__", "__radd__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda a, b, op=op: added.append(b) or op(a, b))
+        p = ProbabilityVector([Fraction(1, 100003)] * 100003)
+        assert len(p._runs) == 1
+        assert len(added) <= len(p._runs)
+
+    def test_fraction_subclass_entries_become_plain_fractions(self):
+        class Probability(Fraction):
+            pass
+
+        p = ProbabilityVector([Probability(1, 4), Probability(3, 4)])
+        assert [type(q) for q in p.probs] == [Fraction, Fraction]
+        assert p.probs == (Fraction(1, 4), Fraction(3, 4))
 
     def test_rejects_a_negative_entry_with_more_digits_than_str_prints(self):
         tiny = Fraction(1, 10**5000)

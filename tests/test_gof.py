@@ -6,11 +6,10 @@ import pytest
 from coindice import (
     ProbabilityVector,
     SeededSource,
-    chi_square_pvalue,
     chi_square_test,
-    regularized_gamma_q,
     roll_many,
 )
+from coindice.gof import chi_square_pvalue, regularized_gamma_q
 
 # classic chi-square critical values: P(X2_df > x) = alpha
 CRITICAL_VALUES = [
