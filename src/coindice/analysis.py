@@ -56,13 +56,6 @@ class FlipDistribution:
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected exactly 1")
 
-    def tail(self, i: int) -> Fraction:
-        """P(N > i)."""
-        return 1 - sum((q for j, q in self.mass.items() if j <= i), Fraction(0))
-
-    def max_level(self) -> int:
-        return max(self.mass, default=0)
-
     def expectation(self) -> Fraction:
         """Exact E[N]; requires the distribution to be fully materialised."""
         if self.residual != 0:

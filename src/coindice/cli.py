@@ -27,7 +27,7 @@ from .discrete import (
     parse_distribution,
     sample,
 )
-from .uniform import roll, roll_many
+from .uniform import roll
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,8 +178,7 @@ def cmd_tree(args) -> int:
     sys.stdout.write(ddg.export_dot(tree))
     if args.check:
         try:
-            probs = p if p is not None else ProbabilityVector([Fraction(1, n)] * n)
-            verdict = ddg.check_optimal(tree, probs)
+            verdict = ddg._check_optimal(tree, _die(n) if p is None else p._runs)
         except ddg.MassMismatch as exc:
             print(f"mass mismatch: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -240,18 +239,12 @@ def naive_rejection_roll(n: int, source: BitSource) -> tuple[int, int]:
             return value + 1, flips
 
 
-def _bench_recycler(n: int, count: int, seed: int) -> tuple[float, float]:
-    source = SeededSource(seed)
-    start = time.perf_counter()
-    roll_many(n, count, source)
-    return source.flips_consumed / count, time.perf_counter() - start
-
-
-def _bench_naive(n: int, count: int, seed: int) -> tuple[float, float]:
+def _bench(roll_one, n: int, count: int, seed: int) -> tuple[float, float]:
+    """Flips per roll and seconds taken by ``count`` seeded ``roll_one(n, source)``."""
     source = SeededSource(seed)
     start = time.perf_counter()
     for _ in range(count):
-        naive_rejection_roll(n, source)
+        roll_one(n, source)
     return source.flips_consumed / count, time.perf_counter() - start
 
 
@@ -260,8 +253,8 @@ def cmd_bench(args) -> int:
         expected = analysis.exact_expected_flips(n)
         k = analysis.ceil_log2(n)
         naive_expected = k * Fraction(1 << k, n)
-        recycler_rate, recycler_time = _bench_recycler(n, args.count, args.seed)
-        naive_rate, naive_time = _bench_naive(n, args.count, args.seed)
+        recycler_rate, recycler_time = _bench(roll, n, args.count, args.seed)
+        naive_rate, naive_time = _bench(naive_rejection_roll, n, args.count, args.seed)
         if args.json:
             print(
                 json.dumps(

@@ -141,8 +141,14 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
     materialised depth.  Raises MassMismatch first if the leaf masses do
     not reproduce ``p`` at all.
     """
+    return _check_optimal(tree, p._runs)
+
+
+def _check_optimal(tree: DdgTree, runs) -> OptimalityVerdict:
+    """``check_optimal`` against a target's runs (num, den, outcomes), so
+    the die's one run is checked without building a Fraction per side."""
     tree_census = census(tree)
-    outcomes = len(p)
+    outcomes = runs[-1][2][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
     depth = max((level for level, _ in tree_census.counts), default=0)
     weight = [0] * (outcomes + 1)
@@ -151,18 +157,20 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
             raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
         weight[outcome] += count << (depth - level)
     complete = tree.is_complete()
-    for i in range(1, outcomes + 1):
-        q = p.prob(i)
-        scaled, target = weight[i] * q.denominator, q.numerator << depth
-        if complete and scaled != target:
-            raise MassMismatch(
-                f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)}, "
-                f"distribution says {q}"
-            )
-        if scaled > target:
-            raise MassMismatch(
-                f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)} exceeding {q}"
-            )
+    probs = [Fraction(num, den) for num, den, _ in runs]
+    for (num, den, run), q in zip(runs, probs):
+        target = num << depth
+        for i in run:
+            scaled = weight[i] * den
+            if complete and scaled != target:
+                raise MassMismatch(
+                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)}, "
+                    f"distribution says {q}"
+                )
+            if scaled > target:
+                raise MassMismatch(
+                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)} exceeding {q}"
+                )
 
     violations = []
     for (level, outcome), count in sorted(tree_census.counts.items()):
@@ -170,8 +178,8 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
             violations.append(f"outcome {outcome} appears {count} times at level {level}")
     # one expansion bit per run and level: a uniform target is a single run
     for level in range(tree.depth_bound + 1):
-        for _, _, run in p._runs:
-            want = expansion_bit(p.prob(run[0]), level)
+        for (_, _, run), q in zip(runs, probs):
+            want = expansion_bit(q, level)
             for i in run:
                 got = tree_census.count(level, i)
                 if got != want and got <= 1:

@@ -56,9 +56,6 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
     on m.
     """
     _check_sides(n)
-    if n == 1:
-        return TracedRoll(1, 0, [RecyclerState(1, 1)] if trace else None)
-
     x, m = 1, 1
     flips = 0
     states = [RecyclerState(1, 1)] if trace else None

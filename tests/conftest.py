@@ -19,6 +19,16 @@ def random_dyadic_distribution(
     return ProbabilityVector([Fraction(part, denom) for part in parts])
 
 
+def flip_tail(fd, i: int) -> Fraction:
+    """P(N > i) of a FlipDistribution."""
+    return 1 - sum((q for j, q in fd.mass.items() if j <= i), Fraction(0))
+
+
+def max_level(fd) -> int:
+    """The deepest level at which a FlipDistribution has mass."""
+    return max(fd.mass, default=0)
+
+
 def dyadic_suite() -> list[ProbabilityVector]:
     """Fifty fixed random distributions over denominator 2^10."""
     rng = random.Random(20240501)

@@ -2,6 +2,7 @@
 runtime budget and tolerance.  Run with ``pytest tests/test_acceptance.py
 -v -s`` to see one PASS/FAIL line per criterion."""
 
+import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,7 @@ from coindice import (
     state_tree_uniform,
     verify_bounds,
 )
-from coindice.cli import _bench_naive, _bench_recycler, main
+from coindice.cli import main
 from conftest import dyadic_suite, level_multisets
 
 _RESULTS: list[tuple[str, bool, float]] = []
@@ -198,9 +199,11 @@ def test_criterion_09_chi_square_sanity(capsys):
         assert passing >= 3, f"only {passing} of 4 seeds passed"
 
 
-def test_criterion_10_recycler_beats_naive_rejection():
+def test_criterion_10_recycler_beats_naive_rejection(capsys):
     with _criterion("criterion 10: measured flips/roll near 3.6 and below naive", 30.0):
-        recycler_rate, _ = _bench_recycler(5, 1_000_000, seed=2024)
-        naive_rate, _ = _bench_naive(5, 1_000_000, seed=2024)
+        code = main(["bench", "--die", "5", "--count", "1000000", "--seed", "2024", "--json"])
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)
+        recycler_rate, naive_rate = row["recycler_flips_per_roll"], row["naive_flips_per_roll"]
         assert abs(recycler_rate - 3.6) / 3.6 < 0.01
         assert recycler_rate < naive_rate

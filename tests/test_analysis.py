@@ -23,6 +23,7 @@ from coindice import (
     verify_bounds,
 )
 from coindice.analysis import _order_of_two
+from conftest import flip_tail
 
 # Independent second route: the recycle chain.  From a recycled s-sided
 # die the roller flips k = ceil(log2(n/s)) coins up to s' = s*2^k in
@@ -271,10 +272,10 @@ class TestFlipDistributionType:
         fd = FlipDistribution(
             {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
         )
-        assert fd.tail(0) == 1
-        assert fd.tail(1) == Fraction(1, 2)
-        assert fd.tail(2) == Fraction(1, 4)
-        assert fd.tail(3) == 0
+        assert flip_tail(fd, 0) == 1
+        assert flip_tail(fd, 1) == Fraction(1, 2)
+        assert flip_tail(fd, 2) == Fraction(1, 4)
+        assert flip_tail(fd, 3) == 0
 
 
 class TestBounds:

@@ -161,6 +161,16 @@ class TestTree:
         assert out.startswith("digraph")
         assert "optimal" in err
 
+    def test_check_die_builds_no_probability_vector(self, capsys, monkeypatch):
+        # the die is checked as its one run, not as n Fractions
+        def refuse(self, entries):
+            raise AssertionError("tree --die --check built a ProbabilityVector")
+
+        monkeypatch.setattr(ProbabilityVector, "__init__", refuse)
+        code, _, err = run_cli(capsys, "tree", "--die", "100003", "--depth", "1", "--check")
+        assert code == 0
+        assert "optimal" in err
+
     def test_two_leaf_dot(self, capsys):
         code, out, _ = run_cli(capsys, "tree", "--dist", "1/2,1/2", "--depth", "1")
         assert code == 0

@@ -25,7 +25,7 @@ from coindice import (
     roll,
     sample,
 )
-from conftest import dyadic_suite, random_dyadic_distribution
+from conftest import dyadic_suite, flip_tail, max_level, random_dyadic_distribution
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
 
@@ -63,9 +63,9 @@ NON_DYADIC = [
 def dominates(a: FlipDistribution, b: FlipDistribution) -> bool:
     """True iff a's flip count is stochastically no worse than b's:
     P(N_a > i) <= P(N_b > i) for every i."""
-    horizon = max(a.max_level(), b.max_level())
+    horizon = max(max_level(a), max_level(b))
     for i in range(horizon + 1):
-        if a.tail(i) > b.tail(i):
+        if flip_tail(a, i) > flip_tail(b, i):
             return False
     return a.residual <= b.residual
 
@@ -330,7 +330,9 @@ class TestDominates:
         fd = flip_distribution(tree)
         fd_worse = flip_distribution(worse)
         assert dominates(fd, fd_worse)
-        assert any(fd.tail(i) < fd_worse.tail(i) for i in range(fd_worse.max_level() + 1))
+        assert any(
+            flip_tail(fd, i) < flip_tail(fd_worse, i) for i in range(max_level(fd_worse) + 1)
+        )
         assert not check_optimal(worse, p).ok
 
 

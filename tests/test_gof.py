@@ -9,7 +9,67 @@ from coindice import (
     chi_square_test,
     roll_many,
 )
-from coindice.gof import chi_square_pvalue, regularized_gamma_q
+from coindice.gof import chi_square_pvalue
+
+# The second route to the chi-square tail: the general regularized upper
+# incomplete gamma Q(a, x) by the classic series / continued-fraction
+# pair (Numerical Recipes 6.2), for any real shape a.
+_EPS = 1e-14
+_MAX_ITER = 500
+
+
+def _gamma_p_series(a: float, x: float) -> float:
+    # P(a, x) by its power series; converges fast for x < a + 1
+    term = 1.0 / a
+    total = term
+    denom = a
+    for _ in range(_MAX_ITER):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if abs(term) < abs(total) * _EPS:
+            break
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _gamma_q_contfrac(a: float, x: float) -> float:
+    # Q(a, x) by a modified Lentz continued fraction; for x >= a + 1
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_ITER + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def regularized_gamma_q(a: float, x: float) -> float:
+    """Q(a, x) = Gamma(a, x) / Gamma(a), the upper regularized gamma."""
+    if x == 0:
+        return 1.0
+    if x < a + 1.0:
+        return 1.0 - _gamma_p_series(a, x)
+    return _gamma_q_contfrac(a, x)
+
+
+def _grid():
+    """(df, statistic) pairs from near 0 through far in the tail."""
+    for df in range(1, 301):
+        for x in (1e-9, 0.5, df / 2, df, 2 * df + 5, 10 * df + 50, 1e4):
+            yield df, x
 
 # classic chi-square critical values: P(X2_df > x) = alpha
 CRITICAL_VALUES = [
@@ -26,26 +86,38 @@ def test_pvalue_matches_table(df, x, alpha):
     assert math.isclose(chi_square_pvalue(x, df), alpha, rel_tol=1e-4)
 
 
-def test_gamma_q_edges():
-    assert regularized_gamma_q(0.5, 0.0) == 1.0
-    assert regularized_gamma_q(3.0, 1e9) < 1e-12
+def test_pvalue_edges():
+    assert chi_square_pvalue(0.0, 1) == 1.0
+    assert chi_square_pvalue(2e9, 6) < 1e-12
     with pytest.raises(ValueError):
-        regularized_gamma_q(-1.0, 1.0)
+        chi_square_pvalue(1.0, -1)
+    with pytest.raises(ValueError):
+        chi_square_pvalue(-1.0, 3)
 
 
-def test_gamma_q_against_scipy_when_available():
-    scipy_special = pytest.importorskip("scipy.special")
-    import random
-
-    rng = random.Random(7)
-    for _ in range(300):
-        a = rng.uniform(0.05, 50.0)
-        x = rng.uniform(0.0, 100.0)
+def test_pvalue_matches_incomplete_gamma():
+    for df, x in _grid():
         assert math.isclose(
-            regularized_gamma_q(a, x),
-            float(scipy_special.gammaincc(a, x)),
-            abs_tol=1e-10,
-        )
+            chi_square_pvalue(x, df), regularized_gamma_q(df / 2, x / 2), rel_tol=0, abs_tol=1e-12
+        ), (df, x)
+
+
+def test_pvalue_against_scipy_when_available():
+    scipy_special = pytest.importorskip("scipy.special")
+    for df, x in _grid():
+        assert math.isclose(
+            chi_square_pvalue(x, df), float(scipy_special.chdtrc(df, x)), rel_tol=0, abs_tol=1e-12
+        ), (df, x)
+
+
+@pytest.mark.parametrize("x", [0.3, 4.0, 37.5, 400.0])
+def test_pvalue_recurrence_in_df(x):
+    # Q(df + 2, x) - Q(df, x) = h^(df/2) e^-h / Gamma(df/2 + 1), h = x/2
+    h = x / 2
+    for df in range(1, 200):
+        step = math.exp(df / 2 * math.log(h) - h - math.lgamma(df / 2 + 1))
+        gap = chi_square_pvalue(x, df + 2) - chi_square_pvalue(x, df)
+        assert math.isclose(gap, step, rel_tol=0, abs_tol=1e-12), (df, x)
 
 
 def test_uniform_counts_pass():
