@@ -39,13 +39,7 @@ from .discrete import (
     sample,
 )
 from .gof import ChiSquareResult, chi_square_test
-from .oracle import (
-    EnumerationResult,
-    enumerate_discrete,
-    enumerate_uniform,
-    state_tree_discrete,
-    state_tree_uniform,
-)
+from .oracle import EnumerationResult, enumerate_uniform
 from .uniform import RecyclerState, TracedRoll, roll, roll_many
 
 __version__ = "0.1.0"
@@ -77,7 +71,6 @@ __all__ = [
     "check_optimal",
     "chi_square_test",
     "entropy",
-    "enumerate_discrete",
     "enumerate_uniform",
     "exact_expected_flips",
     "expansion_bit",
@@ -88,7 +81,5 @@ __all__ = [
     "roll",
     "roll_many",
     "sample",
-    "state_tree_discrete",
-    "state_tree_uniform",
     "verify_bounds",
 ]

@@ -18,6 +18,7 @@ compares any tree against the expansion-bit characterisation of
 optimality.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,16 +58,6 @@ class DdgTree:
         frontier = self.frontier()
         depth = max(map(len, frontier), default=0)
         return Fraction(sum(1 << (depth - len(h)) for h in frontier), 1 << depth)
-
-
-@dataclass
-class LevelCensus:
-    """Leaf counts per (level, outcome)."""
-
-    counts: dict[tuple[int, int], int]
-
-    def count(self, level: int, outcome: int) -> int:
-        return self.counts.get((level, outcome), 0)
 
 
 class MassMismatch(Exception):
@@ -116,12 +107,13 @@ def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
-def census(tree: DdgTree) -> LevelCensus:
+def census(tree: DdgTree) -> dict[tuple[int, int], int]:
+    """Leaf counts per (level, outcome)."""
     counts: dict[tuple[int, int], int] = {}
     for history, outcome in tree.leaves():
         key = (len(history), outcome)
         counts[key] = counts.get(key, 0) + 1
-    return LevelCensus(counts)
+    return counts
 
 
 @dataclass
@@ -145,47 +137,57 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
 
 
 def _check_optimal(tree: DdgTree, runs) -> OptimalityVerdict:
-    """``check_optimal`` against a target's runs (num, den, outcomes), so
-    the die's one run is checked without building a Fraction per side."""
-    tree_census = census(tree)
+    """``check_optimal`` against a target's runs (num, den, outcomes).  It
+    visits only outcomes with leaves or with a 1 bit at a checked level,
+    so a sampler tree costs O(leaves + runs x depth)."""
+    counts = census(tree)
     outcomes = runs[-1][2][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
-    depth = max((level for level, _ in tree_census.counts), default=0)
-    weight = [0] * (outcomes + 1)
-    for (level, outcome), count in tree_census.counts.items():
+    depth = max((level for level, _ in counts), default=0)
+    weight: dict[int, int] = {}
+    for (level, outcome), count in counts.items():
         if not 1 <= outcome <= outcomes:
             raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
-        weight[outcome] += count << (depth - level)
+        weight[outcome] = weight.get(outcome, 0) + (count << (depth - level))
     complete = tree.is_complete()
-    probs = [Fraction(num, den) for num, den, _ in runs]
-    for (num, den, run), q in zip(runs, probs):
+    # runs hold consecutive outcomes in ascending order, so the outcomes
+    # with leaves of each run are the next slice of the sorted ones
+    with_leaves = sorted(weight)
+    start = 0
+    for num, den, run in runs:
+        end = bisect_right(with_leaves, run[-1], start)
         target = num << depth
-        for i in run:
-            scaled = weight[i] * den
-            if complete and scaled != target:
+        for i in run if complete and num else with_leaves[start:end]:
+            w = weight.get(i, 0)
+            if w * den > target or complete and w * den != target:
+                mass, q = Fraction(w, 1 << depth), Fraction(num, den)
                 raise MassMismatch(
-                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)}, "
-                    f"distribution says {q}"
+                    f"outcome {i} has leaf mass {mass}, distribution says {q}"
+                    if complete
+                    else f"outcome {i} has leaf mass {mass} exceeding {q}"
                 )
-            if scaled > target:
-                raise MassMismatch(
-                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)} exceeding {q}"
-                )
+        start = end
 
-    violations = []
-    for (level, outcome), count in sorted(tree_census.counts.items()):
-        if count > 1:
-            violations.append(f"outcome {outcome} appears {count} times at level {level}")
+    violations = [
+        f"outcome {outcome} appears {count} times at level {level}"
+        for (level, outcome), count in sorted(item for item in counts.items() if item[1] > 1)
+    ]
     # one expansion bit per run and level: a uniform target is a single run
-    for level in range(tree.depth_bound + 1):
-        for (_, _, run), q in zip(runs, probs):
-            want = expansion_bit(q, level)
-            for i in run:
-                got = tree_census.count(level, i)
-                if got != want and got <= 1:
-                    violations.append(
-                        f"outcome {i} has {got} leaves at level {level}, expansion bit is {want}"
-                    )
+    probs = [(Fraction(num, den), run) for num, den, run in runs]
+    expected = {
+        (level, i)
+        for level in range(tree.depth_bound + 1)
+        for q, run in probs
+        if expansion_bit(q, level)
+        for i in run
+    }
+    # levels past the depth bound go unchecked, as in expected
+    single = {key for key, count in counts.items() if count == 1 and key[0] <= tree.depth_bound}
+    for level, i in sorted((expected - counts.keys()) | (single - expected)):
+        got = counts.get((level, i), 0)
+        violations.append(
+            f"outcome {i} has {got} leaves at level {level}, expansion bit is {1 - got}"
+        )
     return OptimalityVerdict(not violations, violations)
 
 

@@ -108,10 +108,6 @@ class ProbabilityVector:
         parts = (str(q) if q.denominator == 1 else _frac(q) for q in self.probs)
         return f"ProbabilityVector({', '.join(parts)})"
 
-    def prob(self, outcome: int) -> Fraction:
-        """Probability of the 1-indexed outcome."""
-        return self.probs[outcome - 1]
-
     def certain_outcome(self) -> int | None:
         """The outcome carrying all mass, if there is one."""
         for i, q in enumerate(self.probs, start=1):
@@ -189,6 +185,10 @@ def _levels(runs):
     level, which accepts the outcomes of every run whose doubled residual
     reaches den and takes den off it.  Level 0 starts from num itself, so
     it accepts only outcomes of probability 1.
+
+    The samplers resolve on every nonempty level without testing m >= k:
+    after level j the live m is the sum over runs of
+    len(outcomes) * (num * 2^j mod den) / den, never negative.
     """
     residuals = [num for num, _, _ in runs]
     dens = [den for _, den, _ in runs]
@@ -227,7 +227,7 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
         m *= 2
         if states is not None:
             states.append(RecyclerState(x, m))
-        if k and m >= k:
+        if k:
             if x <= k:
                 if states is not None and states[-1] != (x, k):
                     states.append(RecyclerState(x, k))

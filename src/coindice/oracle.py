@@ -13,8 +13,7 @@ path that terminates after j bits carries 2^-j.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import ProbabilityVector, _die, _levels
-from .uniform import RecyclerState
+from .discrete import _die, _levels
 
 
 @dataclass
@@ -55,21 +54,17 @@ def _expand(levels, depth: int):
             break
         k = len(accept)
         branches = (("0", 0), ("1", m))
-        m *= 2
-        resolves = 0 < k <= m
-        if resolves:
-            m -= k
+        m = 2 * m - k
         next_frontier: list[tuple[str, int]] = []
         for history, x in frontier:
             for suffix, dx in branches:
                 h2 = history + suffix
                 x2 = x + dx
-                if resolves:
-                    if x2 <= k:
-                        states[h2] = (x2, k)
-                        leaves[h2] = accept[x2 - 1]
-                        continue
-                    x2 -= k
+                if x2 <= k:
+                    states[h2] = (x2, k)
+                    leaves[h2] = accept[x2 - 1]
+                    continue
+                x2 -= k
                 states[h2] = (x2, m)
                 next_frontier.append((h2, x2))
         frontier = next_frontier
@@ -94,23 +89,3 @@ def _tally(walk, depth: int) -> EnumerationResult:
 def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the n-sided die roller."""
     return _tally(_expand(_levels(_die(n)), depth), depth)
-
-
-def enumerate_discrete(p: ProbabilityVector, depth: int) -> EnumerationResult:
-    """Exact outcome and flip-count masses for the discrete sampler."""
-    return _tally(_expand(_levels(p._runs), depth), depth)
-
-
-def state_tree_uniform(n: int, depth: int) -> dict[str, RecyclerState]:
-    """Post-resolution state after each bit history, for the die roller.
-
-    Terminating histories appear with their final state (m == n) and are
-    not extended further.
-    """
-    states, _, _ = _expand(_levels(_die(n)), depth)
-    return {h: RecyclerState(*s) for h, s in states.items()}
-
-
-def state_tree_discrete(p: ProbabilityVector, depth: int) -> dict[str, RecyclerState]:
-    states, _, _ = _expand(_levels(p._runs), depth)
-    return {h: RecyclerState(*s) for h, s in states.items()}

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from coindice import ProbabilityVector
+from coindice import ProbabilityVector, RecyclerState
+from coindice.discrete import _levels
+from coindice.oracle import _expand, _tally
 
 
 def random_dyadic_distribution(
@@ -33,6 +35,15 @@ def dyadic_suite() -> list[ProbabilityVector]:
     """Fifty fixed random distributions over denominator 2^10."""
     rng = random.Random(20240501)
     return [random_dyadic_distribution(rng, max_outcomes=6, denom_power=10) for _ in range(50)]
+
+
+def walk(runs, depth: int):
+    """The oracle's trie walk of a target's runs to ``depth``: each bit
+    history's post-resolution RecyclerState (a terminating history keeps
+    its final state), and the exact tallies of the walk."""
+    expanded = _expand(_levels(runs), depth)
+    states = {h: RecyclerState(*s) for h, s in expanded[0].items()}
+    return states, _tally(expanded, depth)
 
 
 def level_multisets(states) -> dict[int, Counter]:

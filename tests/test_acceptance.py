@@ -22,11 +22,11 @@ from coindice import (
     exact_expected_flips,
     expansion_bit,
     flip_distribution,
-    state_tree_uniform,
     verify_bounds,
 )
 from coindice.cli import main
-from conftest import dyadic_suite, level_multisets
+from coindice.discrete import _die
+from conftest import dyadic_suite, level_multisets, walk
 
 _RESULTS: list[tuple[str, bool, float]] = []
 
@@ -109,7 +109,7 @@ def test_criterion_03_known_three_outcome_tree():
 
 def test_criterion_04_five_sided_state_layout():
     with _criterion("criterion 04: 5-sided state tree reproduces the known layout", 1.0):
-        grouped = level_multisets(state_tree_uniform(5, 6))
+        grouped = level_multisets(walk(_die(5), 6)[0])
         assert grouped[0] == Counter({(1, 1): 1})
         assert grouped[1] == Counter({(1, 2): 1, (2, 2): 1})
         assert grouped[2] == Counter({(1, 4): 1, (3, 4): 1, (2, 4): 1, (4, 4): 1})
@@ -139,7 +139,7 @@ def test_criterion_05_uniformity_oracle():
 def test_criterion_06_conditional_uniformity_given_m():
     with _criterion("criterion 06: x is exactly uniform within every m-group", 30.0):
         for n in (2, 3, 5, 7):
-            states = state_tree_uniform(n, 12)
+            states = walk(_die(n), 12)[0]
             for depth in range(13):
                 groups: dict[int, dict[int, Fraction]] = {}
                 for history, state in states.items():
@@ -159,7 +159,7 @@ def test_criterion_07_census_matches_expansion_bits():
         for n in range(1, 65):
             depth = 2 * ceil_log2(n) + 8
             tree = build_from_uniform(n, depth)
-            counts = census(tree).counts
+            counts = census(tree)
             assert all(c == 1 for c in counts.values()), n
             q = Fraction(1, n)
             for level in range(depth + 1):
@@ -168,20 +168,20 @@ def test_criterion_07_census_matches_expansion_bits():
                     assert counts.get((level, outcome), 0) == bit, (n, level, outcome)
         for p in dyadic_suite():
             tree = build_from_discrete(p, 12)
-            counts = census(tree).counts
+            counts = census(tree)
             assert all(c == 1 for c in counts.values())
             for level in range(13):
                 for outcome in range(1, len(p) + 1):
                     assert counts.get((level, outcome), 0) == expansion_bit(
-                        p.prob(outcome), level
+                        p.probs[outcome - 1], level
                     ), (p, level, outcome)
 
 
 def test_criterion_08_builders_agree():
     with _criterion("criterion 08: canonical and trie-walk builders give equal censuses", 60.0):
         for p in dyadic_suite():
-            algo = census(build_from_discrete(p, 12)).counts
-            canonical = census(build_canonical(p, 12)).counts
+            algo = census(build_from_discrete(p, 12))
+            canonical = census(build_canonical(p, 12))
             assert algo == canonical, p
 
 

@@ -9,6 +9,7 @@ from coindice import (
     DdgTree,
     FlipDistribution,
     MassMismatch,
+    OptimalityVerdict,
     ProbabilityVector,
     ReplaySource,
     SourceExhausted,
@@ -20,11 +21,14 @@ from coindice import (
     check_optimal,
     enumerate_uniform,
     exact_expected_flips,
+    expansion_bit,
     export_dot,
     flip_distribution,
     roll,
     sample,
 )
+from coindice.ddg import INTERNAL, _check_optimal
+from coindice.discrete import _die
 from conftest import dyadic_suite, flip_tail, max_level, random_dyadic_distribution
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
@@ -113,11 +117,116 @@ def assert_equals_replay(tree, run):
             run(ReplaySource(_bits(history)))
 
 
+def dense_check_optimal(tree, runs):
+    """Reference for ``ddg._check_optimal``: visits every outcome of every
+    run, and every level for each, so it costs O(outcomes x depth)."""
+    counts = census(tree)
+    outcomes = runs[-1][2][-1]
+    # leaf mass of outcome i is weight[i] / 2^depth
+    depth = max((level for level, _ in counts), default=0)
+    weight = [0] * (outcomes + 1)
+    for (level, outcome), count in counts.items():
+        if not 1 <= outcome <= outcomes:
+            raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
+        weight[outcome] += count << (depth - level)
+    complete = tree.is_complete()
+    probs = [Fraction(num, den) for num, den, _ in runs]
+    for (num, den, run), q in zip(runs, probs):
+        target = num << depth
+        for i in run:
+            scaled = weight[i] * den
+            if complete and scaled != target:
+                raise MassMismatch(
+                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)}, "
+                    f"distribution says {q}"
+                )
+            if scaled > target:
+                raise MassMismatch(
+                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)} exceeding {q}"
+                )
+
+    violations = []
+    for (level, outcome), count in sorted(counts.items()):
+        if count > 1:
+            violations.append(f"outcome {outcome} appears {count} times at level {level}")
+    for level in range(tree.depth_bound + 1):
+        for (_, _, run), q in zip(runs, probs):
+            want = expansion_bit(q, level)
+            for i in run:
+                got = counts.get((level, i), 0)
+                if got != want and got <= 1:
+                    violations.append(
+                        f"outcome {i} has {got} leaves at level {level}, expansion bit is {want}"
+                    )
+    return OptimalityVerdict(not violations, violations)
+
+
+def verdict_of(check, tree, runs):
+    """(ok, violations) of a check, or the text of its MassMismatch."""
+    try:
+        verdict = check(tree, runs)
+    except MassMismatch as exc:
+        return str(exc)
+    return verdict.ok, verdict.violations
+
+
+@st.composite
+def checked_trees(draw):
+    """A sampler or canonical tree of a die of up to 40 sides or a vector
+    of up to 9 outcomes, with a few leaves relabelled (outcome K + 1
+    included) or split, and subtrees pruned into a leaf or a frontier."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        p, runs = uniform_probs(n), _die(n)
+        depth = draw(st.integers(1, 2 * ceil_log2(n) + 4))
+        sampler = build_from_uniform(n, depth)
+    else:
+        weights = draw(st.lists(st.integers(0, 12), min_size=1, max_size=9).filter(any))
+        p = ProbabilityVector([Fraction(w, sum(weights)) for w in weights])
+        runs = p._runs
+        depth = draw(st.integers(1, 14))
+        sampler = build_from_discrete(p, depth)
+    tree = sampler if draw(st.booleans()) else build_canonical(p, depth)
+    label = st.integers(1, len(p) + 1)
+    nodes = dict(tree.nodes)
+    for kind in draw(st.lists(st.sampled_from(["relabel", "split", "leaf", "frontier"]), max_size=3)):
+        on_leaf = kind in ("relabel", "split")
+        # a leaf to relabel or split, or a branch node to prune
+        candidates = sorted(
+            h for h, out in nodes.items() if (out is not INTERNAL if on_leaf else h + "0" in nodes)
+        )
+        if not candidates:
+            continue
+        history = draw(st.sampled_from(candidates))
+        if kind == "relabel":
+            nodes[history] = draw(label)
+        elif kind == "split":
+            nodes.update({history: INTERNAL, history + "0": draw(label), history + "1": draw(label)})
+        else:
+            for below in [h for h in nodes if len(h) > len(history) and h.startswith(history)]:
+                del nodes[below]
+            nodes[history] = draw(label) if kind == "leaf" else INTERNAL
+    return DdgTree(nodes, tree.depth_bound), runs
+
+
+class Unlistable:
+    """Outcomes 1..n as a run that refuses to be walked side by side."""
+
+    def __init__(self, n):
+        self.outcomes = range(1, n + 1)
+
+    def __getitem__(self, index):
+        return self.outcomes[index]
+
+    def __iter__(self):
+        raise AssertionError("walked every side of the die")
+
+
 class TestBuildCanonical:
     def test_eighths_matches_known_optimal_shape(self):
         tree = build_canonical(EIGHTHS, 3)
         assert tree.is_complete()
-        assert census(tree).counts == {(1, 2): 1, (2, 1): 1, (3, 1): 1, (3, 3): 1}
+        assert census(tree) == {(1, 2): 1, (2, 1): 1, (3, 1): 1, (3, 3): 1}
 
     def test_half_half(self):
         tree = build_canonical(ProbabilityVector(["1/2", "1/2"]), 1)
@@ -126,11 +235,11 @@ class TestBuildCanonical:
     def test_certain_outcome_is_a_root_leaf(self):
         tree = build_canonical(ProbabilityVector(["1"]), 5)
         assert tree.nodes == {"": 1}
-        assert census(tree).counts == {(0, 1): 1}
+        assert census(tree) == {(0, 1): 1}
 
     def test_thirds_truncates_with_explicit_residual(self):
         tree = build_canonical(ProbabilityVector(["1/3", "2/3"]), 6)
-        counts = census(tree).counts
+        counts = census(tree)
         assert counts == {(1, 2): 1, (2, 1): 1, (3, 2): 1, (4, 1): 1, (5, 2): 1, (6, 1): 1}
         assert tree.live_mass() == Fraction(1, 64)
         # unplaced expansion mass per outcome
@@ -144,7 +253,7 @@ class TestBuildCanonical:
 class TestBuildFromAlgorithm:
     def test_five_sided_depth_four_leaf_layout(self):
         tree = build_from_uniform(5, 4)
-        counts = census(tree).counts
+        counts = census(tree)
         assert {k: v for k, v in counts.items() if k[0] == 3} == {
             (3, i): 1 for i in range(1, 6)
         }
@@ -158,9 +267,9 @@ class TestBuildFromAlgorithm:
         assert tree.nodes == {"": None, "0": 1, "1": 2}
 
     def test_discrete_census_equals_canonical(self):
-        assert census(build_from_discrete(EIGHTHS, 3)).counts == census(
+        assert census(build_from_discrete(EIGHTHS, 3)) == census(
             build_canonical(EIGHTHS, 3)
-        ).counts
+        )
 
     def test_matches_oracle_node_for_node(self):
         tree = build_from_uniform(5, 6)
@@ -206,8 +315,8 @@ class TestBuildFromAlgorithm:
         rng = random.Random(1234)
         for _ in range(10):
             p = random_dyadic_distribution(rng, max_outcomes=6, denom_power=8)
-            algo = census(build_from_discrete(p, 9)).counts
-            canon = census(build_canonical(p, 9)).counts
+            algo = census(build_from_discrete(p, 9))
+            canon = census(build_canonical(p, 9))
             assert algo == canon, p
 
 
@@ -273,6 +382,16 @@ class TestCheckOptimal:
         tree = build_from_uniform(n, depth)
         assert check_optimal(tree, uniform_probs(n)).ok
 
+
+    @given(checked_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_check_matches_the_dense_reference(self, tree_and_runs):
+        tree, runs = tree_and_runs
+        assert verdict_of(_check_optimal, tree, runs) == verdict_of(dense_check_optimal, tree, runs)
+
+    def test_check_never_walks_every_side_of_a_shallow_tree(self):
+        n = 1000003
+        assert _check_optimal(build_from_uniform(n, 1), ((1, n, Unlistable(n)),)).ok
 
 class TestFlipDistribution:
     def test_known_optimal_tree(self):
@@ -340,15 +459,15 @@ class TestMassCorrectness:
     @pytest.mark.parametrize("p, depth", [(EIGHTHS, 3), (ProbabilityVector(["1/3", "2/3"]), 9)])
     def test_leaf_mass_plus_residual_reconstructs_probabilities(self, p, depth):
         tree = build_canonical(p, depth)
-        counts = census(tree).counts
+        counts = census(tree)
         total_residual = Fraction(0)
         for i in range(1, len(p) + 1):
             placed = sum(
                 (Fraction(c, 1 << j) for (j, o), c in counts.items() if o == i),
                 Fraction(0),
             )
-            assert placed <= p.prob(i)
-            total_residual += p.prob(i) - placed
+            assert placed <= p.probs[i - 1]
+            total_residual += p.probs[i - 1] - placed
         assert total_residual == tree.live_mass()
 
 

@@ -17,15 +17,13 @@ from coindice import (
     acceptance_set,
     build_from_discrete,
     check_optimal,
-    enumerate_discrete,
     expansion_bit,
     parse_distribution,
     sample,
-    state_tree_discrete,
 )
 from coindice.analysis import _entropy, _flip_distribution
 from coindice.discrete import _die, _levels
-from conftest import dyadic_suite
+from conftest import dyadic_suite, walk
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,20 @@ def rule_levels(levels, depth: int) -> list[tuple[int, ...]]:
 
 def rule_depth(p: ProbabilityVector) -> int:
     return 3 * max(q.denominator for q in p.probs).bit_length()
+
+
+def assert_live_m_is_residual_mass(runs, depth: int = 24) -> None:
+    """Every live m the trie walk records after level j is the sum over
+    runs of len(outcomes) * (num * 2^j mod den) / den, never negative, so
+    doubling m always covers the next acceptance set."""
+    states, result = walk(runs, depth)
+    residual = [
+        sum(Fraction(len(outcomes) * ((num << j) % den), den) for num, den, outcomes in runs)
+        for j in range(depth + 1)
+    ]
+    for history, state in states.items():
+        if history not in result.leaf_histories:
+            assert state.m == residual[len(history)], (history, state)
 
 
 nonnegative_weights = st.lists(
@@ -128,9 +140,6 @@ class TestProbabilityVector:
     def test_zero_entries_are_allowed(self):
         p = ProbabilityVector(["0", "1"])
         assert p.certain_outcome() == 2
-
-    def test_prob_is_one_indexed(self):
-        assert EIGHTHS.prob(2) == Fraction(1, 2)
 
     def test_repr_prints_parts_as_str_does(self):
         assert repr(EIGHTHS) == "ProbabilityVector(3/8, 1/2, 1/8)"
@@ -224,7 +233,7 @@ class TestSample:
         assert (result.outcome, result.flips) == (2, 1)
 
     def test_exhaustive_masses_for_eighths(self):
-        result = enumerate_discrete(EIGHTHS, 6)
+        result = walk(EIGHTHS._runs, 6)[1]
         assert result.outcome_mass == {
             1: Fraction(3, 8),
             2: Fraction(1, 2),
@@ -238,7 +247,7 @@ class TestSample:
         assert result.live_mass == 0
 
     def test_thirds_converges_and_counts_leaves_per_level(self):
-        result = enumerate_discrete(THIRDS, 20)
+        result = walk(THIRDS._runs, 20)[1]
         assert abs(result.outcome_mass[1] - Fraction(1, 3)) < Fraction(1, 2**18)
         assert abs(result.outcome_mass[2] - Fraction(2, 3)) < Fraction(1, 2**18)
         for level in range(1, 21):
@@ -247,7 +256,7 @@ class TestSample:
 
     def test_zero_probability_outcome_never_sampled(self):
         p = ProbabilityVector(["1/2", "0", "1/2"])
-        result = enumerate_discrete(p, 4)
+        result = walk(p._runs, 4)[1]
         assert 2 not in result.outcome_mass
         assert result.outcome_mass[1] == Fraction(1, 2)
 
@@ -268,7 +277,7 @@ class TestDyadicTermination:
         )
         probs = [Fraction(b - a, denom) for a, b in zip([0] + cuts, cuts + [denom])]
         p = ProbabilityVector(probs)
-        result = enumerate_discrete(p, power + 1)
+        result = walk(p._runs, power + 1)[1]
         assert result.live_mass == 0
         assert result.outcome_mass == {
             i: q for i, q in enumerate(probs, start=1) if q > 0
@@ -283,7 +292,7 @@ class TestMassConservation:
         # still-running trie nodes at depth j, scaled by 2^-j
         for depth in range(1, 10):
             residuals = level_state(p, depth).residual_probs
-            live = enumerate_discrete(p, depth).live_mass
+            live = walk(p._runs, depth)[1].live_mass
             assert sum(residuals) == live * (1 << depth)
 
 
@@ -340,6 +349,15 @@ class TestLevelRule:
             depth = rule_depth(p)
             assert rule_levels(_levels(_die(n)), depth) == expansion_levels(p, depth), n
 
+    @given(weighted_runs)
+    @settings(max_examples=100)
+    def test_live_m_is_the_residual_mass(self, weighted):
+        assert_live_m_is_residual_mass(blocks_vector(weighted)._runs)
+
+    def test_live_m_of_every_die_is_the_residual_mass(self):
+        for n in range(1, 201):
+            assert_live_m_is_residual_mass(_die(n))
+
 
 class TestSampleTrace:
     @pytest.mark.parametrize(
@@ -356,8 +374,8 @@ class TestSampleTrace:
     )
     def test_every_leaf_replays_to_its_oracle_state(self, p):
         depth = 12
-        states = state_tree_discrete(p, depth)
-        leaves = enumerate_discrete(p, depth).leaf_histories
+        states, result = walk(p._runs, depth)
+        leaves = result.leaf_histories
         assert leaves
         for history, outcome in leaves.items():
             result = sample(p, ReplaySource([int(b) for b in history]), trace=True)
@@ -402,14 +420,14 @@ def walk_results(p: ProbabilityVector, depth: int):
             rolls = [sample(p, source, trace=trace) for _ in range(40)]
             streams.append([(r.outcome, r.flips, r.trace) for r in rolls])
             streams.append(source.flips_consumed)
-    walk = enumerate_discrete(p, depth)
+    states, enumeration = walk(p._runs, depth)
     tree = build_from_discrete(p, depth)
     verdicts = [check_optimal(t, p) for t in (tree, deepened(tree))]
     return (
         streams,
-        walk,
-        list(walk.leaf_histories.items()),
-        list(state_tree_discrete(p, depth).items()),
+        enumeration,
+        list(enumeration.leaf_histories.items()),
+        list(states.items()),
         list(tree.nodes.items()),
         [(v.ok, v.violations) for v in verdicts],
         _flip_distribution(p._runs, depth),

@@ -8,14 +8,12 @@ from coindice import (
     RecyclerState,
     ReplaySource,
     SourceExhausted,
-    enumerate_discrete,
     enumerate_uniform,
     roll,
     sample,
-    state_tree_discrete,
-    state_tree_uniform,
 )
-from conftest import level_multisets
+from coindice.discrete import _die
+from conftest import level_multisets, walk
 
 # Per-flip state multisets of the five-sided roller, derived by hand from
 # the doubling/accept/recycle rules and frozen here.
@@ -38,7 +36,7 @@ FIVE_SIDED_LEVELS = {
 
 
 def test_five_sided_state_tree_spot_paths():
-    states = state_tree_uniform(5, 4)
+    states = walk(_die(5), 4)[0]
     assert states[""] == RecyclerState(1, 1)
     assert states["0"] == RecyclerState(1, 2)
     assert states["11"] == RecyclerState(4, 4)
@@ -47,13 +45,13 @@ def test_five_sided_state_tree_spot_paths():
 
 
 def test_five_sided_level_multisets_match_known_layout():
-    grouped = level_multisets(state_tree_uniform(5, 4))
+    grouped = level_multisets(walk(_die(5), 4)[0])
     for level, expected in FIVE_SIDED_LEVELS.items():
         assert grouped[level] == Counter(expected), level
 
 
 def test_five_sided_restart_levels_repeat_the_top():
-    grouped = level_multisets(state_tree_uniform(5, 6))
+    grouped = level_multisets(walk(_die(5), 6)[0])
     assert grouped[5] == grouped[1]
     assert grouped[6] == grouped[2]
 
@@ -61,7 +59,7 @@ def test_five_sided_restart_levels_repeat_the_top():
 def test_five_sided_pre_resolution_states():
     # the doubled states before accept/recycle fire: all of {1..8} x {8}
     # after flip three, then the six-sided row after flip four
-    states = state_tree_uniform(5, 4)
+    states = walk(_die(5), 4)[0]
     doubled_three = Counter()
     doubled_four = Counter()
     for history, state in states.items():
@@ -77,7 +75,7 @@ def test_five_sided_pre_resolution_states():
 
 
 def test_one_sided_die_is_an_immediate_leaf():
-    states = state_tree_uniform(1, 3)
+    states = walk(_die(1), 3)[0]
     assert states == {"": RecyclerState(1, 1)}
     result = enumerate_uniform(1, 3)
     assert result.outcome_mass == {1: Fraction(1)}
@@ -118,7 +116,7 @@ def test_conditional_uniformity_within_every_m_group(n):
     # at each depth, states sharing m must spread their path mass equally
     # over all x in {1..m}
     depth = 12
-    states = state_tree_uniform(n, depth)
+    states = walk(_die(n), depth)[0]
     for level in range(depth + 1):
         groups: dict[int, dict[int, Fraction]] = defaultdict(dict)
         for history, state in states.items():
@@ -159,8 +157,7 @@ def test_discrete_state_tree_matches_uniform_structure():
     # a uniform dyadic distribution drives the same acceptance layout as
     # the plain four-sided roller
     p = ProbabilityVector(["1/4"] * 4)
-    states = state_tree_discrete(p, 2)
-    result = enumerate_discrete(p, 2)
+    states, result = walk(p._runs, 2)
     assert result.outcome_mass == {i: Fraction(1, 4) for i in (1, 2, 3, 4)}
     assert result.flip_mass == {2: Fraction(1)}
     assert states["01"] == RecyclerState(3, 4)  # x = 1 + 0*1, then + 1*2
@@ -173,7 +170,7 @@ def test_discrete_conditional_uniformity_within_m_groups(probs):
     # the recycled pair stays conditionally uniform for loaded dice too
     p = ProbabilityVector(probs)
     depth = 10
-    states = state_tree_discrete(p, depth)
+    states = walk(p._runs, depth)[0]
     for level in range(depth + 1):
         groups: dict[int, dict[int, Fraction]] = defaultdict(dict)
         for history, state in states.items():
@@ -189,15 +186,15 @@ def test_discrete_conditional_uniformity_within_m_groups(probs):
 
 def test_discrete_oracle_agrees_with_replayed_samples():
     p = ProbabilityVector(["3/8", "1/2", "1/8"])
-    result = enumerate_discrete(p, 3)
+    result = walk(p._runs, 3)[1]
     for history, outcome in result.leaf_histories.items():
         bits = [int(b) for b in history]
         traced = sample(p, ReplaySource(bits))
         assert traced.outcome == outcome
         assert traced.flips == len(bits)
     # live prefixes really are still running
-    deeper = enumerate_discrete(ProbabilityVector(["1/3", "2/3"]), 5)
-    live = [h for h in state_tree_discrete(ProbabilityVector(["1/3", "2/3"]), 5) if len(h) == 5 and h not in deeper.leaf_histories]
+    states, deeper = walk(ProbabilityVector(["1/3", "2/3"])._runs, 5)
+    live = [h for h in states if len(h) == 5 and h not in deeper.leaf_histories]
     for history in live:
         with pytest.raises(SourceExhausted):
             sample(ProbabilityVector(["1/3", "2/3"]), ReplaySource([int(b) for b in history]))

@@ -15,6 +15,8 @@ from coindice import (
     roll_many,
     sample,
 )
+from coindice.discrete import _die
+from conftest import walk
 
 
 def test_one_sided_die_needs_no_flips():
@@ -59,9 +61,7 @@ def test_five_sided_four_one_bits_restarts_then_exhausts():
         roll(5, source, trace=True)
     assert source.flips_consumed == 4
     # the restart state is visible through the exhaustive state tree
-    from coindice import state_tree_uniform
-
-    states = state_tree_uniform(5, 4)
+    states, _ = walk(_die(5), 4)
     assert states["111"] == RecyclerState(3, 3)
     assert states["1111"] == RecyclerState(1, 1)
 
