@@ -28,8 +28,9 @@ loop is left and memory is O(P) bits.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .discrete import ProbabilityVector, _die, expansion_bit
+from .discrete import ProbabilityVector, _die, _level_state, _levels
 from .uniform import _check_sides
 
 
@@ -155,12 +156,10 @@ def exact_expected_flips(n: int) -> Fraction:
 def _flip_distribution(runs, depth: int) -> FlipDistribution:
     """Flip-count distribution of the optimal sampler of ``runs`` (see
     ``discrete``): P(N = j) = sum_i |outcomes_i| * bit_j(num_i / den_i) * 2^-j
-    (Knuth and Yao), with the mass beyond ``depth`` as the residual."""
-    leaves = [0] * (depth + 1)
-    for num, den, outcomes in runs:
-        q = Fraction(num, den)
-        for j in range(depth + 1):
-            leaves[j] += len(outcomes) * expansion_bit(q, j)
+    (Knuth and Yao), read as the outcomes the level rule accepts at level
+    j, with the mass beyond ``depth`` as the residual."""
+    state = _level_state(runs)
+    leaves = [1 if state[0] else 0] + [k for k, _ in islice(_levels(state), depth)]
     mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
     return FlipDistribution(mass, 1 - sum(mass.values(), Fraction(0)))
 

@@ -23,7 +23,7 @@ from .discrete import (
     _die,
     _exact,
     _frac,
-    _levels,
+    _level_state,
     parse_distribution,
     sample,
 )
@@ -193,7 +193,8 @@ def cmd_tree(args) -> int:
 
 def cmd_oracle_dump(args) -> int:
     n, p = _target(args)
-    states, leaves, _ = oracle._expand(_levels(_die(n) if p is None else p._runs), args.depth)
+    state = _level_state(_die(n)) if p is None else p._state
+    states, leaves, _ = oracle._expand(state, args.depth)
     for history in sorted(states, key=lambda h: (len(h), h)):
         x, m = states[history]
         line = f'{len(history)} "{history}" ({x}, {m})'

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import FlipDistribution
-from .discrete import ProbabilityVector, _die, _levels, acceptance_set, expansion_bit
+from .discrete import ProbabilityVector, _die, _level_state, acceptance_set, expansion_bit
 from .oracle import _expand
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
@@ -97,13 +97,13 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
 
 def build_from_uniform(n: int, depth_bound: int) -> DdgTree:
     """The tree the n-sided die roller actually walks."""
-    states, leaves, _ = _expand(_levels(_die(n)), depth_bound)
+    states, leaves, _ = _expand(_level_state(_die(n)), depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
 def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """The tree the discrete sampler actually walks."""
-    states, leaves, _ = _expand(_levels(p._runs), depth_bound)
+    states, leaves, _ = _expand(p._state, depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 

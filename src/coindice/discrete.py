@@ -8,12 +8,15 @@ values throughout.  Every target, a vector or a fair die, is one form:
 runs (num, den, outcomes) of outcomes that share the probability
 num/den.  A vector has one run per maximal block of equal neighbours, so
 1/n x n compiles to the die's single run (1, n, 1..n), which ``_die``
-builds in O(1).  The sampler reads the acceptance sets
-off integer residuals, one per run: doubling r = num * 2^j mod den gives
-the next expansion bit of every outcome in the run at once, with no
-drift, no rounding and memory linear in the input.  ``expansion_bit``
-and ``acceptance_set`` compute the same bits by random access and stay
-the reference the tests and the canonical tree builder use.
+builds in O(1).  Each target's level state is compiled once, and the
+level rule reads the acceptance sets off integer residuals, one per run:
+doubling r = num * 2^j mod den gives the next expansion bit of every
+outcome in the run at once, with no drift, no rounding and memory linear
+in the input.  A level yields its accepted runs, no outcome copied, and
+the sampler finds the x-th accepted outcome by walking their lengths,
+so a level costs O(runs).  ``expansion_bit`` and ``acceptance_set``
+compute the same bits by random access and stay the reference the tests
+and the canonical tree builder use.
 """
 
 import json
@@ -93,6 +96,7 @@ class ProbabilityVector:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
         self._runs = tuple(runs)
+        self._state = _level_state(self._runs)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -177,53 +181,64 @@ def _die(n: int):
     return ((1, n, range(1, n + 1)),)
 
 
-def _levels(runs):
-    """Acceptance set of each level 0, 1, 2, ... of the DDG tree of ``runs``.
+def _level_state(runs):
+    """The level state of ``runs``, compiled once per target: the certain
+    outcome (the one of probability 1) or None, then per run its residual
+    after level 0, num mod den, its denominator and its outcomes."""
+    certain = next((run[0] for num, den, run in runs if num == den), None)
+    _, dens, members = zip(*runs)
+    return certain, tuple(num % den for num, den, _ in runs), dens, members
 
-    Keeps one integer residual per run, num * 2^j mod den after level j,
-    so each stays below its denominator.  Doubling it gives the next
+
+def _levels(state):
+    """(k, accepted runs) of each level 1, 2, ... of the DDG tree of a
+    compiled ``state`` (see ``_level_state``), where k is the number of
+    accepted outcomes, the summed length of the runs, none of them copied.
+
+    Keeps a working copy of the residuals, num * 2^j mod den after level
+    j, so each stays below its denominator.  Doubling it gives the next
     level, which accepts the outcomes of every run whose doubled residual
-    reaches den and takes den off it.  Level 0 starts from num itself, so
-    it accepts only outcomes of probability 1.
+    reaches den and takes den off it.  Level 0 is the certain outcome.
 
-    The samplers resolve on every nonempty level without testing m >= k:
+    ``sample`` and ``oracle._expand`` resolve on every nonempty level
+    without testing m >= k, and x <= k always names an accepted outcome:
     after level j the live m is the sum over runs of
     len(outcomes) * (num * 2^j mod den) / den, never negative.
     """
-    residuals = [num for num, _, _ in runs]
-    dens = [den for _, den, _ in runs]
-    members = [outcomes for _, _, outcomes in runs]
+    _, residuals, dens, members = state
+    residuals = list(residuals)
     indices = range(len(dens))
     while True:
-        accept = []
+        k, accepted = 0, []
         for i in indices:
-            r = residuals[i]
+            r = 2 * residuals[i]
             if r >= dens[i]:
-                accept += members[i]
                 r -= dens[i]
-            residuals[i] = 2 * r
-        yield accept
+                run = members[i]
+                accepted.append(run)
+                k += len(run)
+            residuals[i] = r
+        yield k, accepted
 
 
 def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
     """Draw one outcome with exactly the probabilities in ``p``.
 
     One flip per level: the recycled pair (x, m) doubles, and if it
-    covers that level's acceptance set the roll resolves to the x-th
-    smallest member; otherwise the leftover uniformity carries to the
-    next level.  An empty acceptance level just flips again.
+    covers that level's acceptance set the roll resolves to its x-th
+    smallest member, found by walking the accepted runs' lengths;
+    otherwise the leftover uniformity carries to the next level.  An
+    empty acceptance level just flips again.
     """
-    levels = _levels(p._runs)
-    certain = next(levels)
+    certain = p._state[0]
     if certain:
-        return TracedRoll(certain[0], 0, [RecyclerState(1, 1)] if trace else None)
+        return TracedRoll(certain, 0, [RecyclerState(1, 1)] if trace else None)
 
+    next_bit = source.next_bit
     x, m = 1, 1
     states = [RecyclerState(1, 1)] if trace else None
-    for level, accept in enumerate(levels, start=1):
-        k = len(accept)
-        bit = source.next_bit()
-        x += bit * m
+    for level, (k, accepted) in enumerate(_levels(p._state), start=1):
+        x += next_bit() * m
         m *= 2
         if states is not None:
             states.append(RecyclerState(x, m))
@@ -231,7 +246,10 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
             if x <= k:
                 if states is not None and states[-1] != (x, k):
                     states.append(RecyclerState(x, k))
-                return TracedRoll(accept[x - 1], level, states)
+                for run in accepted:
+                    if x <= len(run):
+                        return TracedRoll(run[x - 1], level, states)
+                    x -= len(run)
             x -= k
             m -= k
             if states is not None:

@@ -4,16 +4,17 @@ Walks every bit string up to a depth bound as a shared-prefix trie, so
 the cost is proportional to the number of live states per level (at most
 2n - 1 for the die roller) times the depth, not 2^depth.  One walk serves
 both samplers: it steps the recycled pair (x, m) through the one level
-rule, the residual doubling of ``discrete._levels``, fed the target's
-runs (a vector's, or the die's single run from ``discrete._die``), which
-yields each level's acceptance set.  All masses are exact rationals: a
-path that terminates after j bits carries 2^-j.
+rule, the residual doubling of ``discrete._levels``, over the target's
+compiled level state (a vector's, or that of the die's single run from
+``discrete._die``), which yields each level's accepted runs.  All
+masses are exact rationals: a path that terminates after j bits carries
+2^-j.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import _die, _levels
+from .discrete import _die, _level_state, _levels
 
 
 @dataclass
@@ -29,11 +30,9 @@ class EnumerationResult:
         return sum(self.outcome_mass.values(), Fraction(0))
 
 
-def _expand(levels, depth: int):
-    """Trie walk of a sampler, given its level rule.
-
-    ``levels`` yields the acceptance set of level 0 (only an outcome of
-    probability 1) and then of each flip.  Returns (states, leaves, live)
+def _expand(state, depth: int):
+    """Trie walk of the sampler of a compiled level ``state`` (see
+    ``discrete._level_state``).  Returns (states, leaves, live)
     where states maps every reached bit history to its post-resolution
     (x, m) pair, leaves maps terminating histories to outcomes, and live
     lists the histories still running at ``depth``.
@@ -41,18 +40,21 @@ def _expand(levels, depth: int):
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     states: dict[str, tuple[int, int]] = {"": (1, 1)}
-    certain = next(levels)
+    certain = state[0]
     if certain:
-        return states, {"": certain[0]}, []
+        return states, {"": certain}, []
 
     leaves: dict[str, int] = {}
     # every state still running at a level has the same m
     frontier: list[tuple[str, int]] = [("", 1)]
     m = 1
-    for _, accept in zip(range(depth), levels):
+    for _, (k, accepted) in zip(range(depth), _levels(state)):
         if not frontier:
             break
-        k = len(accept)
+        # one list per level: indexing it per leaf beats walking the runs
+        accept = []
+        for run in accepted:
+            accept += run
         branches = (("0", 0), ("1", m))
         m = 2 * m - k
         next_frontier: list[tuple[str, int]] = []
@@ -88,4 +90,4 @@ def _tally(walk, depth: int) -> EnumerationResult:
 
 def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the n-sided die roller."""
-    return _tally(_expand(_levels(_die(n)), depth), depth)
+    return _tally(_expand(_level_state(_die(n)), depth), depth)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coindice import ProbabilityVector, RecyclerState
-from coindice.discrete import _levels
+from coindice.discrete import _level_state
 from coindice.oracle import _expand, _tally
 
 
@@ -37,11 +37,29 @@ def dyadic_suite() -> list[ProbabilityVector]:
     return [random_dyadic_distribution(rng, max_outcomes=6, denom_power=10) for _ in range(50)]
 
 
+class Unwalkable:
+    """range(start, stop) as a run that can be measured and indexed but
+    refuses to be walked outcome by outcome (``range`` cannot be
+    subclassed)."""
+
+    def __init__(self, start, stop):
+        self.outcomes = range(start, stop)
+
+    def __len__(self):
+        return len(self.outcomes)
+
+    def __getitem__(self, index):
+        return self.outcomes[index]
+
+    def __iter__(self):
+        raise AssertionError("walked every outcome of the run")
+
+
 def walk(runs, depth: int):
     """The oracle's trie walk of a target's runs to ``depth``: each bit
     history's post-resolution RecyclerState (a terminating history keeps
     its final state), and the exact tallies of the walk."""
-    expanded = _expand(_levels(runs), depth)
+    expanded = _expand(_level_state(runs), depth)
     states = {h: RecyclerState(*s) for h, s in expanded[0].items()}
     return states, _tally(expanded, depth)
 

@@ -18,12 +18,13 @@ from coindice import (
     entropy,
     enumerate_uniform,
     exact_expected_flips,
+    expansion_bit,
     flip_distribution,
     flip_distribution_uniform,
     verify_bounds,
 )
-from coindice.analysis import _order_of_two
-from conftest import flip_tail
+from coindice.analysis import _flip_distribution, _order_of_two
+from conftest import dyadic_suite, flip_tail
 
 # Independent second route: the recycle chain.  From a recycled s-sided
 # die the roller flips k = ceil(log2(n/s)) coins up to s' = s*2^k in
@@ -253,6 +254,29 @@ class TestFlipDistributionUniform:
         from_tree = flip_distribution(build_canonical(probs, depth))
         assert from_bits.mass == from_tree.mass
         assert from_bits.residual == from_tree.residual
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ProbabilityVector(entries)
+            for entries in (
+                ["1/3", "2/3"],
+                ["1/3", "1/5", "7/15"],
+                ["0", "1/5", "0", "4/5"],
+                ["0", "1", "0"],
+                ["1/4", "1/4", "1/2"],
+                [Fraction(1, 997)] * 997,
+            )
+        ]
+        + dyadic_suite()[:5],
+        ids=lambda p: f"K{len(p)}",
+    )
+    def test_vector_masses_are_the_expansion_bits(self, p):
+        # P(N = j) counts the outcomes with a 1 at bit j, read by random access
+        depth = 24
+        fd = _flip_distribution(p._runs, depth)
+        leaves = [sum(expansion_bit(q, j) for q in p.probs) for j in range(depth + 1)]
+        assert fd.mass == {j: Fraction(c, 1 << j) for j, c in enumerate(leaves) if c}
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_matches_oracle_flip_mass(self, n):

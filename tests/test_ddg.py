@@ -29,7 +29,13 @@ from coindice import (
 )
 from coindice.ddg import INTERNAL, _check_optimal
 from coindice.discrete import _die
-from conftest import dyadic_suite, flip_tail, max_level, random_dyadic_distribution
+from conftest import (
+    Unwalkable,
+    dyadic_suite,
+    flip_tail,
+    max_level,
+    random_dyadic_distribution,
+)
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
 
@@ -209,19 +215,6 @@ def checked_trees(draw):
     return DdgTree(nodes, tree.depth_bound), runs
 
 
-class Unlistable:
-    """Outcomes 1..n as a run that refuses to be walked side by side."""
-
-    def __init__(self, n):
-        self.outcomes = range(1, n + 1)
-
-    def __getitem__(self, index):
-        return self.outcomes[index]
-
-    def __iter__(self):
-        raise AssertionError("walked every side of the die")
-
-
 class TestBuildCanonical:
     def test_eighths_matches_known_optimal_shape(self):
         tree = build_canonical(EIGHTHS, 3)
@@ -391,7 +384,7 @@ class TestCheckOptimal:
 
     def test_check_never_walks_every_side_of_a_shallow_tree(self):
         n = 1000003
-        assert _check_optimal(build_from_uniform(n, 1), ((1, n, Unlistable(n)),)).ok
+        assert _check_optimal(build_from_uniform(n, 1), ((1, n, Unwalkable(1, n + 1)),)).ok
 
 class TestFlipDistribution:
     def test_known_optimal_tree(self):

@@ -9,21 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coindice import (
+    BitSource,
     DdgTree,
     InvalidDistribution,
     ProbabilityVector,
+    RecyclerState,
     ReplaySource,
     SeededSource,
+    TracedRoll,
     acceptance_set,
     build_from_discrete,
     check_optimal,
+    discrete,
     expansion_bit,
     parse_distribution,
     sample,
 )
 from coindice.analysis import _entropy, _flip_distribution
-from coindice.discrete import _die, _levels
-from conftest import dyadic_suite, walk
+from coindice.discrete import _die, _level_state, _levels
+from conftest import Unwalkable, dyadic_suite, walk
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,14 @@ def expansion_levels(p: ProbabilityVector, depth: int) -> list[tuple[int, ...]]:
     return [certain] + [acceptance_set(p, j) for j in range(1, depth + 1)]
 
 
-def rule_levels(levels, depth: int) -> list[tuple[int, ...]]:
-    """The first depth + 1 acceptance sets a level rule yields."""
-    return [tuple(accept) for accept in islice(levels, depth + 1)]
+def rule_levels(state, depth: int) -> list[tuple[int, ...]]:
+    """The acceptance sets of levels 0..depth of a compiled level state:
+    its certain outcome, then each level's accepted runs flattened."""
+    levels = [() if state[0] is None else (state[0],)]
+    for k, accepted in islice(_levels(state), depth):
+        levels.append(tuple(i for run in accepted for i in run))
+        assert k == len(levels[-1])
+    return levels
 
 
 def rule_depth(p: ProbabilityVector) -> int:
@@ -306,7 +315,7 @@ class TestLevelRule:
         total = sum(weights)
         p = ProbabilityVector([w / total for w in weights])
         depth = rule_depth(p)
-        assert rule_levels(_levels(p._runs), depth) == expansion_levels(p, depth)
+        assert rule_levels(p._state, depth) == expansion_levels(p, depth)
 
     @given(weighted_runs)
     @settings(max_examples=100)
@@ -320,7 +329,7 @@ class TestLevelRule:
             entries += [q] * k
         p = ProbabilityVector(entries)
         depth = rule_depth(p)
-        assert rule_levels(_levels(runs), depth) == expansion_levels(p, depth)
+        assert rule_levels(_level_state(runs), depth) == expansion_levels(p, depth)
 
     @pytest.mark.parametrize(
         "p",
@@ -336,18 +345,18 @@ class TestLevelRule:
     )
     def test_residual_rule_on_fixed_targets(self, p):
         depth = rule_depth(p)
-        assert rule_levels(_levels(p._runs), depth) == expansion_levels(p, depth)
+        assert rule_levels(p._state, depth) == expansion_levels(p, depth)
 
     def test_residual_rule_on_the_dyadic_suite(self):
         for p in dyadic_suite():
             depth = rule_depth(p)
-            assert rule_levels(_levels(p._runs), depth) == expansion_levels(p, depth)
+            assert rule_levels(p._state, depth) == expansion_levels(p, depth)
 
     def test_die_rule_is_the_rule_of_the_uniform_distribution(self):
         for n in range(1, 301):
             p = ProbabilityVector([Fraction(1, n)] * n)
             depth = rule_depth(p)
-            assert rule_levels(_levels(_die(n)), depth) == expansion_levels(p, depth), n
+            assert rule_levels(_level_state(_die(n)), depth) == expansion_levels(p, depth), n
 
     @given(weighted_runs)
     @settings(max_examples=100)
@@ -393,6 +402,7 @@ def entry_runs(p: ProbabilityVector):
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
     ref = copy.copy(p)
     ref._runs = entry_runs(p)
+    ref._state = _level_state(ref._runs)
     return ref
 
 
@@ -492,4 +502,95 @@ class TestBlockCompile:
         start = perf_counter()
         outcomes = [sample(p, source).outcome for _ in range(20)]
         assert perf_counter() - start < 1.0
+        assert all(1 <= x <= n for x in outcomes)
+
+
+def reference_levels(runs):
+    """The level rule as a list of acceptance sets, one per level 0, 1,
+    2, ..., built afresh from ``runs`` and copying every accepted outcome:
+    the reference for the compiled state's run walk."""
+    residuals = [num for num, _, _ in runs]
+    dens = [den for _, den, _ in runs]
+    members = [outcomes for _, _, outcomes in runs]
+    indices = range(len(dens))
+    while True:
+        accept = []
+        for i in indices:
+            r = residuals[i]
+            if r >= dens[i]:
+                accept += members[i]
+                r -= dens[i]
+            residuals[i] = 2 * r
+        yield accept
+
+
+def reference_sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
+    """``sample`` over ``reference_levels``, indexing each level's list."""
+    levels = reference_levels(p._runs)
+    certain = next(levels)
+    if certain:
+        return TracedRoll(certain[0], 0, [RecyclerState(1, 1)] if trace else None)
+
+    x, m = 1, 1
+    states = [RecyclerState(1, 1)] if trace else None
+    for level, accept in enumerate(levels, start=1):
+        k = len(accept)
+        bit = source.next_bit()
+        x += bit * m
+        m *= 2
+        if states is not None:
+            states.append(RecyclerState(x, m))
+        if k:
+            if x <= k:
+                if states is not None and states[-1] != (x, k):
+                    states.append(RecyclerState(x, k))
+                return TracedRoll(accept[x - 1], level, states)
+            x -= k
+            m -= k
+            if states is not None:
+                states.append(RecyclerState(x, m))
+
+
+def assert_draws_match_the_reference(p: ProbabilityVector, count: int) -> None:
+    """Outcomes, flips, traces and consumed bits of ``sample`` equal the
+    reference's, traced and untraced, over three seeds."""
+    for seed in (1, 2, 3):
+        for trace in (False, True):
+            fast, slow = SeededSource(seed), SeededSource(seed)
+            for _ in range(count):
+                assert sample(p, fast, trace) == reference_sample(p, slow, trace)
+            assert fast.flips_consumed == slow.flips_consumed
+
+
+certain_vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda zeros: ProbabilityVector(["0"] * zeros[0] + ["1"] + ["0"] * zeros[1])
+)
+
+
+class TestReferenceSampler:
+    """``sample`` walks the accepted runs of the compiled level state; the
+    reference copies each level's acceptance set and indexes it."""
+
+    @given(weighted_runs.map(blocks_vector) | certain_vectors)
+    @settings(max_examples=60, deadline=None)
+    def test_draws_match_the_reference(self, p):
+        assert_draws_match_the_reference(p, 30)
+
+    @pytest.mark.parametrize(
+        "p, count",
+        [(UNIFORM_997, 30), (ProbabilityVector([Fraction(1, 100003)] * 100003), 3)],
+        ids=["K997", "K100003"],
+    )
+    def test_draws_match_the_reference_on_wide_dice(self, p, count):
+        assert_draws_match_the_reference(p, count)
+
+    def test_sampling_a_huge_run_never_walks_it(self, monkeypatch):
+        n = 1000003
+        # the vector's one run of n outcomes is built through the wrapper
+        monkeypatch.setattr(discrete, "range", Unwalkable, raising=False)
+        p = ProbabilityVector([Fraction(1, n)] * n)
+        monkeypatch.undo()
+        assert type(p._runs[0][2]) is Unwalkable
+        source = SeededSource(13)
+        outcomes = [sample(p, source).outcome for _ in range(100)]
         assert all(1 <= x <= n for x in outcomes)
