@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .discrete import ProbabilityVector, _die, _level_state, _levels
+from .discrete import ProbabilityVector, _die, _levels
 from .uniform import _check_sides
 
 
@@ -64,7 +64,7 @@ class FlipDistribution:
                 f"distribution truncated with residual {self.residual}; "
                 "use partial_expectation()"
             )
-        return sum((Fraction(j) * q for j, q in self.mass.items()), Fraction(0))
+        return self.partial_expectation()
 
     def partial_expectation(self) -> Fraction:
         """Sum of j * P(N = j) over the materialised levels only."""
@@ -153,13 +153,13 @@ def exact_expected_flips(n: int) -> Fraction:
     return Fraction(q * weighted + period, ones)
 
 
-def _flip_distribution(runs, depth: int) -> FlipDistribution:
-    """Flip-count distribution of the optimal sampler of ``runs`` (see
-    ``discrete``): P(N = j) = sum_i |outcomes_i| * bit_j(num_i / den_i) * 2^-j
-    (Knuth and Yao), read as the outcomes the level rule accepts at level
-    j, with the mass beyond ``depth`` as the residual."""
-    state = _level_state(runs)
-    leaves = [1 if state[0] else 0] + [k for k, _ in islice(_levels(state), depth)]
+def _flip_distribution(record, depth: int) -> FlipDistribution:
+    """Flip-count distribution of the optimal sampler of a compiled
+    ``record`` (see ``discrete``): P(N = j) = sum over runs of
+    |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
+    outcomes the level rule accepts at level j, with the mass beyond
+    ``depth`` as the residual."""
+    leaves = [1 if record[0] else 0] + [k for k, _ in islice(_levels(record), depth)]
     mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
     return FlipDistribution(mass, 1 - sum(mass.values(), Fraction(0)))
 
@@ -167,10 +167,10 @@ def _flip_distribution(runs, depth: int) -> FlipDistribution:
 def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
     """Flip-count distribution of the optimal n-sided die roller, the
     target 1/n x n."""
-    runs = _die(n)
+    record = _die(n)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return _flip_distribution(runs, depth)
+    return _flip_distribution(record, depth)
 
 
 @dataclass
@@ -200,8 +200,6 @@ def verify_bounds(n_max: int) -> BoundsReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows = []
-    min_slack: tuple[int, Fraction] | None = None
-    max_slack: tuple[int, Fraction] | None = None
     for n in range(1, n_max + 1):
         expected = exact_expected_flips(n)
         lower = ceil_log2(n)
@@ -211,22 +209,21 @@ def verify_bounds(n_max: int) -> BoundsReport:
         if expected > upper:
             raise BoundViolation(f"n={n}: E[N]={expected} above upper bound {upper}")
         rows.append(BoundsRow(n, expected, lower, upper))
-        slack = upper - expected
-        if min_slack is None or slack < min_slack[1]:
-            min_slack = (n, slack)
-        if max_slack is None or slack > max_slack[1]:
-            max_slack = (n, slack)
-    assert min_slack is not None and max_slack is not None
-    return BoundsReport(n_max, rows, min_slack, max_slack)
+    slack = {row.n: row.upper - row.expected for row in rows}
+    # min and max return the first of equal keys, so the smallest n wins a tie
+    low, high = min(slack, key=slack.get), max(slack, key=slack.get)
+    return BoundsReport(n_max, rows, (low, slack[low]), (high, slack[high]))
 
 
-def _entropy(runs) -> float:
-    """Shannon entropy in bits of ``runs`` (see ``discrete``).  Each float
-    term is subtracted once per outcome of its run, so the die's one run
-    gives the float that ``entropy`` gives its n-entry vector, bit for
-    bit.  A probability below the smallest float adds nothing."""
+def _entropy(record) -> float:
+    """Shannon entropy in bits of a compiled ``record`` (see
+    ``discrete``).  Each float term is subtracted once per outcome of its
+    run, so the die's one run gives the float that ``entropy`` gives its
+    n-entry vector, bit for bit.  A probability below the smallest float
+    adds nothing."""
+    _, nums, dens, members = record
     total = 0.0
-    for num, den, outcomes in runs:
+    for num, den, outcomes in zip(nums, dens, members):
         x = num / den  # the correctly rounded float(Fraction(num, den))
         if x > 0:
             term = x * math.log2(x)

@@ -23,7 +23,6 @@ from .discrete import (
     _die,
     _exact,
     _frac,
-    _level_state,
     parse_distribution,
     sample,
 )
@@ -97,13 +96,13 @@ def cmd_analyze(args) -> int:
     if args.sweep is not None:
         return _analyze_sweep(args)
     n, p = _target(args)
-    runs = _die(n) if p is None else p._runs
+    record = _die(n) if p is None else p._runs
     lower = analysis.ceil_log2(n) if p is None else None
     depth = args.depth or (2 * lower + 8 if p is None else 16)
-    dist = analysis._flip_distribution(runs, depth)
+    dist = analysis._flip_distribution(record, depth)
     exact = p is None or dist.residual == 0
     expected = analysis.exact_expected_flips(n) if p is None else dist.partial_expectation()
-    ent = analysis._entropy(runs)
+    ent = analysis._entropy(record)
     if args.json:
         payload = {
             "expected_num": _exact(expected.numerator),
@@ -193,8 +192,7 @@ def cmd_tree(args) -> int:
 
 def cmd_oracle_dump(args) -> int:
     n, p = _target(args)
-    state = _level_state(_die(n)) if p is None else p._state
-    states, leaves, _ = oracle._expand(state, args.depth)
+    states, leaves, _ = oracle._expand(_die(n) if p is None else p._runs, args.depth)
     for history in sorted(states, key=lambda h: (len(h), h)):
         x, m = states[history]
         line = f'{len(history)} "{history}" ({x}, {m})'

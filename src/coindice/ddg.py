@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import FlipDistribution
-from .discrete import ProbabilityVector, _die, _level_state, acceptance_set, expansion_bit
+from .discrete import ProbabilityVector, _die, acceptance_set, expansion_bit
 from .oracle import _expand
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
@@ -97,13 +97,13 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
 
 def build_from_uniform(n: int, depth_bound: int) -> DdgTree:
     """The tree the n-sided die roller actually walks."""
-    states, leaves, _ = _expand(_level_state(_die(n)), depth_bound)
+    states, leaves, _ = _expand(_die(n), depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
 def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """The tree the discrete sampler actually walks."""
-    states, leaves, _ = _expand(p._state, depth_bound)
+    states, leaves, _ = _expand(p._runs, depth_bound)
     return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
 
 
@@ -136,12 +136,13 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
     return _check_optimal(tree, p._runs)
 
 
-def _check_optimal(tree: DdgTree, runs) -> OptimalityVerdict:
-    """``check_optimal`` against a target's runs (num, den, outcomes).  It
-    visits only outcomes with leaves or with a 1 bit at a checked level,
-    so a sampler tree costs O(leaves + runs x depth)."""
+def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
+    """``check_optimal`` against a target's compiled ``record`` (see
+    ``discrete``).  It visits only outcomes with leaves or with a 1 bit at
+    a checked level, so a sampler tree costs O(leaves + runs x depth)."""
+    _, nums, dens, members = record
     counts = census(tree)
-    outcomes = runs[-1][2][-1]
+    outcomes = members[-1][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
     depth = max((level for level, _ in counts), default=0)
     weight: dict[int, int] = {}
@@ -154,7 +155,7 @@ def _check_optimal(tree: DdgTree, runs) -> OptimalityVerdict:
     # with leaves of each run are the next slice of the sorted ones
     with_leaves = sorted(weight)
     start = 0
-    for num, den, run in runs:
+    for num, den, run in zip(nums, dens, members):
         end = bisect_right(with_leaves, run[-1], start)
         target = num << depth
         for i in run if complete and num else with_leaves[start:end]:
@@ -173,7 +174,7 @@ def _check_optimal(tree: DdgTree, runs) -> OptimalityVerdict:
         for (level, outcome), count in sorted(item for item in counts.items() if item[1] > 1)
     ]
     # one expansion bit per run and level: a uniform target is a single run
-    probs = [(Fraction(num, den), run) for num, den, run in runs]
+    probs = [(Fraction(num, den), run) for num, den, run in zip(nums, dens, members)]
     expected = {
         (level, i)
         for level in range(tree.depth_bound + 1)

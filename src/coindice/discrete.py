@@ -4,19 +4,22 @@ The sampler generalises the fair-die roller: at flip j the outcomes
 whose probability has a 1 at position j of its binary expansion form the
 acceptance set for that level, and the recycled pair (x, m) selects
 uniformly among them.  Probabilities are exact ``fractions.Fraction``
-values throughout.  Every target, a vector or a fair die, is one form:
-runs (num, den, outcomes) of outcomes that share the probability
-num/den.  A vector has one run per maximal block of equal neighbours, so
-1/n x n compiles to the die's single run (1, n, 1..n), which ``_die``
-builds in O(1).  Each target's level state is compiled once, and the
-level rule reads the acceptance sets off integer residuals, one per run:
-doubling r = num * 2^j mod den gives the next expansion bit of every
-outcome in the run at once, with no drift, no rounding and memory linear
-in the input.  A level yields its accepted runs, no outcome copied, and
-the sampler finds the x-th accepted outcome by walking their lengths,
-so a level costs O(runs).  ``expansion_bit`` and ``acceptance_set``
-compute the same bits by random access and stay the reference the tests
-and the canonical tree builder use.
+values throughout.  Every target, a vector or a fair die, compiles once
+into one record ``(certain, nums, dens, members)``: the outcome of
+probability 1 or None, then per run of outcomes that share the
+probability num/den its numerator, denominator and outcome sequence.  A
+vector has one run per maximal block of equal neighbours, so 1/n x n
+compiles to the die's record, one run (1, n, 1..n), which ``_die``
+builds in O(1).  The sampler, the oracle, the tree checks and the
+analysis all read that record.  The level rule reads the acceptance
+sets off integer residuals, one per run: doubling r = num * 2^j mod den
+gives the next expansion bit of every outcome in the run at once, with
+no drift, no rounding and memory linear in the input.  A level yields
+its accepted runs, no outcome copied, and the sampler finds the x-th
+accepted outcome by walking their lengths, so a level costs O(runs).
+``expansion_bit`` and ``acceptance_set`` compute the same bits by
+random access and stay the reference the tests and the canonical tree
+builder use.
 """
 
 import json
@@ -85,18 +88,21 @@ class ProbabilityVector:
                 raise InvalidDistribution(f"outcome {i} has negative probability {_frac(q)}")
         # one run per maximal block of equal neighbours, so each level
         # costs O(runs); only neighbours merge, which keeps acceptance
-        # lists ascending, and a 1-tuple extends an acceptance list fastest
-        runs, first = [], 1
+        # lists ascending, and a 1-tuple extends oracle._expand's lists fastest
+        certain, nums, dens, members, first = None, [], [], [], 1
         for (num, den), block in groupby((q.numerator, q.denominator) for q in probs):
             end = first + sum(1 for _ in block)
-            runs.append((num, den, (first,) if end == first + 1 else range(first, end)))
+            if num == den:
+                certain = first
+            nums.append(num)
+            dens.append(den)
+            members.append((first,) if end == first + 1 else range(first, end))
             first = end
-        total = sum(Fraction(num * len(outcomes), den) for num, den, outcomes in runs)
+        total = sum(Fraction(num * len(run), den) for num, den, run in zip(nums, dens, members))
         if total != 1:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
-        self._runs = tuple(runs)
-        self._state = _level_state(self._runs)
+        self._runs = certain, tuple(nums), tuple(dens), tuple(members)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -114,10 +120,7 @@ class ProbabilityVector:
 
     def certain_outcome(self) -> int | None:
         """The outcome carrying all mass, if there is one."""
-        for i, q in enumerate(self.probs, start=1):
-            if q == 1:
-                return i
-        return None
+        return self._runs[0]
 
 
 def parse_distribution(text: str) -> ProbabilityVector:
@@ -176,37 +179,31 @@ def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
 
 
 def _die(n: int):
-    """The fair n-sided die as runs: all n sides share probability 1/n."""
+    """The fair n-sided die's record: one run, all n sides at 1/n."""
     _check_sides(n)
-    return ((1, n, range(1, n + 1)),)
+    return (1 if n == 1 else None), (1,), (n,), (range(1, n + 1),)
 
 
-def _level_state(runs):
-    """The level state of ``runs``, compiled once per target: the certain
-    outcome (the one of probability 1) or None, then per run its residual
-    after level 0, num mod den, its denominator and its outcomes."""
-    certain = next((run[0] for num, den, run in runs if num == den), None)
-    _, dens, members = zip(*runs)
-    return certain, tuple(num % den for num, den, _ in runs), dens, members
-
-
-def _levels(state):
+def _levels(record):
     """(k, accepted runs) of each level 1, 2, ... of the DDG tree of a
-    compiled ``state`` (see ``_level_state``), where k is the number of
-    accepted outcomes, the summed length of the runs, none of them copied.
+    compiled ``record`` (see the module docstring), where k is the number
+    of accepted outcomes, the summed length of the runs, none of them
+    copied.
 
-    Keeps a working copy of the residuals, num * 2^j mod den after level
-    j, so each stays below its denominator.  Doubling it gives the next
-    level, which accepts the outcomes of every run whose doubled residual
-    reaches den and takes den off it.  Level 0 is the certain outcome.
+    Keeps a working residual per run, num * 2^j mod den after level j, so
+    each stays below its denominator: it starts from the numerators, or
+    from zeros for a certain target, the only one with num = den.
+    Doubling it gives the next level, which accepts the outcomes of every
+    run whose doubled residual reaches den and takes den off it.  Level 0
+    is the certain outcome.
 
     ``sample`` and ``oracle._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
     after level j the live m is the sum over runs of
     len(outcomes) * (num * 2^j mod den) / den, never negative.
     """
-    _, residuals, dens, members = state
-    residuals = list(residuals)
+    certain, nums, dens, members = record
+    residuals = [0] * len(nums) if certain else list(nums)
     indices = range(len(dens))
     while True:
         k, accepted = 0, []
@@ -230,14 +227,14 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     otherwise the leftover uniformity carries to the next level.  An
     empty acceptance level just flips again.
     """
-    certain = p._state[0]
+    certain = p._runs[0]
     if certain:
         return TracedRoll(certain, 0, [RecyclerState(1, 1)] if trace else None)
 
     next_bit = source.next_bit
     x, m = 1, 1
     states = [RecyclerState(1, 1)] if trace else None
-    for level, (k, accepted) in enumerate(_levels(p._state), start=1):
+    for level, (k, accepted) in enumerate(_levels(p._runs), start=1):
         x += next_bit() * m
         m *= 2
         if states is not None:

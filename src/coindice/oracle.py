@@ -5,16 +5,15 @@ the cost is proportional to the number of live states per level (at most
 2n - 1 for the die roller) times the depth, not 2^depth.  One walk serves
 both samplers: it steps the recycled pair (x, m) through the one level
 rule, the residual doubling of ``discrete._levels``, over the target's
-compiled level state (a vector's, or that of the die's single run from
-``discrete._die``), which yields each level's accepted runs.  All
-masses are exact rationals: a path that terminates after j bits carries
-2^-j.
+compiled record (a vector's ``_runs``, or the die's from
+``discrete._die``), which yields each level's accepted runs.  All masses
+are exact rationals: a path that terminates after j bits carries 2^-j.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import _die, _level_state, _levels
+from .discrete import _die, _levels
 
 
 @dataclass
@@ -30,17 +29,17 @@ class EnumerationResult:
         return sum(self.outcome_mass.values(), Fraction(0))
 
 
-def _expand(state, depth: int):
-    """Trie walk of the sampler of a compiled level ``state`` (see
-    ``discrete._level_state``).  Returns (states, leaves, live)
-    where states maps every reached bit history to its post-resolution
-    (x, m) pair, leaves maps terminating histories to outcomes, and live
-    lists the histories still running at ``depth``.
+def _expand(record, depth: int):
+    """Trie walk of the sampler of a compiled ``record`` (see
+    ``discrete``).  Returns (states, leaves, live) where states maps
+    every reached bit history to its post-resolution (x, m) pair, leaves
+    maps terminating histories to outcomes, and live lists the histories
+    still running at ``depth``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     states: dict[str, tuple[int, int]] = {"": (1, 1)}
-    certain = state[0]
+    certain = record[0]
     if certain:
         return states, {"": certain}, []
 
@@ -48,7 +47,7 @@ def _expand(state, depth: int):
     # every state still running at a level has the same m
     frontier: list[tuple[str, int]] = [("", 1)]
     m = 1
-    for _, (k, accepted) in zip(range(depth), _levels(state)):
+    for _, (k, accepted) in zip(range(depth), _levels(record)):
         if not frontier:
             break
         # one list per level: indexing it per leaf beats walking the runs
@@ -90,4 +89,4 @@ def _tally(walk, depth: int) -> EnumerationResult:
 
 def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
     """Exact outcome and flip-count masses for the n-sided die roller."""
-    return _tally(_expand(_level_state(_die(n)), depth), depth)
+    return _tally(_expand(_die(n), depth), depth)

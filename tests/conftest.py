@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from coindice import ProbabilityVector, RecyclerState
-from coindice.discrete import _level_state
 from coindice.oracle import _expand, _tally
 
 
@@ -55,11 +54,11 @@ class Unwalkable:
         raise AssertionError("walked every outcome of the run")
 
 
-def walk(runs, depth: int):
-    """The oracle's trie walk of a target's runs to ``depth``: each bit
-    history's post-resolution RecyclerState (a terminating history keeps
-    its final state), and the exact tallies of the walk."""
-    expanded = _expand(_level_state(runs), depth)
+def walk(record, depth: int):
+    """The oracle's trie walk of a target's compiled record to ``depth``:
+    each bit history's post-resolution RecyclerState (a terminating
+    history keeps its final state), and the exact tallies of the walk."""
+    expanded = _expand(record, depth)
     states = {h: RecyclerState(*s) for h, s in expanded[0].items()}
     return states, _tally(expanded, depth)
 

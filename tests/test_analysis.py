@@ -313,6 +313,12 @@ class TestBounds:
         row = verify_bounds(5).rows[-1]
         assert row.upper - row.expected == Fraction(2, 5)
 
+    def test_slack_extremes_to_64(self):
+        report = verify_bounds(64)
+        assert report.min_upper_slack == (43, Fraction(7, 129))
+        # every power of two ties n = 1 at slack 1, and the first n wins
+        assert report.max_upper_slack == (1, Fraction(1))
+
     def test_powers_of_two_meet_the_lower_bound(self):
         report = verify_bounds(64)
         for k in range(7):

@@ -153,6 +153,14 @@ class TestAnalyze:
         )
         assert "within bounds" in err
 
+    def test_sweep_summary_names_the_slack_extremes(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--sweep", "64")
+        assert code == 0
+        assert err == (
+            "# all 64 sizes within bounds; min upper slack 7/129 at n=43, "
+            "max upper slack 1/1 at n=1\n"
+        )
+
 
 class TestTree:
     def test_check_optimal_die(self, capsys):

@@ -123,11 +123,14 @@ def assert_equals_replay(tree, run):
             run(ReplaySource(_bits(history)))
 
 
-def dense_check_optimal(tree, runs):
+def dense_check_optimal(tree, record):
     """Reference for ``ddg._check_optimal``: visits every outcome of every
-    run, and every level for each, so it costs O(outcomes x depth)."""
+    run of ``record``, and every level for each, so it costs
+    O(outcomes x depth)."""
+    _, nums, dens, members = record
+    runs = list(zip(nums, dens, members))
     counts = census(tree)
-    outcomes = runs[-1][2][-1]
+    outcomes = members[-1][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
     depth = max((level for level, _ in counts), default=0)
     weight = [0] * (outcomes + 1)
@@ -167,10 +170,10 @@ def dense_check_optimal(tree, runs):
     return OptimalityVerdict(not violations, violations)
 
 
-def verdict_of(check, tree, runs):
+def verdict_of(check, tree, record):
     """(ok, violations) of a check, or the text of its MassMismatch."""
     try:
-        verdict = check(tree, runs)
+        verdict = check(tree, record)
     except MassMismatch as exc:
         return str(exc)
     return verdict.ok, verdict.violations
@@ -183,13 +186,13 @@ def checked_trees(draw):
     included) or split, and subtrees pruned into a leaf or a frontier."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 40))
-        p, runs = uniform_probs(n), _die(n)
+        p, record = uniform_probs(n), _die(n)
         depth = draw(st.integers(1, 2 * ceil_log2(n) + 4))
         sampler = build_from_uniform(n, depth)
     else:
         weights = draw(st.lists(st.integers(0, 12), min_size=1, max_size=9).filter(any))
         p = ProbabilityVector([Fraction(w, sum(weights)) for w in weights])
-        runs = p._runs
+        record = p._runs
         depth = draw(st.integers(1, 14))
         sampler = build_from_discrete(p, depth)
     tree = sampler if draw(st.booleans()) else build_canonical(p, depth)
@@ -212,7 +215,7 @@ def checked_trees(draw):
             for below in [h for h in nodes if len(h) > len(history) and h.startswith(history)]:
                 del nodes[below]
             nodes[history] = draw(label) if kind == "leaf" else INTERNAL
-    return DdgTree(nodes, tree.depth_bound), runs
+    return DdgTree(nodes, tree.depth_bound), record
 
 
 class TestBuildCanonical:
@@ -378,13 +381,15 @@ class TestCheckOptimal:
 
     @given(checked_trees())
     @settings(max_examples=300, deadline=None)
-    def test_sparse_check_matches_the_dense_reference(self, tree_and_runs):
-        tree, runs = tree_and_runs
-        assert verdict_of(_check_optimal, tree, runs) == verdict_of(dense_check_optimal, tree, runs)
+    def test_sparse_check_matches_the_dense_reference(self, tree_and_record):
+        tree, record = tree_and_record
+        sparse = verdict_of(_check_optimal, tree, record)
+        assert sparse == verdict_of(dense_check_optimal, tree, record)
 
     def test_check_never_walks_every_side_of_a_shallow_tree(self):
         n = 1000003
-        assert _check_optimal(build_from_uniform(n, 1), ((1, n, Unwalkable(1, n + 1)),)).ok
+        record = None, (1,), (n,), (Unwalkable(1, n + 1),)
+        assert _check_optimal(build_from_uniform(n, 1), record).ok
 
 class TestFlipDistribution:
     def test_known_optimal_tree(self):

@@ -26,7 +26,7 @@ from coindice import (
     sample,
 )
 from coindice.analysis import _entropy, _flip_distribution
-from coindice.discrete import _die, _level_state, _levels
+from coindice.discrete import _die, _levels
 from conftest import Unwalkable, dyadic_suite, walk
 
 
@@ -59,11 +59,11 @@ def expansion_levels(p: ProbabilityVector, depth: int) -> list[tuple[int, ...]]:
     return [certain] + [acceptance_set(p, j) for j in range(1, depth + 1)]
 
 
-def rule_levels(state, depth: int) -> list[tuple[int, ...]]:
-    """The acceptance sets of levels 0..depth of a compiled level state:
-    its certain outcome, then each level's accepted runs flattened."""
-    levels = [() if state[0] is None else (state[0],)]
-    for k, accepted in islice(_levels(state), depth):
+def rule_levels(record, depth: int) -> list[tuple[int, ...]]:
+    """The acceptance sets of levels 0..depth of a compiled record: its
+    certain outcome, then each level's accepted runs flattened."""
+    levels = [() if record[0] is None else (record[0],)]
+    for k, accepted in islice(_levels(record), depth):
         levels.append(tuple(i for run in accepted for i in run))
         assert k == len(levels[-1])
     return levels
@@ -73,13 +73,17 @@ def rule_depth(p: ProbabilityVector) -> int:
     return 3 * max(q.denominator for q in p.probs).bit_length()
 
 
-def assert_live_m_is_residual_mass(runs, depth: int = 24) -> None:
-    """Every live m the trie walk records after level j is the sum over
-    runs of len(outcomes) * (num * 2^j mod den) / den, never negative, so
-    doubling m always covers the next acceptance set."""
-    states, result = walk(runs, depth)
+def assert_live_m_is_residual_mass(record, depth: int = 24) -> None:
+    """Every live m the trie walk of a compiled record records after level
+    j is the sum over runs of len(outcomes) * (num * 2^j mod den) / den,
+    never negative, so doubling m always covers the next acceptance set."""
+    states, result = walk(record, depth)
+    _, nums, dens, members = record
     residual = [
-        sum(Fraction(len(outcomes) * ((num << j) % den), den) for num, den, outcomes in runs)
+        sum(
+            Fraction(len(outcomes) * ((num << j) % den), den)
+            for num, den, outcomes in zip(nums, dens, members)
+        )
         for j in range(depth + 1)
     ]
     for history, state in states.items():
@@ -122,8 +126,9 @@ class TestProbabilityVector:
             op = getattr(Fraction, name)
             monkeypatch.setattr(Fraction, name, lambda a, b, op=op: added.append(b) or op(a, b))
         p = ProbabilityVector([Fraction(1, 100003)] * 100003)
-        assert len(p._runs) == 1
-        assert len(added) <= len(p._runs)
+        _, nums, _, _ = p._runs
+        assert len(nums) == 1
+        assert len(added) <= len(nums)
 
     def test_fraction_subclass_entries_become_plain_fractions(self):
         class Probability(Fraction):
@@ -315,21 +320,26 @@ class TestLevelRule:
         total = sum(weights)
         p = ProbabilityVector([w / total for w in weights])
         depth = rule_depth(p)
-        assert rule_levels(p._state, depth) == expansion_levels(p, depth)
+        assert rule_levels(p._runs, depth) == expansion_levels(p, depth)
 
     @given(weighted_runs)
     @settings(max_examples=100)
     def test_rule_on_mixed_runs_matches_the_expanded_vector(self, weighted):
         total = sum(w * k for w, k in weighted)
-        runs, entries = [], []
+        certain, nums, dens, members, entries = None, [], [], [], []
         for w, k in weighted:
             q = w / total
             start = len(entries) + 1
-            runs.append((q.numerator, q.denominator, range(start, start + k)))
+            if q == 1:
+                certain = start
+            nums.append(q.numerator)
+            dens.append(q.denominator)
+            members.append(range(start, start + k))
             entries += [q] * k
         p = ProbabilityVector(entries)
         depth = rule_depth(p)
-        assert rule_levels(_level_state(runs), depth) == expansion_levels(p, depth)
+        record = certain, tuple(nums), tuple(dens), tuple(members)
+        assert rule_levels(record, depth) == expansion_levels(p, depth)
 
     @pytest.mark.parametrize(
         "p",
@@ -345,18 +355,18 @@ class TestLevelRule:
     )
     def test_residual_rule_on_fixed_targets(self, p):
         depth = rule_depth(p)
-        assert rule_levels(p._state, depth) == expansion_levels(p, depth)
+        assert rule_levels(p._runs, depth) == expansion_levels(p, depth)
 
     def test_residual_rule_on_the_dyadic_suite(self):
         for p in dyadic_suite():
             depth = rule_depth(p)
-            assert rule_levels(p._state, depth) == expansion_levels(p, depth)
+            assert rule_levels(p._runs, depth) == expansion_levels(p, depth)
 
     def test_die_rule_is_the_rule_of_the_uniform_distribution(self):
         for n in range(1, 301):
             p = ProbabilityVector([Fraction(1, n)] * n)
             depth = rule_depth(p)
-            assert rule_levels(_level_state(_die(n)), depth) == expansion_levels(p, depth), n
+            assert rule_levels(_die(n), depth) == expansion_levels(p, depth), n
 
     @given(weighted_runs)
     @settings(max_examples=100)
@@ -394,15 +404,19 @@ class TestSampleTrace:
             assert all(1 <= x <= m for x, m in result.trace)
 
 
-def entry_runs(p: ProbabilityVector):
-    """The one-run-per-entry compile, the reference for merged blocks."""
-    return tuple((q.numerator, q.denominator, (i,)) for i, q in enumerate(p.probs, 1))
+def entry_record(p: ProbabilityVector):
+    """The one-run-per-entry record, the reference for merged blocks."""
+    return (
+        next((i for i, q in enumerate(p.probs, 1) if q == 1), None),
+        tuple(q.numerator for q in p.probs),
+        tuple(q.denominator for q in p.probs),
+        tuple((i,) for i in range(1, len(p) + 1)),
+    )
 
 
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
     ref = copy.copy(p)
-    ref._runs = entry_runs(p)
-    ref._state = _level_state(ref._runs)
+    ref._runs = entry_record(p)
     return ref
 
 
@@ -461,7 +475,7 @@ class TestBlockCompile:
         ids=lambda p: f"K{len(p)}",
     )
     def test_layers_match_the_per_entry_compile_on_fixed_targets(self, p):
-        assert len(p._runs) < len(p)
+        assert len(p._runs[1]) < len(p)
         assert walk_results(p, 12) == walk_results(compiled_per_entry(p), 12)
 
     def test_verdicts_list_levels_then_outcomes_ascending(self):
@@ -483,17 +497,23 @@ class TestBlockCompile:
     @settings(max_examples=100)
     def test_runs_are_maximal_blocks_of_the_entries(self, weighted):
         p = blocks_vector(weighted)
-        runs = p._runs
-        flat = [(i, Fraction(num, den)) for num, den, run in runs for i in run]
+        certain, nums, dens, members = p._runs
+        assert len(nums) == len(dens) == len(members)
+        flat = [(i, Fraction(num, den)) for num, den, run in zip(nums, dens, members) for i in run]
         assert flat == list(enumerate(p.probs, start=1))
-        assert all(a[:2] != b[:2] for a, b in zip(runs, runs[1:]))
-        assert all(type(run) is tuple for _, _, run in runs if len(run) == 1)
+        keys = list(zip(nums, dens))
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+        assert all(type(run) is tuple for run in members if len(run) == 1)
+        assert certain == next((i for i, q in flat if q == 1), None)
 
     def test_uniform_vector_compiles_to_the_die(self):
+        def as_lists(record):
+            certain, nums, dens, members = record
+            return certain, nums, dens, [list(run) for run in members]
+
         for n in range(1, 301):
-            runs = ProbabilityVector([Fraction(1, n)] * n)._runs
-            as_lists = [(num, den, list(run)) for num, den, run in runs]
-            assert as_lists == [(num, den, list(run)) for num, den, run in _die(n)], n
+            record = ProbabilityVector([Fraction(1, n)] * n)._runs
+            assert as_lists(record) == as_lists(_die(n)), n
 
     def test_sampling_a_huge_uniform_vector_costs_one_run(self):
         n = 100003
@@ -505,13 +525,12 @@ class TestBlockCompile:
         assert all(1 <= x <= n for x in outcomes)
 
 
-def reference_levels(runs):
+def reference_levels(record):
     """The level rule as a list of acceptance sets, one per level 0, 1,
-    2, ..., built afresh from ``runs`` and copying every accepted outcome:
-    the reference for the compiled state's run walk."""
-    residuals = [num for num, _, _ in runs]
-    dens = [den for _, den, _ in runs]
-    members = [outcomes for _, _, outcomes in runs]
+    2, ..., from the runs of a compiled record, its certain field unread,
+    copying every accepted outcome: the reference for the run walk."""
+    _, nums, dens, members = record
+    residuals = list(nums)
     indices = range(len(dens))
     while True:
         accept = []
@@ -568,7 +587,7 @@ certain_vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
 
 
 class TestReferenceSampler:
-    """``sample`` walks the accepted runs of the compiled level state; the
+    """``sample`` walks the accepted runs of the compiled record; the
     reference copies each level's acceptance set and indexes it."""
 
     @given(weighted_runs.map(blocks_vector) | certain_vectors)
@@ -590,7 +609,7 @@ class TestReferenceSampler:
         monkeypatch.setattr(discrete, "range", Unwalkable, raising=False)
         p = ProbabilityVector([Fraction(1, n)] * n)
         monkeypatch.undo()
-        assert type(p._runs[0][2]) is Unwalkable
+        assert type(p._runs[3][0]) is Unwalkable
         source = SeededSource(13)
         outcomes = [sample(p, source).outcome for _ in range(100)]
         assert all(1 <= x <= n for x in outcomes)
