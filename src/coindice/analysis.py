@@ -53,7 +53,8 @@ class FlipDistribution:
     def __post_init__(self) -> None:
         if any(q < 0 for q in self.mass.values()) or self.residual < 0:
             raise ValueError("negative probability mass")
-        total = sum(self.mass.values(), Fraction(0)) + self.residual
+        total = _exact_sum([(q.numerator, q.denominator) for q in self.mass.values()])
+        total += self.residual
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected exactly 1")
 
@@ -68,7 +69,13 @@ class FlipDistribution:
 
     def partial_expectation(self) -> Fraction:
         """Sum of j * P(N = j) over the materialised levels only."""
-        return sum((Fraction(j) * q for j, q in self.mass.items()), Fraction(0))
+        return _exact_sum([(j * q.numerator, q.denominator) for j, q in self.mass.items()])
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """Sum of the pairs (num, den): integer adds over one common denominator."""
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def ceil_log2(n: int) -> int:
@@ -161,7 +168,7 @@ def _flip_distribution(record, depth: int) -> FlipDistribution:
     ``depth`` as the residual."""
     leaves = [1 if record[0] else 0] + [k for k, _ in islice(_levels(record), depth)]
     mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
-    return FlipDistribution(mass, 1 - sum(mass.values(), Fraction(0)))
+    return FlipDistribution(mass, 1 - _exact_sum([(k, 1 << j) for j, k in enumerate(leaves)]))
 
 
 def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
