@@ -26,7 +26,7 @@ from .discrete import (
     parse_distribution,
     sample,
 )
-from .uniform import roll
+from .uniform import _check_sides, _roll, roll
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,7 +72,9 @@ def _target(args) -> tuple[int | None, ProbabilityVector | None]:
 def _draws(n: int | None, p: ProbabilityVector | None, args):
     """Stream args.count variates of the target from one seeded source."""
     source = SeededSource(args.seed)
-    draw = partial(roll, n) if p is None else partial(sample, p)
+    if p is None:
+        _check_sides(n)
+    draw = partial(_roll, n) if p is None else partial(sample, p)
     for _ in range(args.count):
         yield draw(source)
 

@@ -16,16 +16,16 @@ sets off integer residuals, one per run: doubling r = num * 2^j mod den
 gives the next expansion bit of every outcome in the run at once, with
 no drift, no rounding and memory linear in the input.  A level yields
 its accepted runs, no outcome copied, and the sampler finds the x-th
-accepted outcome by walking their lengths, so a level costs O(runs).
-``expansion_bit`` and ``acceptance_set`` compute the same bits by
-random access and stay the reference the tests and the canonical tree
-builder use.
+accepted outcome by walking their lengths.  ``sample`` pays a level's
+O(runs) once per target, into a capped table that later draws index.
+``expansion_bit`` and ``acceptance_set`` compute the same bits by random
+access and stay the reference the tests and the canonical tree builder use.
 """
 
 import json
 import re
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 
 from .bitsource import BitSource
 from .uniform import RecyclerState, TracedRoll, _check_sides
@@ -36,6 +36,7 @@ class InvalidDistribution(Exception):
 
 
 _FRACTION_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
+_TABLE_BITS = 64  # a draw outlives sample's level table with probability < 2^-64
 
 
 def _as_exact_fraction(value) -> Fraction:
@@ -103,6 +104,7 @@ class ProbabilityVector:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
         self._runs = certain, tuple(nums), tuple(dens), tuple(members)
+        self._table = None, (), ()  # sample builds it on the first draw; see _deeper
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -184,18 +186,18 @@ def _die(n: int):
     return (1 if n == 1 else None), (1,), (n,), (range(1, n + 1),)
 
 
-def _levels(record):
+def _levels(record, residuals=None):
     """(k, accepted runs) of each level 1, 2, ... of the DDG tree of a
     compiled ``record`` (see the module docstring), where k is the number
     of accepted outcomes, the summed length of the runs, none of them
     copied.
 
     Keeps a working residual per run, num * 2^j mod den after level j, so
-    each stays below its denominator: it starts from the numerators, or
-    from zeros for a certain target, the only one with num = den.
-    Doubling it gives the next level, which accepts the outcomes of every
-    run whose doubled residual reaches den and takes den off it.  Level 0
-    is the certain outcome.
+    each stays below its denominator: it starts from the numerators, or from
+    zeros for a certain target, the only one with num = den, or from the
+    given ``residuals``, which it doubles in place.  Doubling gives the next
+    level, which accepts the outcomes of every run whose doubled residual
+    reaches den and takes den off it.  Level 0 is the certain outcome.
 
     ``sample`` and ``oracle._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
@@ -203,7 +205,8 @@ def _levels(record):
     len(outcomes) * (num * 2^j mod den) / den, never negative.
     """
     certain, nums, dens, members = record
-    residuals = [0] * len(nums) if certain else list(nums)
+    if residuals is None:
+        residuals = [0] * len(nums) if certain else list(nums)
     indices = range(len(dens))
     while True:
         k, accepted = 0, []
@@ -218,6 +221,21 @@ def _levels(record):
         yield k, accepted
 
 
+def _deeper(p: ProbabilityVector, table):
+    """The levels of ``p`` past its ``table`` (the record, the (k, accepted
+    runs) of levels 1..j, the residuals after level j), each added to the
+    table up to ``_TABLE_BITS + len(p).bit_length()`` levels.  Live m stays
+    below len(p), so a draw goes deeper with probability < 2^-_TABLE_BITS;
+    it walks the rule on from a copy of the kept residuals."""
+    record, levels, residuals = table
+    while len(levels) < _TABLE_BITS + len(p).bit_length():
+        residuals = list(residuals)
+        levels += (next(_levels(record, residuals)),)
+        p._table = record, levels, residuals  # one store: no interrupt or thread sees it torn
+        yield levels[-1]
+    yield from _levels(record, list(residuals))
+
+
 def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
     """Draw one outcome with exactly the probabilities in ``p``.
 
@@ -225,16 +243,20 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     covers that level's acceptance set the roll resolves to its x-th
     smallest member, found by walking the accepted runs' lengths;
     otherwise the leftover uniformity carries to the next level.  An
-    empty acceptance level just flips again.
+    empty acceptance level just flips again.  Levels come from ``p``'s
+    table (``_deeper``), so a level costs O(1) plus the runs walked.
     """
     certain = p._runs[0]
     if certain:
         return TracedRoll(certain, 0, [RecyclerState(1, 1)] if trace else None)
+    table = p._table
+    if table[0] is not p._runs:  # not built yet, or a copy whose record was replaced
+        table = p._table = p._runs, (), p._runs[1]
 
     next_bit = source.next_bit
     x, m = 1, 1
     states = [RecyclerState(1, 1)] if trace else None
-    for level, (k, accepted) in enumerate(_levels(p._runs), start=1):
+    for level, (k, accepted) in enumerate(chain(table[1], _deeper(p, table)), start=1):
         x += next_bit() * m
         m *= 2
         if states is not None:

@@ -56,6 +56,11 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
     on m.
     """
     _check_sides(n)
+    return _roll(n, source, trace)
+
+
+def _roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
+    """``roll`` of an n its caller has checked once for many rolls."""
     x, m = 1, 1
     flips = 0
     states = [RecyclerState(1, 1)] if trace else None
@@ -81,4 +86,5 @@ def roll_many(n: int, count: int, source: BitSource, trace: bool = False) -> lis
     """Roll ``count`` times, drawing bits sequentially from one source."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return [roll(n, source, trace) for _ in range(count)]
+    _check_sides(n)
+    return [_roll(n, source, trace) for _ in range(count)]

@@ -23,6 +23,7 @@ from coindice import (
     flip_distribution_uniform,
     verify_bounds,
 )
+from coindice import analysis
 from coindice.analysis import _flip_distribution, _order_of_two
 from conftest import dyadic_suite, flip_tail
 
@@ -325,11 +326,31 @@ class TestBounds:
             row = report.rows[(1 << k) - 1]
             assert row.expected == row.lower
 
-    def test_violation_is_raised_not_reported(self):
-        # sanity on the guard itself: a fake expectation outside the
-        # bracket trips BoundViolation
-        with pytest.raises(BoundViolation):
-            raise BoundViolation("synthetic")
+    @staticmethod
+    def off_at_five(monkeypatch, expected_at_five):
+        """verify_bounds over an E[N] that is exact below n = 5 and
+        ``expected_at_five(lower, upper)`` at n = 5."""
+        real = analysis.exact_expected_flips
+
+        def fake(n):
+            lower = ceil_log2(n)
+            return real(n) if n < 5 else expected_at_five(lower, lower + 1)
+
+        monkeypatch.setattr(analysis, "exact_expected_flips", fake)
+
+    def test_expectation_below_the_lower_bound_raises(self, monkeypatch):
+        self.off_at_five(monkeypatch, lambda lower, upper: Fraction(lower - 1))
+        with pytest.raises(BoundViolation) as info:
+            verify_bounds(8)
+        assert type(info.value) is BoundViolation
+        assert str(info.value) == "n=5: E[N]=2 below lower bound 3"
+
+    def test_expectation_above_the_upper_bound_raises(self, monkeypatch):
+        self.off_at_five(monkeypatch, lambda lower, upper: Fraction(upper + 1))
+        with pytest.raises(BoundViolation) as info:
+            verify_bounds(8)
+        assert type(info.value) is BoundViolation
+        assert str(info.value) == "n=5: E[N]=5 above upper bound 4"
 
 
 class TestEntropy:

@@ -356,6 +356,40 @@ class TestUsage:
         assert out == ""
         assert err.startswith(f"error: argument {flag}: must be >= 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sample", "--die", "abc"], "--die"),
+            (["sample", "--die", "6", "--count", "1.5"], "--count"),
+            (["tree", "--die", "5", "--depth", "x"], "--depth"),
+        ],
+    )
+    def test_non_int_error_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: argument {flag}: invalid int value: {argv[-1]!r}\n"
+        assert "Traceback" not in err
+
+
+class TestSidesCheckedOnce:
+    """A die command checks n once, not once per roll."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--die", "6", "--count", "40", "--seed", "3", "--show-flips"],
+            ["chisq", "--die", "6", "--count", "300", "--seed", "3"],
+        ],
+        ids=["sample", "chisq"],
+    )
+    def test_die_command_checks_sides_once(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        calls = []
+        monkeypatch.setattr(cli, "_check_sides", calls.append)
+        assert run_cli(capsys, *argv) == expected
+        assert calls == [6]
+
 
 def _quiet(argv, main=main) -> tuple[int, str]:
     """Exit code and sha256 of stdout, as the golden corpus records them."""

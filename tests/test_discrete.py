@@ -1,4 +1,7 @@
 import copy
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -459,6 +462,16 @@ def walk_results(p: ProbabilityVector, depth: int):
     )
 
 
+def assert_layers_match_the_per_entry_compile(p: ProbabilityVector, depth: int) -> None:
+    """``walk_results`` of ``p`` equal those of its per-entry copy, made
+    after ``p`` has sampled, and the copy sampled from a table of its own
+    record: every run it accepted is a 1-tuple."""
+    results = walk_results(p, depth)
+    ref = compiled_per_entry(p)
+    assert walk_results(ref, depth) == results
+    assert all(type(run) is tuple and len(run) == 1 for _, runs in ref._table[1] for run in runs)
+
+
 class TestBlockCompile:
     """Equal neighbours compile into one run; every layer that reads the
     runs must give what the one-run-per-entry compile gives, bit for bit."""
@@ -466,8 +479,7 @@ class TestBlockCompile:
     @given(weighted_runs)
     @settings(max_examples=40, deadline=None)
     def test_layers_match_the_per_entry_compile(self, weighted):
-        p = blocks_vector(weighted)
-        assert walk_results(p, 10) == walk_results(compiled_per_entry(p), 10)
+        assert_layers_match_the_per_entry_compile(blocks_vector(weighted), 10)
 
     @pytest.mark.parametrize(
         "p",
@@ -476,7 +488,9 @@ class TestBlockCompile:
     )
     def test_layers_match_the_per_entry_compile_on_fixed_targets(self, p):
         assert len(p._runs[1]) < len(p)
-        assert walk_results(p, 12) == walk_results(compiled_per_entry(p), 12)
+        assert_layers_match_the_per_entry_compile(p, 12)
+        # so the copy did not read the table it was copied with
+        assert any(len(run) > 1 for _, runs in p._table[1] for run in runs)
 
     def test_verdicts_list_levels_then_outcomes_ascending(self):
         p = ProbabilityVector(["1/4", "1/4", "1/2"])
@@ -613,3 +627,86 @@ class TestReferenceSampler:
         source = SeededSource(13)
         outcomes = [sample(p, source).outcome for _ in range(100)]
         assert all(1 <= x <= n for x in outcomes)
+
+
+def table_depth(p: ProbabilityVector) -> int:
+    """How many levels ``sample`` keeps in ``p``'s table at most."""
+    return discrete._TABLE_BITS + len(p).bit_length()
+
+
+def traced_stream(p: ProbabilityVector, seed: int, count: int = 200) -> list[TracedRoll]:
+    source = SeededSource(seed)
+    return [sample(p, source, trace=True) for _ in range(count)]
+
+
+class TestLevelTable:
+    """``sample`` computes each level once per target into a table on the
+    vector, which later draws read; past the table's depth it walks the
+    level rule on from the residuals the table keeps."""
+
+    def test_table_grows_to_the_deepest_level_drawn(self):
+        p = ProbabilityVector(["1/3", "2/3"])
+        assert p._table[1] == ()
+        assert sample(p, ReplaySource([1, 1, 0])) == TracedRoll(2, 3)
+        assert p._table[1] == ((1, [(2,)]), (1, [(1,)]), (1, [(2,)]))
+        assert sample(p, ReplaySource([0])) == TracedRoll(2, 1)
+        assert len(p._table[1]) == 3
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_draws_past_the_table_match_the_reference(self, trace):
+        p = ProbabilityVector(["1/3", "2/3"])
+        cap = table_depth(p)
+        # each level accepts one outcome, and a 1 always recycles: x = 2 > k = 1.
+        # The first draw walks 11 levels past the table; had that walk doubled
+        # the kept residuals in place, the second would read them a level off.
+        past = [1] * (cap + 10) + [0]
+        bits = past + past + [0, 1, 1, 0]
+        fast, slow = ReplaySource(bits), ReplaySource(bits)
+        draws = [sample(p, fast, trace) for _ in range(4)]
+        assert draws == [reference_sample(p, slow, trace) for _ in range(4)]
+        assert [r.flips for r in draws] == [cap + 11, cap + 11, 1, 3]
+        assert len(p._table[1]) == cap
+        assert fast.flips_consumed == len(bits)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("draws_before", [0, 50])
+    def test_a_duplicate_draws_the_stream_of_its_original(self, duplicate, draws_before):
+        p = ProbabilityVector(["1/3", "1/5", "7/15"])
+        expected = traced_stream(ProbabilityVector(["1/3", "1/5", "7/15"]), 9)
+        traced_stream(p, 4, draws_before)
+        twin = duplicate(p)
+        assert twin == p
+        assert traced_stream(twin, 9) == expected
+        assert traced_stream(p, 9) == expected
+
+    def test_threads_sharing_a_vector_each_draw_their_own_stream(self):
+        entries = [Fraction(i, 4950) for i in range(1, 100)]
+        expected = {seed: traced_stream(ProbabilityVector(entries), seed) for seed in range(6)}
+        p = ProbabilityVector(entries)
+        streams = {}
+        workers = [
+            threading.Thread(target=lambda seed=seed: streams.update({seed: traced_stream(p, seed)}))
+            for seed in expected
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert streams == expected
+
+    def test_draws_match_the_reference_on_distinct_probabilities(self):
+        k = 1024
+        total = k * (k + 1) // 2
+        p = ProbabilityVector([Fraction(i, total) for i in range(1, k + 1)])
+        assert len(p._runs[1]) == k
+        assert_draws_match_the_reference(p, 30)

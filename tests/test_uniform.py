@@ -15,6 +15,7 @@ from coindice import (
     roll_many,
     sample,
 )
+from coindice import uniform
 from coindice.discrete import _die
 from conftest import walk
 
@@ -84,6 +85,26 @@ def test_roll_many_one_sided():
     rolls = roll_many(1, 10, ReplaySource([]))
     assert [r.outcome for r in rolls] == [1] * 10
     assert sum(r.flips for r in rolls) == 0
+
+
+def test_roll_many_checks_sides_once_and_rolls_as_roll_does(monkeypatch):
+    source = SeededSource(5)
+    expected = [roll(7, source, trace=True) for _ in range(60)]
+    calls = []
+    monkeypatch.setattr(uniform, "_check_sides", calls.append)
+    assert roll_many(7, 60, SeededSource(5), trace=True) == expected
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_roll_many_rejects_bad_sides_before_rolling(count):
+    with pytest.raises(ValueError, match="sides must be >= 1"):
+        roll_many(0, count, ReplaySource([]))
+
+
+def test_roll_many_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+        roll_many(6, -1, ReplaySource([]))
 
 
 def test_roll_many_total_flips_match_source_counter():
