@@ -17,7 +17,8 @@ gives the next expansion bit of every outcome in the run at once, with
 no drift, no rounding and memory linear in the input.  A level yields
 its accepted runs, no outcome copied, and the sampler finds the x-th
 accepted outcome by walking their lengths.  ``sample`` pays a level's
-O(runs) once per target, into a capped table that later draws index.
+O(runs) once per target, into a capped table: a warm draw reads its
+levels directly, and ``_deeper`` runs only when a draw outruns it.
 ``expansion_bit`` and ``acceptance_set`` compute the same bits by random
 access and stay the reference the tests and the canonical tree builder use.
 """
@@ -25,7 +26,7 @@ access and stay the reference the tests and the canonical tree builder use.
 import json
 import re
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 
 from .bitsource import BitSource
 from .uniform import RecyclerState, TracedRoll, _check_sides
@@ -226,7 +227,8 @@ def _deeper(p: ProbabilityVector, table):
     runs) of levels 1..j, the residuals after level j), each added to the
     table up to ``_TABLE_BITS + len(p).bit_length()`` levels.  Live m stays
     below len(p), so a draw goes deeper with probability < 2^-_TABLE_BITS;
-    it walks the rule on from a copy of the kept residuals."""
+    it walks the rule on from a copy of the kept residuals.  ``sample``
+    starts it only when a draw outruns the table."""
     record, levels, residuals = table
     while len(levels) < _TABLE_BITS + len(p).bit_length():
         residuals = list(residuals)
@@ -243,8 +245,9 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     covers that level's acceptance set the roll resolves to its x-th
     smallest member, found by walking the accepted runs' lengths;
     otherwise the leftover uniformity carries to the next level.  An
-    empty acceptance level just flips again.  Levels come from ``p``'s
-    table (``_deeper``), so a level costs O(1) plus the runs walked.
+    empty acceptance level just flips again.  A draw reads the levels of
+    ``p``'s table directly, so a level costs O(1) plus the runs walked,
+    and starts ``_deeper`` only when it outruns them.
     """
     certain = p._runs[0]
     if certain:
@@ -254,22 +257,25 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
         table = p._table = p._runs, (), p._runs[1]
 
     next_bit = source.next_bit
-    x, m = 1, 1
+    x, m, level, levels = 1, 1, 0, table[1]
     states = [RecyclerState(1, 1)] if trace else None
-    for level, (k, accepted) in enumerate(chain(table[1], _deeper(p, table)), start=1):
-        x += next_bit() * m
-        m *= 2
-        if states is not None:
-            states.append(RecyclerState(x, m))
-        if k:
-            if x <= k:
-                if states is not None and states[-1] != (x, k):
-                    states.append(RecyclerState(x, k))
-                for run in accepted:
-                    if x <= len(run):
-                        return TracedRoll(run[x - 1], level, states)
-                    x -= len(run)
-            x -= k
-            m -= k
+    while True:  # the table's levels, then, once a draw outruns them, _deeper's
+        for k, accepted in levels:
+            level += 1
+            x += next_bit() * m
+            m *= 2
             if states is not None:
                 states.append(RecyclerState(x, m))
+            if k:
+                if x <= k:
+                    if states is not None and states[-1] != (x, k):
+                        states.append(RecyclerState(x, k))
+                    for run in accepted:
+                        if x <= len(run):
+                            return TracedRoll(run[x - 1], level, states)
+                        x -= len(run)
+                x -= k
+                m -= k
+                if states is not None:
+                    states.append(RecyclerState(x, m))
+        levels = _deeper(p, table)

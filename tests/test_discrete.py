@@ -147,12 +147,35 @@ class TestProbabilityVector:
             ProbabilityVector([-tiny, 1 + tiny])
 
     def test_rejects_floats(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidDistribution) as exc:
             ProbabilityVector([0.5, 0.5])
+        assert str(exc.value) == (
+            'floats are not exact: got 0.5; pass a Fraction, an int, or a string like "3/8"'
+        )
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidDistribution) as exc:
             ProbabilityVector([])
+        assert str(exc.value) == "distribution needs at least one outcome"
+
+    def test_rejects_a_zero_denominator(self):
+        with pytest.raises(InvalidDistribution) as exc:
+            ProbabilityVector(["1/0", "1"])
+        assert str(exc.value) == "zero denominator in '1/0'"
+
+    def test_rejects_a_token_past_the_digit_limit(self):
+        token = "1/" + "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as parse_error:
+            Fraction(token)
+        with pytest.raises(InvalidDistribution) as exc:
+            ProbabilityVector([token, "1"])
+        assert str(exc.value) == str(parse_error.value)
+
+    def test_rejects_unsupported_types(self):
+        for entry, name in [(None, "NoneType"), (1j, "complex"), ([1], "list")]:
+            with pytest.raises(InvalidDistribution) as exc:
+                ProbabilityVector([entry, "1"])
+            assert str(exc.value) == f"unsupported probability type {name}"
 
     def test_zero_entries_are_allowed(self):
         p = ProbabilityVector(["0", "1"])
@@ -203,6 +226,17 @@ class TestExpansionBits:
             (2,),
             (1,),
         ]
+
+    def test_rejects_a_negative_bit_index(self):
+        with pytest.raises(ValueError) as exc:
+            expansion_bit(Fraction(1, 3), -1)
+        assert str(exc.value) == "bit index must be >= 0, got -1"
+
+    @pytest.mark.parametrize("level", [0, -2])
+    def test_acceptance_set_rejects_levels_below_one(self, level):
+        with pytest.raises(ValueError) as exc:
+            acceptance_set(EIGHTHS, level)
+        assert str(exc.value) == f"level must be >= 1, got {level}"
 
     def test_level_state_residuals(self):
         state = level_state(EIGHTHS, 1)
@@ -710,3 +744,42 @@ class TestLevelTable:
         p = ProbabilityVector([Fraction(i, total) for i in range(1, k + 1)])
         assert len(p._runs[1]) == k
         assert_draws_match_the_reference(p, 30)
+
+
+class TestWarmDraws:
+    """A draw reads the table's levels directly and starts ``_deeper``
+    only when it outruns them."""
+
+    def test_draws_inside_a_full_table_start_no_deeper_walk(self, monkeypatch):
+        p = ProbabilityVector(["1/3", "2/3"])
+        cap = table_depth(p)
+        sample(p, ReplaySource([1] * (cap + 10) + [0]))
+        assert len(p._table[1]) == cap
+        started = []
+        deeper = discrete._deeper
+
+        def counting_deeper(p, table):
+            started.append(len(table[1]))
+            return deeper(p, table)
+
+        monkeypatch.setattr(discrete, "_deeper", counting_deeper)
+        source = SeededSource(5)
+        assert all(sample(p, source).flips <= cap for _ in range(1000))
+        assert started == []
+        # one draw past the cap starts one walk, from the table's end
+        assert sample(p, ReplaySource([1] * cap + [0])).flips == cap + 1
+        assert started == [cap]
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_a_draw_that_outruns_the_table_grows_it_mid_draw(self, trace):
+        p = ProbabilityVector(["1/3", "2/3"])
+        sample(p, ReplaySource([1, 1, 0]))
+        assert len(p._table[1]) == 3
+        # a 1 always recycles (x = 2 > k = 1), so seven of them carry the draw to level 8
+        bits = [1] * 7 + [0]
+        fast, slow = ReplaySource(bits), ReplaySource(bits)
+        draw = sample(p, fast, trace)
+        assert draw == reference_sample(p, slow, trace)
+        assert draw.flips == 8
+        assert len(p._table[1]) == 8 < table_depth(p)
+        assert fast.flips_consumed == len(bits)

@@ -91,8 +91,9 @@ def test_pvalue_edges():
     assert chi_square_pvalue(2e9, 6) < 1e-12
     with pytest.raises(ValueError):
         chi_square_pvalue(1.0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         chi_square_pvalue(-1.0, 3)
+    assert str(exc.value) == "statistic must be non-negative, got -1.0"
 
 
 def test_pvalue_matches_incomplete_gamma():
@@ -139,6 +140,14 @@ def test_single_category_is_trivially_uniform():
     assert result.df == 0
     assert result.p_value == 1.0
     assert result.passed
+
+
+def test_counts_and_probabilities_of_unequal_length_rejected():
+    # zip alone would drop the third count and test [3, 3] against halves
+    for counts, probs in [([3, 3, 9], [Fraction(1, 2)] * 2), ([6], [Fraction(1, 2)] * 2)]:
+        with pytest.raises(ValueError) as exc:
+            chi_square_test(counts, probs)
+        assert str(exc.value) == "counts and expected_probs must have equal length"
 
 
 def test_zero_probability_category_with_observations_rejected():

@@ -82,6 +82,14 @@ def test_one_sided_die_is_an_immediate_leaf():
     assert result.flip_mass == {0: Fraction(1)}
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_is_rejected(depth):
+    # without the check, depth 0 would report the whole mass as live
+    with pytest.raises(ValueError) as exc:
+        enumerate_uniform(5, depth)
+    assert str(exc.value) == f"depth must be >= 1, got {depth}"
+
+
 def test_two_sided_die_depth_one():
     result = enumerate_uniform(2, 1)
     assert result.outcome_mass == {1: Fraction(1, 2), 2: Fraction(1, 2)}
