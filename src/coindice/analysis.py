@@ -225,16 +225,16 @@ def verify_bounds(n_max: int) -> BoundsReport:
 def _entropy(record) -> float:
     """Shannon entropy in bits of a compiled ``record`` (see
     ``discrete``).  Each float term is subtracted once per outcome of its
-    run, so the die's one run gives the float that ``entropy`` gives its
+    span, so the die's one run gives the float that ``entropy`` gives its
     n-entry vector, bit for bit.  A probability below the smallest float
     adds nothing."""
-    _, nums, dens, members = record
+    _, nums, dens, spans = record
     total = 0.0
-    for num, den, outcomes in zip(nums, dens, members):
+    for num, den, (_, length) in zip(nums, dens, spans):
         x = num / den  # the correctly rounded float(Fraction(num, den))
         if x > 0:
             term = x * math.log2(x)
-            for _ in outcomes:
+            for _ in range(length):
                 total -= term
     return total
 

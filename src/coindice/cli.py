@@ -58,10 +58,10 @@ def _positives(text: str) -> list[int]:
     return [_positive(token) for token in text.split(",")]
 
 
-def _add_target_options(parser, dist_help="exact distribution, e.g. 3/8,1/2,1/8"):
+def _add_target_options(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--die", type=_positive, metavar="N", help="fair die with N sides")
-    group.add_argument("--dist", metavar="P", help=dist_help)
+    group.add_argument("--dist", metavar="P", help="exact distribution, e.g. 3/8,1/2,1/8")
     return group
 
 
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_analyze = sub.add_parser("analyze", help="exact expected flips and distribution")
-    group = _add_target_options(p_analyze, dist_help=None)
+    group = _add_target_options(p_analyze)
     group.add_argument("--sweep", type=_positive, metavar="N_MAX",
                        help="verify expected-flip bounds for all n up to N_MAX")
     p_analyze.add_argument("--depth", type=_positive)

@@ -140,9 +140,10 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
     """``check_optimal`` against a target's compiled ``record`` (see
     ``discrete``).  It visits only outcomes with leaves or with a 1 bit at
     a checked level, so a sampler tree costs O(leaves + runs x depth)."""
-    _, nums, dens, members = record
+    _, nums, dens, spans = record
+    runs = [range(first, first + length) for first, length in spans]
     counts = census(tree)
-    outcomes = members[-1][-1]
+    outcomes = runs[-1][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
     depth = max((level for level, _ in counts), default=0)
     weight: dict[int, int] = {}
@@ -155,7 +156,7 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
     # with leaves of each run are the next slice of the sorted ones
     with_leaves = sorted(weight)
     start = 0
-    for num, den, run in zip(nums, dens, members):
+    for num, den, run in zip(nums, dens, runs):
         end = bisect_right(with_leaves, run[-1], start)
         target = num << depth
         for i in run if complete and num else with_leaves[start:end]:
@@ -174,7 +175,7 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
         for (level, outcome), count in sorted(item for item in counts.items() if item[1] > 1)
     ]
     # one expansion bit per run and level: a uniform target is a single run
-    probs = [(Fraction(num, den), run) for num, den, run in zip(nums, dens, members)]
+    probs = [(Fraction(num, den), run) for num, den, run in zip(nums, dens, runs)]
     expected = {
         (level, i)
         for level in range(tree.depth_bound + 1)

@@ -5,20 +5,21 @@ whose probability has a 1 at position j of its binary expansion form the
 acceptance set for that level, and the recycled pair (x, m) selects
 uniformly among them.  Probabilities are exact ``fractions.Fraction``
 values throughout.  Every target, a vector or a fair die, compiles once
-into one record ``(certain, nums, dens, members)``: the outcome of
-probability 1 or None, then per run of outcomes that share the
-probability num/den its numerator, denominator and outcome sequence.  A
-vector has one run per maximal block of equal neighbours, so 1/n x n
-compiles to the die's record, one run (1, n, 1..n), which ``_die``
-builds in O(1).  The sampler, the oracle, the tree checks and the
-analysis all read that record.  The level rule reads the acceptance
-sets off integer residuals, one per run: doubling r = num * 2^j mod den
-gives the next expansion bit of every outcome in the run at once, with
-no drift, no rounding and memory linear in the input.  A level yields
-its accepted runs, no outcome copied, and the sampler finds the x-th
-accepted outcome by walking their lengths.  ``sample`` pays a level's
-O(runs) once per target, into a capped table: a warm draw reads its
-levels directly, and ``_deeper`` runs only when a draw outruns it.
+into one record ``(certain, nums, dens, spans)``: the outcome of
+probability 1 or None, then per run of consecutive outcomes that share
+the probability num/den its numerator, denominator and span
+(first, length), two ints.  A vector has one run per maximal block of
+equal neighbours, so 1/n x n compiles to the die's record, one run
+(1, n, (1, n)), which ``_die`` builds in O(1).  The sampler, the oracle,
+the tree checks and the analysis all read that record.  The level rule
+reads the acceptance sets off integer residuals, one per run: doubling
+r = num * 2^j mod den gives the next expansion bit of every outcome in
+the run at once, with no drift, no rounding and memory linear in the
+input.  A level yields its accepted spans, no outcome listed, and the
+sampler finds the x-th accepted outcome by walking their lengths.
+``sample`` pays a level's O(runs) once per target, into a capped table:
+a warm draw reads its levels directly, and ``_deeper`` runs only when a
+draw outruns it.
 ``expansion_bit`` and ``acceptance_set`` compute the same bits by random
 access and stay the reference the tests and the canonical tree builder use.
 """
@@ -90,22 +91,22 @@ class ProbabilityVector:
                 raise InvalidDistribution(f"outcome {i} has negative probability {_frac(q)}")
         # one run per maximal block of equal neighbours, so each level
         # costs O(runs); only neighbours merge, which keeps acceptance
-        # lists ascending, and a 1-tuple extends oracle._expand's lists fastest
-        certain, nums, dens, members, first = None, [], [], [], 1
+        # lists ascending
+        certain, nums, dens, spans, first = None, [], [], [], 1
         for (num, den), block in groupby((q.numerator, q.denominator) for q in probs):
-            end = first + sum(1 for _ in block)
+            length = sum(1 for _ in block)
             if num == den:
                 certain = first
             nums.append(num)
             dens.append(den)
-            members.append((first,) if end == first + 1 else range(first, end))
-            first = end
-        total = sum(Fraction(num * len(run), den) for num, den, run in zip(nums, dens, members))
+            spans.append((first, length))
+            first += length
+        total = sum(Fraction(num * span[1], den) for num, den, span in zip(nums, dens, spans))
         if total != 1:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
-        self._runs = certain, tuple(nums), tuple(dens), tuple(members)
-        self._table = None, (), ()  # sample builds it on the first draw; see _deeper
+        self._runs = certain, tuple(nums), tuple(dens), tuple(spans)
+        self._table = (), self._runs[1]  # the levels sample has reached; see _deeper
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -184,14 +185,13 @@ def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
 def _die(n: int):
     """The fair n-sided die's record: one run, all n sides at 1/n."""
     _check_sides(n)
-    return (1 if n == 1 else None), (1,), (n,), (range(1, n + 1),)
+    return (1 if n == 1 else None), (1,), (n,), ((1, n),)
 
 
 def _levels(record, residuals=None):
-    """(k, accepted runs) of each level 1, 2, ... of the DDG tree of a
+    """(k, accepted spans) of each level 1, 2, ... of the DDG tree of a
     compiled ``record`` (see the module docstring), where k is the number
-    of accepted outcomes, the summed length of the runs, none of them
-    copied.
+    of accepted outcomes, the summed length of the spans.
 
     Keeps a working residual per run, num * 2^j mod den after level j, so
     each stays below its denominator: it starts from the numerators, or from
@@ -203,9 +203,9 @@ def _levels(record, residuals=None):
     ``sample`` and ``oracle._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
     after level j the live m is the sum over runs of
-    len(outcomes) * (num * 2^j mod den) / den, never negative.
+    length * (num * 2^j mod den) / den, never negative.
     """
-    certain, nums, dens, members = record
+    certain, nums, dens, spans = record
     if residuals is None:
         residuals = [0] * len(nums) if certain else list(nums)
     indices = range(len(dens))
@@ -215,27 +215,27 @@ def _levels(record, residuals=None):
             r = 2 * residuals[i]
             if r >= dens[i]:
                 r -= dens[i]
-                run = members[i]
-                accepted.append(run)
-                k += len(run)
+                span = spans[i]
+                accepted.append(span)
+                k += span[1]
             residuals[i] = r
         yield k, accepted
 
 
 def _deeper(p: ProbabilityVector, table):
-    """The levels of ``p`` past its ``table`` (the record, the (k, accepted
-    runs) of levels 1..j, the residuals after level j), each added to the
-    table up to ``_TABLE_BITS + len(p).bit_length()`` levels.  Live m stays
-    below len(p), so a draw goes deeper with probability < 2^-_TABLE_BITS;
-    it walks the rule on from a copy of the kept residuals.  ``sample``
-    starts it only when a draw outruns the table."""
-    record, levels, residuals = table
+    """The levels of ``p`` past its ``table`` (the (k, accepted spans) of
+    levels 1..j, the residuals after level j), each added to the table up
+    to ``_TABLE_BITS + len(p).bit_length()`` levels.  Live m stays below
+    len(p), so a draw goes deeper with probability < 2^-_TABLE_BITS; it
+    walks the rule on from a copy of the kept residuals.  ``sample`` starts
+    it only when a draw outruns the table, from the table that draw read."""
+    levels, residuals = table
     while len(levels) < _TABLE_BITS + len(p).bit_length():
         residuals = list(residuals)
-        levels += (next(_levels(record, residuals)),)
-        p._table = record, levels, residuals  # one store: no interrupt or thread sees it torn
+        levels += (next(_levels(p._runs, residuals)),)
+        p._table = levels, residuals  # one store: no interrupt or thread sees it torn
         yield levels[-1]
-    yield from _levels(record, list(residuals))
+    yield from _levels(p._runs, list(residuals))
 
 
 def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
@@ -243,7 +243,7 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
 
     One flip per level: the recycled pair (x, m) doubles, and if it
     covers that level's acceptance set the roll resolves to its x-th
-    smallest member, found by walking the accepted runs' lengths;
+    smallest member, found by walking the accepted spans' lengths;
     otherwise the leftover uniformity carries to the next level.  An
     empty acceptance level just flips again.  A draw reads the levels of
     ``p``'s table directly, so a level costs O(1) plus the runs walked,
@@ -253,11 +253,8 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     if certain:
         return TracedRoll(certain, 0, [RecyclerState(1, 1)] if trace else None)
     table = p._table
-    if table[0] is not p._runs:  # not built yet, or a copy whose record was replaced
-        table = p._table = p._runs, (), p._runs[1]
-
     next_bit = source.next_bit
-    x, m, level, levels = 1, 1, 0, table[1]
+    x, m, level, levels = 1, 1, 0, table[0]
     states = [RecyclerState(1, 1)] if trace else None
     while True:  # the table's levels, then, once a draw outruns them, _deeper's
         for k, accepted in levels:
@@ -270,10 +267,10 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
                 if x <= k:
                     if states is not None and states[-1] != (x, k):
                         states.append(RecyclerState(x, k))
-                    for run in accepted:
-                        if x <= len(run):
-                            return TracedRoll(run[x - 1], level, states)
-                        x -= len(run)
+                    for first, length in accepted:
+                        if x <= length:
+                            return TracedRoll(first + x - 1, level, states)
+                        x -= length
                 x -= k
                 m -= k
                 if states is not None:

@@ -6,7 +6,7 @@ the cost is proportional to the number of live states per level (at most
 both samplers: it steps the recycled pair (x, m) through the one level
 rule, the residual doubling of ``discrete._levels``, over the target's
 compiled record (a vector's ``_runs``, or the die's from
-``discrete._die``), which yields each level's accepted runs.  All masses
+``discrete._die``), which yields each level's accepted spans.  All masses
 are exact rationals: a path that terminates after j bits carries 2^-j.
 """
 
@@ -50,10 +50,10 @@ def _expand(record, depth: int):
     for _, (k, accepted) in zip(range(depth), _levels(record)):
         if not frontier:
             break
-        # one list per level: indexing it per leaf beats walking the runs
+        # one list per level: indexing it per leaf beats walking the spans
         accept = []
-        for run in accepted:
-            accept += run
+        for first, length in accepted:
+            accept += range(first, first + length)
         branches = (("0", 0), ("1", m))
         m = 2 * m - k
         next_frontier: list[tuple[str, int]] = []

@@ -36,22 +36,35 @@ def dyadic_suite() -> list[ProbabilityVector]:
     return [random_dyadic_distribution(rng, max_outcomes=6, denom_power=10) for _ in range(50)]
 
 
-class Unwalkable:
-    """range(start, stop) as a run that can be measured and indexed but
-    refuses to be walked outcome by outcome (``range`` cannot be
-    subclassed)."""
+# runs past the 2^63 - 1 outcomes that len() of a range can report: the
+# die 2^64 + 1, and a record of two runs of 2^70 outcomes at 2^-71 each,
+# whose one nonempty level is 71
+HUGE_DIE = (1 << 64) + 1
+TWIN_HUGE_RUNS = None, (1, 1), (1 << 71, 1 << 71), ((1, 1 << 70), ((1 << 70) + 1, 1 << 70))
 
-    def __init__(self, start, stop):
-        self.outcomes = range(start, stop)
+
+class Unwalkable:
+    """``range`` for a module under test, patched in as its global: it
+    builds, measures and indexes ranges as ``range`` does, but refuses to
+    walk one of more than ``LONGEST`` items, so a layer that walks a run
+    outcome by outcome fails at once instead of hanging (``range`` cannot
+    be subclassed)."""
+
+    LONGEST = 64
+
+    def __init__(self, *args):
+        self.items = range(*args)
 
     def __len__(self):
-        return len(self.outcomes)
+        return len(self.items)
 
     def __getitem__(self, index):
-        return self.outcomes[index]
+        return self.items[index]
 
     def __iter__(self):
-        raise AssertionError("walked every outcome of the run")
+        if len(self.items) > self.LONGEST:
+            raise AssertionError("walked every outcome of a run")
+        return iter(self.items)
 
 
 def walk(record, depth: int):

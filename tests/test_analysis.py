@@ -25,7 +25,7 @@ from coindice import (
 )
 from coindice import analysis
 from coindice.analysis import _flip_distribution, _order_of_two
-from conftest import dyadic_suite, flip_tail
+from conftest import HUGE_DIE, TWIN_HUGE_RUNS, dyadic_suite, flip_tail
 
 # Independent second route: the recycle chain.  From a recycled s-sided
 # die the roller flips k = ceil(log2(n/s)) coins up to s' = s*2^k in
@@ -247,6 +247,23 @@ class TestFlipDistributionUniform:
         assert fd.mass == {0: Fraction(1)}
         assert fd.expectation() == 0
 
+    def test_negative_depth_is_rejected(self):
+        # without the check, islice raises a ValueError of its own wording
+        with pytest.raises(ValueError) as exc:
+            flip_distribution_uniform(5, -1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "depth must be >= 0, got -1"
+
+    def test_die_of_more_sides_than_len_can_count(self):
+        # 1/(2^64 + 1) = (2^64 - 1)/(2^128 - 1): bits 65..128 are ones
+        fd = flip_distribution_uniform(HUGE_DIE, 70)
+        assert fd.mass == {j: Fraction(HUGE_DIE, 1 << j) for j in range(65, 71)}
+
+    def test_runs_of_more_outcomes_than_len_can_count(self):
+        fd = _flip_distribution(TWIN_HUGE_RUNS, 80)
+        assert fd.mass == {71: Fraction(1)}
+        assert fd.residual == 0
+
     @pytest.mark.parametrize("n", range(1, 33))
     def test_matches_canonical_tree_distribution(self, n):
         depth = 2 * max(ceil_log2(n), 1) + 8
@@ -293,6 +310,13 @@ class TestFlipDistributionType:
         with pytest.raises(ValueError):
             FlipDistribution({1: Fraction(1, 2)}, Fraction(1, 4))
 
+    def test_negative_mass_is_rejected(self):
+        # these masses sum to 1, so only the sign check rejects them
+        with pytest.raises(ValueError) as exc:
+            FlipDistribution({1: Fraction(-1, 2), 2: Fraction(3, 2)})
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "negative probability mass"
+
     def test_tail(self):
         fd = FlipDistribution(
             {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
@@ -319,6 +343,13 @@ class TestBounds:
         assert report.min_upper_slack == (43, Fraction(7, 129))
         # every power of two ties n = 1 at slack 1, and the first n wins
         assert report.max_upper_slack == (1, Fraction(1))
+
+    def test_empty_sweep_is_rejected(self):
+        # without the check, min() of no slacks raises a ValueError of its own wording
+        with pytest.raises(ValueError) as exc:
+            verify_bounds(0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "n_max must be >= 1, got 0"
 
     def test_powers_of_two_meet_the_lower_bound(self):
         report = verify_bounds(64)

@@ -162,6 +162,17 @@ class TestAnalyze:
         )
 
 
+@pytest.mark.parametrize("command", ["sample", "analyze", "tree", "oracle-dump", "chisq"])
+def test_every_target_command_describes_dist(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    dist = next(line for line in lines if line.lstrip().startswith("--dist P"))
+    assert dist.split("--dist P", 1)[1].strip() == "exact distribution, e.g. 3/8,1/2,1/8"
+
+
 class TestTree:
     def test_check_optimal_die(self, capsys):
         code, out, err = run_cli(capsys, "tree", "--die", "5", "--depth", "6", "--check")

@@ -27,9 +27,12 @@ from coindice import (
     roll,
     sample,
 )
+from coindice import ddg
 from coindice.ddg import INTERNAL, _check_optimal
 from coindice.discrete import _die
 from conftest import (
+    HUGE_DIE,
+    TWIN_HUGE_RUNS,
     Unwalkable,
     dyadic_suite,
     flip_tail,
@@ -127,10 +130,13 @@ def dense_check_optimal(tree, record):
     """Reference for ``ddg._check_optimal``: visits every outcome of every
     run of ``record``, and every level for each, so it costs
     O(outcomes x depth)."""
-    _, nums, dens, members = record
-    runs = list(zip(nums, dens, members))
+    _, nums, dens, spans = record
+    runs = [
+        (num, den, range(first, first + length))
+        for num, den, (first, length) in zip(nums, dens, spans)
+    ]
     counts = census(tree)
-    outcomes = members[-1][-1]
+    outcomes = runs[-1][2][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
     depth = max((level for level, _ in counts), default=0)
     weight = [0] * (outcomes + 1)
@@ -232,6 +238,13 @@ class TestBuildCanonical:
         tree = build_canonical(ProbabilityVector(["1"]), 5)
         assert tree.nodes == {"": 1}
         assert census(tree) == {(0, 1): 1}
+
+    def test_depth_bound_below_one_is_rejected(self):
+        # without the check, a depth bound of 0 builds a one-node tree
+        with pytest.raises(ValueError) as exc:
+            build_canonical(ProbabilityVector(["1/3", "2/3"]), 0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "depth_bound must be >= 1, got 0"
 
     def test_thirds_truncates_with_explicit_residual(self):
         tree = build_canonical(ProbabilityVector(["1/3", "2/3"]), 6)
@@ -386,10 +399,24 @@ class TestCheckOptimal:
         sparse = verdict_of(_check_optimal, tree, record)
         assert sparse == verdict_of(dense_check_optimal, tree, record)
 
-    def test_check_never_walks_every_side_of_a_shallow_tree(self):
+    def test_check_never_walks_every_side_of_a_shallow_tree(self, monkeypatch):
         n = 1000003
-        record = None, (1,), (n,), (Unwalkable(1, n + 1),)
-        assert _check_optimal(build_from_uniform(n, 1), record).ok
+        tree = build_from_uniform(n, 1)
+        monkeypatch.setattr(ddg, "range", Unwalkable, raising=False)
+        assert _check_optimal(tree, _die(n)).ok
+
+    def test_check_of_runs_longer_than_len_can_count(self):
+        assert _check_optimal(build_from_uniform(HUGE_DIE, 1), _die(HUGE_DIE)).ok
+        shallow = {"": None, "0": None, "1": None}
+        assert _check_optimal(DdgTree(shallow, 1), TWIN_HUGE_RUNS).ok
+        second = (1 << 70) + 5
+        with pytest.raises(MassMismatch) as exc:
+            _check_optimal(DdgTree({**shallow, "0": second}, 1), TWIN_HUGE_RUNS)
+        assert str(exc.value) == f"outcome {second} has leaf mass 1/2 exceeding 1/{1 << 71}"
+        with pytest.raises(MassMismatch) as exc:
+            _check_optimal(DdgTree({**shallow, "0": (1 << 71) + 1}, 1), TWIN_HUGE_RUNS)
+        assert str(exc.value) == f"leaf outcome {(1 << 71) + 1} outside 1..{1 << 71}"
+
 
 class TestFlipDistribution:
     def test_known_optimal_tree(self):

@@ -26,11 +26,12 @@ from coindice import (
     discrete,
     expansion_bit,
     parse_distribution,
+    roll,
     sample,
 )
 from coindice.analysis import _entropy, _flip_distribution
 from coindice.discrete import _die, _levels
-from conftest import Unwalkable, dyadic_suite, walk
+from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, walk
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def rule_levels(record, depth: int) -> list[tuple[int, ...]]:
     certain outcome, then each level's accepted runs flattened."""
     levels = [() if record[0] is None else (record[0],)]
     for k, accepted in islice(_levels(record), depth):
-        levels.append(tuple(i for run in accepted for i in run))
+        levels.append(tuple(i for first, length in accepted for i in range(first, first + length)))
         assert k == len(levels[-1])
     return levels
 
@@ -78,14 +79,14 @@ def rule_depth(p: ProbabilityVector) -> int:
 
 def assert_live_m_is_residual_mass(record, depth: int = 24) -> None:
     """Every live m the trie walk of a compiled record records after level
-    j is the sum over runs of len(outcomes) * (num * 2^j mod den) / den,
-    never negative, so doubling m always covers the next acceptance set."""
+    j is the sum over runs of length * (num * 2^j mod den) / den, never
+    negative, so doubling m always covers the next acceptance set."""
     states, result = walk(record, depth)
-    _, nums, dens, members = record
+    _, nums, dens, spans = record
     residual = [
         sum(
-            Fraction(len(outcomes) * ((num << j) % den), den)
-            for num, den, outcomes in zip(nums, dens, members)
+            Fraction(length * ((num << j) % den), den)
+            for num, den, (_, length) in zip(nums, dens, spans)
         )
         for j in range(depth + 1)
     ]
@@ -363,7 +364,7 @@ class TestLevelRule:
     @settings(max_examples=100)
     def test_rule_on_mixed_runs_matches_the_expanded_vector(self, weighted):
         total = sum(w * k for w, k in weighted)
-        certain, nums, dens, members, entries = None, [], [], [], []
+        certain, nums, dens, spans, entries = None, [], [], [], []
         for w, k in weighted:
             q = w / total
             start = len(entries) + 1
@@ -371,11 +372,11 @@ class TestLevelRule:
                 certain = start
             nums.append(q.numerator)
             dens.append(q.denominator)
-            members.append(range(start, start + k))
+            spans.append((start, k))
             entries += [q] * k
         p = ProbabilityVector(entries)
         depth = rule_depth(p)
-        record = certain, tuple(nums), tuple(dens), tuple(members)
+        record = certain, tuple(nums), tuple(dens), tuple(spans)
         assert rule_levels(record, depth) == expansion_levels(p, depth)
 
     @pytest.mark.parametrize(
@@ -447,13 +448,14 @@ def entry_record(p: ProbabilityVector):
         next((i for i, q in enumerate(p.probs, 1) if q == 1), None),
         tuple(q.numerator for q in p.probs),
         tuple(q.denominator for q in p.probs),
-        tuple((i,) for i in range(1, len(p) + 1)),
+        tuple((i, 1) for i in range(1, len(p) + 1)),
     )
 
 
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
     ref = copy.copy(p)
     ref._runs = entry_record(p)
+    ref._table = (), ref._runs[1]
     return ref
 
 
@@ -499,11 +501,11 @@ def walk_results(p: ProbabilityVector, depth: int):
 def assert_layers_match_the_per_entry_compile(p: ProbabilityVector, depth: int) -> None:
     """``walk_results`` of ``p`` equal those of its per-entry copy, made
     after ``p`` has sampled, and the copy sampled from a table of its own
-    record: every run it accepted is a 1-tuple."""
+    record: every span it accepted has length 1."""
     results = walk_results(p, depth)
     ref = compiled_per_entry(p)
     assert walk_results(ref, depth) == results
-    assert all(type(run) is tuple and len(run) == 1 for _, runs in ref._table[1] for run in runs)
+    assert all(length == 1 for _, spans in ref._table[0] for _, length in spans)
 
 
 class TestBlockCompile:
@@ -524,7 +526,7 @@ class TestBlockCompile:
         assert len(p._runs[1]) < len(p)
         assert_layers_match_the_per_entry_compile(p, 12)
         # so the copy did not read the table it was copied with
-        assert any(len(run) > 1 for _, runs in p._table[1] for run in runs)
+        assert any(length > 1 for _, spans in p._table[0] for _, length in spans)
 
     def test_verdicts_list_levels_then_outcomes_ascending(self):
         p = ProbabilityVector(["1/4", "1/4", "1/2"])
@@ -545,23 +547,22 @@ class TestBlockCompile:
     @settings(max_examples=100)
     def test_runs_are_maximal_blocks_of_the_entries(self, weighted):
         p = blocks_vector(weighted)
-        certain, nums, dens, members = p._runs
-        assert len(nums) == len(dens) == len(members)
-        flat = [(i, Fraction(num, den)) for num, den, run in zip(nums, dens, members) for i in run]
+        certain, nums, dens, spans = p._runs
+        assert len(nums) == len(dens) == len(spans)
+        flat = [
+            (i, Fraction(num, den))
+            for num, den, (first, length) in zip(nums, dens, spans)
+            for i in range(first, first + length)
+        ]
         assert flat == list(enumerate(p.probs, start=1))
         keys = list(zip(nums, dens))
         assert all(a != b for a, b in zip(keys, keys[1:]))
-        assert all(type(run) is tuple for run in members if len(run) == 1)
+        assert all(type(first) is type(length) is int for first, length in spans)
         assert certain == next((i for i, q in flat if q == 1), None)
 
     def test_uniform_vector_compiles_to_the_die(self):
-        def as_lists(record):
-            certain, nums, dens, members = record
-            return certain, nums, dens, [list(run) for run in members]
-
         for n in range(1, 301):
-            record = ProbabilityVector([Fraction(1, n)] * n)._runs
-            assert as_lists(record) == as_lists(_die(n)), n
+            assert ProbabilityVector([Fraction(1, n)] * n)._runs == _die(n), n
 
     def test_sampling_a_huge_uniform_vector_costs_one_run(self):
         n = 100003
@@ -577,7 +578,7 @@ def reference_levels(record):
     """The level rule as a list of acceptance sets, one per level 0, 1,
     2, ..., from the runs of a compiled record, its certain field unread,
     copying every accepted outcome: the reference for the run walk."""
-    _, nums, dens, members = record
+    _, nums, dens, spans = record
     residuals = list(nums)
     indices = range(len(dens))
     while True:
@@ -585,7 +586,8 @@ def reference_levels(record):
         for i in indices:
             r = residuals[i]
             if r >= dens[i]:
-                accept += members[i]
+                first, length = spans[i]
+                accept += range(first, first + length)
                 r -= dens[i]
             residuals[i] = 2 * r
         yield accept
@@ -653,14 +655,51 @@ class TestReferenceSampler:
 
     def test_sampling_a_huge_run_never_walks_it(self, monkeypatch):
         n = 1000003
-        # the vector's one run of n outcomes is built through the wrapper
+        # neither the build nor a draw may walk the one run of n outcomes
         monkeypatch.setattr(discrete, "range", Unwalkable, raising=False)
         p = ProbabilityVector([Fraction(1, n)] * n)
-        monkeypatch.undo()
-        assert type(p._runs[3][0]) is Unwalkable
+        assert p._runs[3] == ((1, n),)
         source = SeededSource(13)
         outcomes = [sample(p, source).outcome for _ in range(100)]
         assert all(1 <= x <= n for x in outcomes)
+
+
+class TestHugeRuns:
+    """A run is two ints, (first, length), so a run of more outcomes than
+    len() of a range can count (2^63 - 1) compiles, levels and samples."""
+
+    def test_the_die_record_is_its_one_span(self):
+        assert _die(HUGE_DIE) == (None, (1,), (HUGE_DIE,), ((1, HUGE_DIE),))
+
+    def test_levels_of_the_huge_die(self):
+        # 1/(2^64 + 1) = (2^64 - 1)/(2^128 - 1): bits 65..128 are ones, then it repeats
+        empty, full = (0, []), (HUGE_DIE, [(1, HUGE_DIE)])
+        levels = list(islice(_levels(_die(HUGE_DIE)), 192))
+        assert levels == [empty] * 64 + [full] * 64 + [empty] * 64
+
+    def test_levels_of_two_huge_runs(self):
+        levels = list(islice(_levels(TWIN_HUGE_RUNS), 80))
+        assert levels[70] == (1 << 71, list(TWIN_HUGE_RUNS[3]))
+        assert [k for k, _ in levels[:70] + levels[71:]] == [0] * 79
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "record, sides",
+        [(_die(HUGE_DIE), HUGE_DIE), (TWIN_HUGE_RUNS, 1 << 71)],
+        ids=["die", "twin_runs"],
+    )
+    def test_sample_a_huge_record_as_the_die_roller_rolls(self, record, sides, trace):
+        # both records are uniform: the twin runs are the die 2^71 split in two
+        p = copy.copy(ProbabilityVector(["1/2", "1/2"]))
+        p._runs = record
+        p._table = (), record[1]
+        for seed in (1, 2, 3):
+            fast, slow = SeededSource(seed), SeededSource(seed)
+            assert [sample(p, fast, trace) for _ in range(20)] == [
+                roll(sides, slow, trace) for _ in range(20)
+            ]
+            assert fast.flips_consumed == slow.flips_consumed
+        assert len(p._table[0]) == table_depth(p)
 
 
 def table_depth(p: ProbabilityVector) -> int:
@@ -680,11 +719,11 @@ class TestLevelTable:
 
     def test_table_grows_to_the_deepest_level_drawn(self):
         p = ProbabilityVector(["1/3", "2/3"])
-        assert p._table[1] == ()
+        assert p._table[0] == ()
         assert sample(p, ReplaySource([1, 1, 0])) == TracedRoll(2, 3)
-        assert p._table[1] == ((1, [(2,)]), (1, [(1,)]), (1, [(2,)]))
+        assert p._table[0] == ((1, [(2, 1)]), (1, [(1, 1)]), (1, [(2, 1)]))
         assert sample(p, ReplaySource([0])) == TracedRoll(2, 1)
-        assert len(p._table[1]) == 3
+        assert len(p._table[0]) == 3
 
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     def test_draws_past_the_table_match_the_reference(self, trace):
@@ -699,7 +738,7 @@ class TestLevelTable:
         draws = [sample(p, fast, trace) for _ in range(4)]
         assert draws == [reference_sample(p, slow, trace) for _ in range(4)]
         assert [r.flips for r in draws] == [cap + 11, cap + 11, 1, 3]
-        assert len(p._table[1]) == cap
+        assert len(p._table[0]) == cap
         assert fast.flips_consumed == len(bits)
 
     @pytest.mark.parametrize(
@@ -754,12 +793,12 @@ class TestWarmDraws:
         p = ProbabilityVector(["1/3", "2/3"])
         cap = table_depth(p)
         sample(p, ReplaySource([1] * (cap + 10) + [0]))
-        assert len(p._table[1]) == cap
+        assert len(p._table[0]) == cap
         started = []
         deeper = discrete._deeper
 
         def counting_deeper(p, table):
-            started.append(len(table[1]))
+            started.append(len(table[0]))
             return deeper(p, table)
 
         monkeypatch.setattr(discrete, "_deeper", counting_deeper)
@@ -774,12 +813,12 @@ class TestWarmDraws:
     def test_a_draw_that_outruns_the_table_grows_it_mid_draw(self, trace):
         p = ProbabilityVector(["1/3", "2/3"])
         sample(p, ReplaySource([1, 1, 0]))
-        assert len(p._table[1]) == 3
+        assert len(p._table[0]) == 3
         # a 1 always recycles (x = 2 > k = 1), so seven of them carry the draw to level 8
         bits = [1] * 7 + [0]
         fast, slow = ReplaySource(bits), ReplaySource(bits)
         draw = sample(p, fast, trace)
         assert draw == reference_sample(p, slow, trace)
         assert draw.flips == 8
-        assert len(p._table[1]) == 8 < table_depth(p)
+        assert len(p._table[0]) == 8 < table_depth(p)
         assert fast.flips_consumed == len(bits)
