@@ -60,10 +60,6 @@ class ReplaySource(BitSource):
         self._cursor += 1
         return bit
 
-    @property
-    def remaining(self) -> int:
-        return len(self._bits) - self._cursor
-
 
 def _splitmix64(state: int) -> tuple[int, int]:
     # SplitMix64 step; see https://prng.di.unimi.it/splitmix64.c

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: sample, analyze, tree, oracle-dump, chisq, bench.  Data
-goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage
-error, 2 check failure.  Given a fixed --seed, the data output of every
-command except the wall-clock parts of bench is byte-identical between
-runs.
+goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 any
+error (one stderr line), 2 check failure.  Given a fixed --seed, the data
+output of every command except the wall-clock parts of bench is
+byte-identical between runs.
 """
 
 import argparse
@@ -18,7 +18,6 @@ from functools import cache, partial
 from . import analysis, ddg, gof, oracle
 from .bitsource import BitSource, SeededSource
 from .discrete import (
-    InvalidDistribution,
     ProbabilityVector,
     _die,
     _exact,
@@ -26,10 +25,10 @@ from .discrete import (
     parse_distribution,
     sample,
 )
-from .uniform import _check_sides, _roll, roll
+from .uniform import _roll, roll
 
 EXIT_OK = 0
-EXIT_USAGE = 1
+EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
 
@@ -65,22 +64,24 @@ def _add_target_options(parser):
     return group
 
 
-def _target(args) -> tuple[int | None, ProbabilityVector | None]:
-    return (args.die, None) if args.dist is None else (None, parse_distribution(args.dist))
+def _target(args) -> tuple[int | None, ProbabilityVector | None, tuple]:
+    """(n, None, _die(n)) or (None, p, p._runs): one build, one check of n."""
+    if args.dist is None:
+        return args.die, None, _die(args.die)
+    p = parse_distribution(args.dist)
+    return None, p, p._runs
 
 
 def _draws(n: int | None, p: ProbabilityVector | None, args):
     """Stream args.count variates of the target from one seeded source."""
     source = SeededSource(args.seed)
-    if p is None:
-        _check_sides(n)
     draw = partial(_roll, n) if p is None else partial(sample, p)
     for _ in range(args.count):
         yield draw(source)
 
 
 def cmd_sample(args) -> int:
-    n, p = _target(args)
+    n, p, _ = _target(args)
     write = sys.stdout.write  # read per call: callers may redirect stdout
     total = 0
     for r in _draws(n, p, args):
@@ -97,8 +98,7 @@ def cmd_sample(args) -> int:
 def cmd_analyze(args) -> int:
     if args.sweep is not None:
         return _analyze_sweep(args)
-    n, p = _target(args)
-    record = _die(n) if p is None else p._runs
+    n, p, record = _target(args)
     lower = analysis.ceil_log2(n) if p is None else None
     depth = args.depth or (2 * lower + 8 if p is None else 16)
     dist = analysis._flip_distribution(record, depth)
@@ -173,13 +173,13 @@ def _analyze_sweep(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    n, p = _target(args)
+    n, p, record = _target(args)
     depth = args.depth or (2 * analysis.ceil_log2(n) + 8 if p is None else 12)
     tree = ddg.build_from_uniform(n, depth) if p is None else ddg.build_from_discrete(p, depth)
     sys.stdout.write(ddg.export_dot(tree))
     if args.check:
         try:
-            verdict = ddg._check_optimal(tree, _die(n) if p is None else p._runs)
+            verdict = ddg._check_optimal(tree, record)
         except ddg.MassMismatch as exc:
             print(f"mass mismatch: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -193,8 +193,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_oracle_dump(args) -> int:
-    n, p = _target(args)
-    states, leaves, _ = oracle._expand(_die(n) if p is None else p._runs, args.depth)
+    _, _, record = _target(args)
+    states, leaves, _ = oracle._expand(record, args.depth)
     for history in sorted(states, key=lambda h: (len(h), h)):
         x, m = states[history]
         line = f'{len(history)} "{history}" ({x}, {m})'
@@ -205,7 +205,7 @@ def cmd_oracle_dump(args) -> int:
 
 
 def cmd_chisq(args) -> int:
-    n, p = _target(args)
+    n, p, _ = _target(args)
     outcomes = n if p is None else len(p)
     minimum = 50 * outcomes
     if args.count < minimum:
@@ -336,13 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, InvalidDistribution) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # SystemExit (--help) and KeyboardInterrupt pass
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def run() -> None:

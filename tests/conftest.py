@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from coindice import ProbabilityVector, RecyclerState
+from coindice import DdgTree, ProbabilityVector, RecyclerState
+from coindice.ddg import INTERNAL
 from coindice.oracle import _expand, _tally
 
 
@@ -74,6 +75,20 @@ def walk(record, depth: int):
     expanded = _expand(record, depth)
     states = {h: RecyclerState(*s) for h, s in expanded[0].items()}
     return states, _tally(expanded, depth)
+
+
+def shallowest_leaf(tree) -> tuple[str, int]:
+    """(history, outcome) of the first leaf in breadth-first order."""
+    return min(tree.leaves(), key=lambda leaf: (len(leaf[0]), leaf[0]))
+
+
+def split_shallowest_leaf(tree) -> DdgTree:
+    """``tree`` with its shallowest leaf replaced by two leaves of the same
+    outcome one level deeper: every leaf mass is unchanged, but that
+    outcome appears twice at one level, which no optimal tree allows."""
+    history, outcome = shallowest_leaf(tree)
+    nodes = {**tree.nodes, history: INTERNAL, history + "0": outcome, history + "1": outcome}
+    return DdgTree(nodes, tree.depth_bound)
 
 
 def level_multisets(states) -> dict[int, Counter]:

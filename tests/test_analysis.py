@@ -24,8 +24,9 @@ from coindice import (
     verify_bounds,
 )
 from coindice import analysis
-from coindice.analysis import _flip_distribution, _order_of_two
-from conftest import HUGE_DIE, TWIN_HUGE_RUNS, dyadic_suite, flip_tail
+from coindice.analysis import _entropy, _flip_distribution, _order_of_two
+from coindice.discrete import _die
+from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, flip_tail
 
 # Independent second route: the recycle chain.  From a recycled s-sided
 # die the roller flips k = ceil(log2(n/s)) coins up to s' = s*2^k in
@@ -398,6 +399,32 @@ class TestEntropy:
     def test_three_outcomes(self):
         value = entropy(ProbabilityVector(["3/8", "1/2", "1/8"]))
         assert math.isclose(value, 1.405639, abs_tol=1e-6)
+
+    def test_run_past_2_64_is_one_product(self, monkeypatch):
+        monkeypatch.setattr(analysis, "range", Unwalkable, raising=False)
+        start = time.perf_counter()
+        value = _entropy(_die(HUGE_DIE))
+        assert time.perf_counter() - start < 1
+        assert abs(value - 64) < 1e-9
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            _die(1 << 20),
+            # a third of the mass over 2^20 outcomes, where the loop and one
+            # product round differently
+            (None, (1, 2), (3 << 20, 3), ((1, 1 << 20), ((1 << 20) + 1, 1))),
+        ],
+        ids=["die", "third"],
+    )
+    def test_runs_up_to_2_20_keep_the_per_outcome_loop(self, record):
+        _, nums, dens, spans = record
+        total = 0.0
+        for num, den, (_, length) in zip(nums, dens, spans):
+            x = num / den
+            for _ in range(length):
+                total -= x * math.log2(x)
+        assert _entropy(record) == total
 
     def test_entropy_floors_the_expected_flips(self):
         for n in range(2, 40):

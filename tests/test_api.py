@@ -24,4 +24,5 @@ def test_test_only_names_are_gone():
         assert name not in coindice.__all__
         assert not any(hasattr(module, name) for module in (coindice, ddg, oracle)), name
     assert not hasattr(coindice.ProbabilityVector, "prob")
+    assert not hasattr(coindice.ReplaySource, "remaining")
     assert type(ddg.census(ddg.build_from_uniform(3, 2))) is dict

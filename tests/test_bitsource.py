@@ -31,13 +31,6 @@ def test_exhaustion_does_not_count_as_a_flip():
     assert source.flips_consumed == 1
 
 
-def test_remaining_tracks_cursor():
-    source = ReplaySource([0, 0, 1])
-    assert source.remaining == 3
-    source.next_bit()
-    assert source.remaining == 2
-
-
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_counter_equals_number_of_draws(bits):
     source = ReplaySource(bits)

@@ -12,15 +12,17 @@ from fractions import Fraction
 import pytest
 
 import coindice
-from coindice import cli
+from coindice import analysis, cli, ddg, discrete
 from coindice.cli import main, naive_rejection_roll
 from coindice import (
     ProbabilityVector,
     ReplaySource,
     SeededSource,
+    TracedRoll,
     entropy,
     exact_expected_flips,
 )
+from conftest import HUGE_DIE, shallowest_leaf, split_shallowest_leaf
 
 HUGE = "7" * 5001  # past Python's default 4300-digit int/str limit
 
@@ -125,6 +127,13 @@ class TestAnalyze:
         probs = ProbabilityVector([Fraction(1, n)] * n)
         assert json.loads(out)["entropy"] == entropy(probs)
 
+    def test_die_past_2_64_finishes_at_64_bits_of_entropy(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", "--die", str(HUGE_DIE), "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert abs(json.loads(out)["entropy"] - 64) < 1e-9
+
     def test_parts_past_the_digit_limit_print_in_hex(self, capsys):
         expected = exact_expected_flips(100003)
         code, out, err = run_cli(capsys, "analyze", "--die", "100003", "--json")
@@ -204,6 +213,30 @@ class TestTree:
         assert out.count("shape=circle") == 3
         assert "optimal" in err
 
+    def patch_tree(self, monkeypatch, change):
+        build = ddg.build_from_uniform
+        monkeypatch.setattr(ddg, "build_from_uniform", lambda n, depth: change(build(n, depth)))
+
+    def test_relabelled_leaf_is_a_mass_mismatch(self, capsys, monkeypatch):
+        def relabel(tree):
+            history, outcome = shallowest_leaf(tree)
+            tree.nodes[history] = outcome + 1
+            return tree
+
+        self.patch_tree(monkeypatch, relabel)
+        code, out, err = run_cli(capsys, "tree", "--die", "3", "--check")
+        assert code == 2
+        assert out.startswith("digraph")
+        assert err == "mass mismatch: outcome 2 has leaf mass 2389/4096 exceeding 1/3\n"
+
+    def test_split_leaf_is_a_violation(self, capsys, monkeypatch):
+        self.patch_tree(monkeypatch, split_shallowest_leaf)
+        code, out, err = run_cli(capsys, "tree", "--die", "3", "--check")
+        assert code == 2
+        assert out.startswith("digraph")
+        assert "violation: outcome 1 appears 2 times at level 3\n" in err
+        assert "optimal" not in err
+
 
 class TestOracleDump:
     def test_five_sided_dump(self, capsys):
@@ -231,6 +264,12 @@ class TestChisq:
         code, _, err = run_cli(capsys, "chisq", "--die", "6", "--count", "100")
         assert code == 1
         assert "at least 50" in err
+
+    def test_biased_roller_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_roll", lambda n, source: TracedRoll(1, 0))
+        code, out, _ = run_cli(capsys, "chisq", "--die", "6", "--count", "300")
+        assert code == 2
+        assert out.endswith("FAIL at significance 0.001\n")
 
     def test_single_category(self, capsys):
         code, out, _ = run_cli(capsys, "chisq", "--die", "1", "--count", "100")
@@ -383,6 +422,24 @@ class TestUsage:
         assert "Traceback" not in err
 
 
+class TestErrorBoundary:
+    """main turns any exception into exit 1 and one stderr line."""
+
+    def test_memory_error_is_named_by_its_type(self, capsys, monkeypatch):
+        def exhausted(n):
+            raise MemoryError()
+
+        monkeypatch.setattr(analysis, "exact_expected_flips", exhausted)
+        assert run_cli(capsys, "analyze", "--die", "5") == (1, "", "error: MemoryError\n")
+
+    def test_library_error_prints_its_message(self, capsys, monkeypatch):
+        def overflow(n, depth):
+            raise OverflowError("too big")
+
+        monkeypatch.setattr(ddg, "build_from_uniform", overflow)
+        assert run_cli(capsys, "tree", "--die", "5") == (1, "", "error: too big\n")
+
+
 class TestSidesCheckedOnce:
     """A die command checks n once, not once per roll."""
 
@@ -397,7 +454,7 @@ class TestSidesCheckedOnce:
     def test_die_command_checks_sides_once(self, capsys, monkeypatch, argv):
         expected = run_cli(capsys, *argv)
         calls = []
-        monkeypatch.setattr(cli, "_check_sides", calls.append)
+        monkeypatch.setattr(discrete, "_check_sides", calls.append)
         assert run_cli(capsys, *argv) == expected
         assert calls == [6]
 

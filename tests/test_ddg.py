@@ -38,6 +38,7 @@ from conftest import (
     flip_tail,
     max_level,
     random_dyadic_distribution,
+    split_shallowest_leaf,
 )
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
@@ -334,6 +335,13 @@ class TestCheckOptimal:
         verdict = check_optimal(FLAT_DEPTH3_TREE, EIGHTHS)
         assert not verdict.ok
         assert any("outcome 1 appears 3 times at level 3" in v for v in verdict.violations)
+
+    def test_verdict_is_its_truth_value(self):
+        tree = build_from_uniform(3, 12)
+        assert bool(check_optimal(tree, uniform_probs(3))) is True
+        verdict = check_optimal(split_shallowest_leaf(tree), uniform_probs(3))
+        assert bool(verdict) is False
+        assert "outcome 1 appears 2 times at level 3" in verdict.violations
 
     def test_canonical_tree_is_optimal(self):
         assert check_optimal(build_canonical(EIGHTHS, 3), EIGHTHS).ok
