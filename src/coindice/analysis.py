@@ -166,7 +166,7 @@ def _flip_distribution(record, depth: int) -> FlipDistribution:
     |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
     outcomes the level rule accepts at level j, with the mass beyond
     ``depth`` as the residual."""
-    leaves = [1 if record[0] else 0] + [k for k, _ in islice(_levels(record), depth)]
+    leaves = [k for k, _ in islice(_levels(record), depth + 1)]
     mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
     return FlipDistribution(mass, 1 - _exact_sum([(k, 1 << j) for j, k in enumerate(leaves)]))
 
@@ -229,7 +229,7 @@ def _entropy(record) -> float:
     A longer run subtracts term * length once: its loop would take about
     40 ms per 2^20 outcomes, and past 2^53 the total stops growing.  A
     probability below the smallest float adds nothing."""
-    _, nums, dens, spans = record
+    nums, dens, spans = record
     total = 0.0
     for num, den, (_, length) in zip(nums, dens, spans):
         x = num / den  # the correctly rounded float(Fraction(num, den))

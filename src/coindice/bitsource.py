@@ -18,8 +18,9 @@ _MASK64 = (1 << 64) - 1
 class SourceExhausted(Exception):
     """A scripted source ran out of bits.
 
-    This is a signal, not a failure: the exhaustive enumerator uses it to
-    detect paths that are still live at its depth bound.
+    A replay that ends before its draw resolves raises it, which tells a
+    bit history still live at its end from one that terminated.  The
+    exhaustive enumerator in ``oracle`` walks a trie and draws no bits.
     """
 
 

@@ -70,17 +70,14 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
 
     Outcome i gets one leaf at every level j where bit j of p_i is 1,
     placed at the lexicographically smallest open positions in ascending
-    outcome order; remaining positions branch into the next level.
+    outcome order; remaining positions branch into the next level.  Level
+    0 is the root, a leaf only for an outcome of probability 1.
     """
     if depth_bound < 1:
         raise ValueError(f"depth_bound must be >= 1, got {depth_bound}")
-    certain = p.certain_outcome()
-    if certain is not None:
-        return DdgTree({"": certain}, 0)
-
-    nodes: dict[str, int | None] = {"": INTERNAL}
-    open_positions = ["0", "1"]
-    for level in range(1, depth_bound + 1):
+    nodes: dict[str, int | None] = {}
+    open_positions = [""]
+    for level in range(depth_bound + 1):
         accept = acceptance_set(p, level)
         assert len(accept) <= len(open_positions), "expansion bits exceed open slots"
         for position, outcome in zip(open_positions, accept):
@@ -140,7 +137,7 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
     """``check_optimal`` against a target's compiled ``record`` (see
     ``discrete``).  It visits only outcomes with leaves or with a 1 bit at
     a checked level, so a sampler tree costs O(leaves + runs x depth)."""
-    _, nums, dens, spans = record
+    nums, dens, spans = record
     runs = [range(first, first + length) for first, length in spans]
     counts = census(tree)
     outcomes = runs[-1][-1]

@@ -5,21 +5,21 @@ whose probability has a 1 at position j of its binary expansion form the
 acceptance set for that level, and the recycled pair (x, m) selects
 uniformly among them.  Probabilities are exact ``fractions.Fraction``
 values throughout.  Every target, a vector or a fair die, compiles once
-into one record ``(certain, nums, dens, spans)``: the outcome of
-probability 1 or None, then per run of consecutive outcomes that share
-the probability num/den its numerator, denominator and span
+into one record ``(nums, dens, spans)``: per run of consecutive outcomes
+that share the probability num/den its numerator, denominator and span
 (first, length), two ints.  A vector has one run per maximal block of
 equal neighbours, so 1/n x n compiles to the die's record, one run
 (1, n, (1, n)), which ``_die`` builds in O(1).  The sampler, the oracle,
 the tree checks and the analysis all read that record.  The level rule
-reads the acceptance sets off integer residuals, one per run: doubling
-r = num * 2^j mod den gives the next expansion bit of every outcome in
-the run at once, with no drift, no rounding and memory linear in the
-input.  A level yields its accepted spans, no outcome listed, and the
-sampler finds the x-th accepted outcome by walking their lengths.
-``sample`` pays a level's O(runs) once per target, into a capped table:
-a warm draw reads its levels directly, and ``_deeper`` runs only when a
-draw outruns it.
+reads the acceptance sets off integer residuals, one per run, from level
+0, whose one possible leaf is an outcome of probability 1: comparing
+2 * (num * 2^j mod den) with den gives bit j + 1 of every outcome in the
+run at once, with no drift, no rounding and memory linear in the input.  A
+level yields its accepted spans, no outcome listed, and the sampler
+finds the x-th accepted outcome by walking their lengths.  ``sample``
+pays a level's O(runs) once per target, into a capped table: a warm draw
+reads its levels directly, and ``_deeper`` runs only when a draw outruns
+it.
 ``expansion_bit`` and ``acceptance_set`` compute the same bits by random
 access and stay the reference the tests and the canonical tree builder use.
 """
@@ -61,7 +61,7 @@ def _as_exact_fraction(value) -> Fraction:
             raise InvalidDistribution(f"zero denominator in {value!r}") from None
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise InvalidDistribution(str(exc)) from None
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
         return Fraction(value)
     raise InvalidDistribution(f"unsupported probability type {type(value).__name__}")
 
@@ -92,11 +92,9 @@ class ProbabilityVector:
         # one run per maximal block of equal neighbours, so each level
         # costs O(runs); only neighbours merge, which keeps acceptance
         # lists ascending
-        certain, nums, dens, spans, first = None, [], [], [], 1
+        nums, dens, spans, first = [], [], [], 1
         for (num, den), block in groupby((q.numerator, q.denominator) for q in probs):
             length = sum(1 for _ in block)
-            if num == den:
-                certain = first
             nums.append(num)
             dens.append(den)
             spans.append((first, length))
@@ -105,8 +103,8 @@ class ProbabilityVector:
         if total != 1:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
-        self._runs = certain, tuple(nums), tuple(dens), tuple(spans)
-        self._table = (), self._runs[1]  # the levels sample has reached; see _deeper
+        self._runs = tuple(nums), tuple(dens), tuple(spans)
+        self._table = (), self._runs[0]  # the levels sample has reached; see _deeper
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -121,10 +119,6 @@ class ProbabilityVector:
         # _frac prints parts past the digit limit in hex; str() prints 0 and 1 bare
         parts = (str(q) if q.denominator == 1 else _frac(q) for q in self.probs)
         return f"ProbabilityVector({', '.join(parts)})"
-
-    def certain_outcome(self) -> int | None:
-        """The outcome carrying all mass, if there is one."""
-        return self._runs[0]
 
 
 def parse_distribution(text: str) -> ProbabilityVector:
@@ -175,8 +169,8 @@ def expansion_bit(q: Fraction, j: int) -> int:
 
 def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
     """Outcomes whose expansion has a 1 bit at ``level``, ascending."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     return tuple(
         i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level) == 1
     )
@@ -185,52 +179,53 @@ def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
 def _die(n: int):
     """The fair n-sided die's record: one run, all n sides at 1/n."""
     _check_sides(n)
-    return (1 if n == 1 else None), (1,), (n,), ((1, n),)
+    return (1,), (n,), ((1, n),)
 
 
 def _levels(record, residuals=None):
-    """(k, accepted spans) of each level 1, 2, ... of the DDG tree of a
+    """(k, accepted spans) of each level 0, 1, ... of the DDG tree of a
     compiled ``record`` (see the module docstring), where k is the number
     of accepted outcomes, the summed length of the spans.
 
-    Keeps a working residual per run, num * 2^j mod den after level j, so
-    each stays below its denominator: it starts from the numerators, or from
-    zeros for a certain target, the only one with num = den, or from the
-    given ``residuals``, which it doubles in place.  Doubling gives the next
-    level, which accepts the outcomes of every run whose doubled residual
-    reaches den and takes den off it.  Level 0 is the certain outcome.
+    Keeps a working residual per run: it starts from the numerators, or
+    from the given ``residuals``, which it updates in place.  A level
+    accepts the outcomes of every run whose residual reaches den, takes den
+    off it and doubles it, so after level j it is 2 * (num * 2^j mod den),
+    below twice den.  Level 0 accepts only a run with num = den, the
+    outcome of probability 1.
 
     ``sample`` and ``oracle._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
     after level j the live m is the sum over runs of
     length * (num * 2^j mod den) / den, never negative.
     """
-    certain, nums, dens, spans = record
+    nums, dens, spans = record
     if residuals is None:
-        residuals = [0] * len(nums) if certain else list(nums)
+        residuals = list(nums)
     indices = range(len(dens))
     while True:
         k, accepted = 0, []
         for i in indices:
-            r = 2 * residuals[i]
+            r = residuals[i]
             if r >= dens[i]:
                 r -= dens[i]
                 span = spans[i]
                 accepted.append(span)
                 k += span[1]
-            residuals[i] = r
+            residuals[i] = 2 * r
         yield k, accepted
 
 
 def _deeper(p: ProbabilityVector, table):
     """The levels of ``p`` past its ``table`` (the (k, accepted spans) of
-    levels 1..j, the residuals after level j), each added to the table up
-    to ``_TABLE_BITS + len(p).bit_length()`` levels.  Live m stays below
-    len(p), so a draw goes deeper with probability < 2^-_TABLE_BITS; it
-    walks the rule on from a copy of the kept residuals.  ``sample`` starts
-    it only when a draw outruns the table, from the table that draw read."""
+    levels 0..j, the residuals 2 * (num * 2^j mod den) kept after level j),
+    each added to the table up to level ``_TABLE_BITS + len(p).bit_length()``.
+    Live m stays below len(p), so a draw flips past that level with
+    probability < 2^-_TABLE_BITS; it walks the rule on from a copy of the
+    kept residuals.  ``sample`` starts it only when a draw outruns the
+    table, from the table that draw read."""
     levels, residuals = table
-    while len(levels) < _TABLE_BITS + len(p).bit_length():
+    while len(levels) <= _TABLE_BITS + len(p).bit_length():
         residuals = list(residuals)
         levels += (next(_levels(p._runs, residuals)),)
         p._table = levels, residuals  # one store: no interrupt or thread sees it torn
@@ -241,28 +236,20 @@ def _deeper(p: ProbabilityVector, table):
 def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
     """Draw one outcome with exactly the probabilities in ``p``.
 
-    One flip per level: the recycled pair (x, m) doubles, and if it
-    covers that level's acceptance set the roll resolves to its x-th
-    smallest member, found by walking the accepted spans' lengths;
-    otherwise the leftover uniformity carries to the next level.  An
-    empty acceptance level just flips again.  A draw reads the levels of
-    ``p``'s table directly, so a level costs O(1) plus the runs walked,
+    Level by level from level 0: if the recycled pair (x, m) covers the
+    level's acceptance set the roll resolves to its x-th smallest member,
+    found by walking the accepted spans' lengths; otherwise the leftover
+    uniformity carries on, and one flip doubles (x, m) for the next level.
+    An empty acceptance level just flips again.  A draw reads the levels
+    of ``p``'s table directly, so a level costs O(1) plus the runs walked,
     and starts ``_deeper`` only when it outruns them.
     """
-    certain = p._runs[0]
-    if certain:
-        return TracedRoll(certain, 0, [RecyclerState(1, 1)] if trace else None)
     table = p._table
     next_bit = source.next_bit
     x, m, level, levels = 1, 1, 0, table[0]
     states = [RecyclerState(1, 1)] if trace else None
     while True:  # the table's levels, then, once a draw outruns them, _deeper's
         for k, accepted in levels:
-            level += 1
-            x += next_bit() * m
-            m *= 2
-            if states is not None:
-                states.append(RecyclerState(x, m))
             if k:
                 if x <= k:
                     if states is not None and states[-1] != (x, k):
@@ -275,4 +262,9 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
                 m -= k
                 if states is not None:
                     states.append(RecyclerState(x, m))
+            level += 1
+            x += next_bit() * m
+            m *= 2
+            if states is not None:
+                states.append(RecyclerState(x, m))
         levels = _deeper(p, table)

@@ -39,15 +39,16 @@ def _expand(record, depth: int):
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     states: dict[str, tuple[int, int]] = {"": (1, 1)}
-    certain = record[0]
-    if certain:
-        return states, {"": certain}, []
+    levels = _levels(record)
+    k, accepted = next(levels)
+    if k:  # level 0 accepts only an outcome of probability 1
+        return states, {"": accepted[0][0]}, []
 
     leaves: dict[str, int] = {}
     # every state still running at a level has the same m
     frontier: list[tuple[str, int]] = [("", 1)]
     m = 1
-    for _, (k, accepted) in zip(range(depth), _levels(record)):
+    for _, (k, accepted) in zip(range(depth), levels):
         if not frontier:
             break
         # one list per level: indexing it per leaf beats walking the spans

@@ -41,7 +41,7 @@ def dyadic_suite() -> list[ProbabilityVector]:
 # die 2^64 + 1, and a record of two runs of 2^70 outcomes at 2^-71 each,
 # whose one nonempty level is 71
 HUGE_DIE = (1 << 64) + 1
-TWIN_HUGE_RUNS = None, (1, 1), (1 << 71, 1 << 71), ((1, 1 << 70), ((1 << 70) + 1, 1 << 70))
+TWIN_HUGE_RUNS = (1, 1), (1 << 71, 1 << 71), ((1, 1 << 70), ((1 << 70) + 1, 1 << 70))
 
 
 class Unwalkable:

@@ -413,12 +413,12 @@ class TestEntropy:
             _die(1 << 20),
             # a third of the mass over 2^20 outcomes, where the loop and one
             # product round differently
-            (None, (1, 2), (3 << 20, 3), ((1, 1 << 20), ((1 << 20) + 1, 1))),
+            ((1, 2), (3 << 20, 3), ((1, 1 << 20), ((1 << 20) + 1, 1))),
         ],
         ids=["die", "third"],
     )
     def test_runs_up_to_2_20_keep_the_per_outcome_loop(self, record):
-        _, nums, dens, spans = record
+        nums, dens, spans = record
         total = 0.0
         for num, den, (_, length) in zip(nums, dens, spans):
             x = num / den

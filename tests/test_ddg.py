@@ -131,7 +131,7 @@ def dense_check_optimal(tree, record):
     """Reference for ``ddg._check_optimal``: visits every outcome of every
     run of ``record``, and every level for each, so it costs
     O(outcomes x depth)."""
-    _, nums, dens, spans = record
+    nums, dens, spans = record
     runs = [
         (num, den, range(first, first + length))
         for num, den, (first, length) in zip(nums, dens, spans)
@@ -236,9 +236,13 @@ class TestBuildCanonical:
         assert tree.nodes == {"": None, "0": 1, "1": 2}
 
     def test_certain_outcome_is_a_root_leaf(self):
-        tree = build_canonical(ProbabilityVector(["1"]), 5)
+        p = ProbabilityVector(["1"])
+        tree = build_canonical(p, 5)
         assert tree.nodes == {"": 1}
         assert census(tree) == {(0, 1): 1}
+        # the requested bound, as the sampler tree's
+        assert tree.depth_bound == build_from_discrete(p, 5).depth_bound == 5
+        assert check_optimal(tree, p).ok
 
     def test_depth_bound_below_one_is_rejected(self):
         # without the check, a depth bound of 0 builds a one-node tree

@@ -59,15 +59,14 @@ UNIFORM_997 = ProbabilityVector([Fraction(1, 997)] * 997)
 
 def expansion_levels(p: ProbabilityVector, depth: int) -> list[tuple[int, ...]]:
     """Acceptance sets of levels 0..depth by random-access expansion bits."""
-    certain = tuple(i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, 0))
-    return [certain] + [acceptance_set(p, j) for j in range(1, depth + 1)]
+    return [acceptance_set(p, j) for j in range(depth + 1)]
 
 
 def rule_levels(record, depth: int) -> list[tuple[int, ...]]:
-    """The acceptance sets of levels 0..depth of a compiled record: its
-    certain outcome, then each level's accepted runs flattened."""
-    levels = [() if record[0] is None else (record[0],)]
-    for k, accepted in islice(_levels(record), depth):
+    """The acceptance sets of levels 0..depth of a compiled record: each
+    level's accepted runs flattened."""
+    levels = []
+    for k, accepted in islice(_levels(record), depth + 1):
         levels.append(tuple(i for first, length in accepted for i in range(first, first + length)))
         assert k == len(levels[-1])
     return levels
@@ -82,7 +81,7 @@ def assert_live_m_is_residual_mass(record, depth: int = 24) -> None:
     j is the sum over runs of length * (num * 2^j mod den) / den, never
     negative, so doubling m always covers the next acceptance set."""
     states, result = walk(record, depth)
-    _, nums, dens, spans = record
+    nums, dens, spans = record
     residual = [
         sum(
             Fraction(length * ((num << j) % den), den)
@@ -130,7 +129,7 @@ class TestProbabilityVector:
             op = getattr(Fraction, name)
             monkeypatch.setattr(Fraction, name, lambda a, b, op=op: added.append(b) or op(a, b))
         p = ProbabilityVector([Fraction(1, 100003)] * 100003)
-        _, nums, _, _ = p._runs
+        nums, _, _ = p._runs
         assert len(nums) == 1
         assert len(added) <= len(nums)
 
@@ -173,14 +172,15 @@ class TestProbabilityVector:
         assert str(exc.value) == str(parse_error.value)
 
     def test_rejects_unsupported_types(self):
-        for entry, name in [(None, "NoneType"), (1j, "complex"), ([1], "list")]:
+        # bool is an int subclass, but roll(True) and JSON true are rejected too
+        for entry, name in [(None, "NoneType"), (1j, "complex"), ([1], "list"), (False, "bool")]:
             with pytest.raises(InvalidDistribution) as exc:
                 ProbabilityVector([entry, "1"])
             assert str(exc.value) == f"unsupported probability type {name}"
 
     def test_zero_entries_are_allowed(self):
         p = ProbabilityVector(["0", "1"])
-        assert p.certain_outcome() == 2
+        assert rule_levels(p._runs, 0) == [acceptance_set(p, 0)] == [(2,)]
 
     def test_repr_prints_parts_as_str_does(self):
         assert repr(EIGHTHS) == "ProbabilityVector(3/8, 1/2, 1/8)"
@@ -233,11 +233,11 @@ class TestExpansionBits:
             expansion_bit(Fraction(1, 3), -1)
         assert str(exc.value) == "bit index must be >= 0, got -1"
 
-    @pytest.mark.parametrize("level", [0, -2])
-    def test_acceptance_set_rejects_levels_below_one(self, level):
+    @pytest.mark.parametrize("level", [-1, -2])
+    def test_acceptance_set_rejects_negative_levels(self, level):
         with pytest.raises(ValueError) as exc:
             acceptance_set(EIGHTHS, level)
-        assert str(exc.value) == f"level must be >= 1, got {level}"
+        assert str(exc.value) == f"level must be >= 0, got {level}"
 
     def test_level_state_residuals(self):
         state = level_state(EIGHTHS, 1)
@@ -364,19 +364,17 @@ class TestLevelRule:
     @settings(max_examples=100)
     def test_rule_on_mixed_runs_matches_the_expanded_vector(self, weighted):
         total = sum(w * k for w, k in weighted)
-        certain, nums, dens, spans, entries = None, [], [], [], []
+        nums, dens, spans, entries = [], [], [], []
         for w, k in weighted:
             q = w / total
             start = len(entries) + 1
-            if q == 1:
-                certain = start
             nums.append(q.numerator)
             dens.append(q.denominator)
             spans.append((start, k))
             entries += [q] * k
         p = ProbabilityVector(entries)
         depth = rule_depth(p)
-        record = certain, tuple(nums), tuple(dens), tuple(spans)
+        record = tuple(nums), tuple(dens), tuple(spans)
         assert rule_levels(record, depth) == expansion_levels(p, depth)
 
     @pytest.mark.parametrize(
@@ -445,7 +443,6 @@ class TestSampleTrace:
 def entry_record(p: ProbabilityVector):
     """The one-run-per-entry record, the reference for merged blocks."""
     return (
-        next((i for i, q in enumerate(p.probs, 1) if q == 1), None),
         tuple(q.numerator for q in p.probs),
         tuple(q.denominator for q in p.probs),
         tuple((i, 1) for i in range(1, len(p) + 1)),
@@ -455,7 +452,7 @@ def entry_record(p: ProbabilityVector):
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
     ref = copy.copy(p)
     ref._runs = entry_record(p)
-    ref._table = (), ref._runs[1]
+    ref._table = (), ref._runs[0]
     return ref
 
 
@@ -523,7 +520,7 @@ class TestBlockCompile:
         ids=lambda p: f"K{len(p)}",
     )
     def test_layers_match_the_per_entry_compile_on_fixed_targets(self, p):
-        assert len(p._runs[1]) < len(p)
+        assert len(p._runs[0]) < len(p)
         assert_layers_match_the_per_entry_compile(p, 12)
         # so the copy did not read the table it was copied with
         assert any(length > 1 for _, spans in p._table[0] for _, length in spans)
@@ -547,7 +544,7 @@ class TestBlockCompile:
     @settings(max_examples=100)
     def test_runs_are_maximal_blocks_of_the_entries(self, weighted):
         p = blocks_vector(weighted)
-        certain, nums, dens, spans = p._runs
+        nums, dens, spans = p._runs
         assert len(nums) == len(dens) == len(spans)
         flat = [
             (i, Fraction(num, den))
@@ -558,7 +555,8 @@ class TestBlockCompile:
         keys = list(zip(nums, dens))
         assert all(a != b for a, b in zip(keys, keys[1:]))
         assert all(type(first) is type(length) is int for first, length in spans)
-        assert certain == next((i for i, q in flat if q == 1), None)
+        assert rule_levels(p._runs, 0) == [acceptance_set(p, 0)]
+        assert acceptance_set(p, 0) == tuple(i for i, q in flat if q == 1)
 
     def test_uniform_vector_compiles_to_the_die(self):
         for n in range(1, 301):
@@ -576,9 +574,9 @@ class TestBlockCompile:
 
 def reference_levels(record):
     """The level rule as a list of acceptance sets, one per level 0, 1,
-    2, ..., from the runs of a compiled record, its certain field unread,
-    copying every accepted outcome: the reference for the run walk."""
-    _, nums, dens, spans = record
+    2, ..., from the runs of a compiled record, copying every accepted
+    outcome: the reference for the run walk."""
+    nums, dens, spans = record
     residuals = list(nums)
     indices = range(len(dens))
     while True:
@@ -658,7 +656,7 @@ class TestReferenceSampler:
         # neither the build nor a draw may walk the one run of n outcomes
         monkeypatch.setattr(discrete, "range", Unwalkable, raising=False)
         p = ProbabilityVector([Fraction(1, n)] * n)
-        assert p._runs[3] == ((1, n),)
+        assert p._runs[2] == ((1, n),)
         source = SeededSource(13)
         outcomes = [sample(p, source).outcome for _ in range(100)]
         assert all(1 <= x <= n for x in outcomes)
@@ -669,18 +667,18 @@ class TestHugeRuns:
     len() of a range can count (2^63 - 1) compiles, levels and samples."""
 
     def test_the_die_record_is_its_one_span(self):
-        assert _die(HUGE_DIE) == (None, (1,), (HUGE_DIE,), ((1, HUGE_DIE),))
+        assert _die(HUGE_DIE) == ((1,), (HUGE_DIE,), ((1, HUGE_DIE),))
 
     def test_levels_of_the_huge_die(self):
         # 1/(2^64 + 1) = (2^64 - 1)/(2^128 - 1): bits 65..128 are ones, then it repeats
         empty, full = (0, []), (HUGE_DIE, [(1, HUGE_DIE)])
-        levels = list(islice(_levels(_die(HUGE_DIE)), 192))
-        assert levels == [empty] * 64 + [full] * 64 + [empty] * 64
+        levels = list(islice(_levels(_die(HUGE_DIE)), 193))
+        assert levels == [empty] * 65 + [full] * 64 + [empty] * 64
 
     def test_levels_of_two_huge_runs(self):
-        levels = list(islice(_levels(TWIN_HUGE_RUNS), 80))
-        assert levels[70] == (1 << 71, list(TWIN_HUGE_RUNS[3]))
-        assert [k for k, _ in levels[:70] + levels[71:]] == [0] * 79
+        levels = list(islice(_levels(TWIN_HUGE_RUNS), 81))
+        assert levels[71] == (1 << 71, list(TWIN_HUGE_RUNS[2]))
+        assert [k for k, _ in levels[:71] + levels[72:]] == [0] * 80
 
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize(
@@ -692,18 +690,19 @@ class TestHugeRuns:
         # both records are uniform: the twin runs are the die 2^71 split in two
         p = copy.copy(ProbabilityVector(["1/2", "1/2"]))
         p._runs = record
-        p._table = (), record[1]
+        p._table = (), record[0]
         for seed in (1, 2, 3):
             fast, slow = SeededSource(seed), SeededSource(seed)
             assert [sample(p, fast, trace) for _ in range(20)] == [
                 roll(sides, slow, trace) for _ in range(20)
             ]
             assert fast.flips_consumed == slow.flips_consumed
-        assert len(p._table[0]) == table_depth(p)
+        assert len(p._table[0]) == table_depth(p) + 1
 
 
 def table_depth(p: ProbabilityVector) -> int:
-    """How many levels ``sample`` keeps in ``p``'s table at most."""
+    """The deepest level ``sample`` keeps in ``p``'s table, whose levels
+    start at level 0."""
     return discrete._TABLE_BITS + len(p).bit_length()
 
 
@@ -721,9 +720,9 @@ class TestLevelTable:
         p = ProbabilityVector(["1/3", "2/3"])
         assert p._table[0] == ()
         assert sample(p, ReplaySource([1, 1, 0])) == TracedRoll(2, 3)
-        assert p._table[0] == ((1, [(2, 1)]), (1, [(1, 1)]), (1, [(2, 1)]))
+        assert p._table[0] == ((0, []), (1, [(2, 1)]), (1, [(1, 1)]), (1, [(2, 1)]))
         assert sample(p, ReplaySource([0])) == TracedRoll(2, 1)
-        assert len(p._table[0]) == 3
+        assert len(p._table[0]) == 4
 
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     def test_draws_past_the_table_match_the_reference(self, trace):
@@ -738,7 +737,7 @@ class TestLevelTable:
         draws = [sample(p, fast, trace) for _ in range(4)]
         assert draws == [reference_sample(p, slow, trace) for _ in range(4)]
         assert [r.flips for r in draws] == [cap + 11, cap + 11, 1, 3]
-        assert len(p._table[0]) == cap
+        assert len(p._table[0]) == cap + 1
         assert fast.flips_consumed == len(bits)
 
     @pytest.mark.parametrize(
@@ -781,7 +780,7 @@ class TestLevelTable:
         k = 1024
         total = k * (k + 1) // 2
         p = ProbabilityVector([Fraction(i, total) for i in range(1, k + 1)])
-        assert len(p._runs[1]) == k
+        assert len(p._runs[0]) == k
         assert_draws_match_the_reference(p, 30)
 
 
@@ -793,7 +792,7 @@ class TestWarmDraws:
         p = ProbabilityVector(["1/3", "2/3"])
         cap = table_depth(p)
         sample(p, ReplaySource([1] * (cap + 10) + [0]))
-        assert len(p._table[0]) == cap
+        assert len(p._table[0]) == cap + 1
         started = []
         deeper = discrete._deeper
 
@@ -807,18 +806,18 @@ class TestWarmDraws:
         assert started == []
         # one draw past the cap starts one walk, from the table's end
         assert sample(p, ReplaySource([1] * cap + [0])).flips == cap + 1
-        assert started == [cap]
+        assert started == [cap + 1]
 
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     def test_a_draw_that_outruns_the_table_grows_it_mid_draw(self, trace):
         p = ProbabilityVector(["1/3", "2/3"])
         sample(p, ReplaySource([1, 1, 0]))
-        assert len(p._table[0]) == 3
+        assert len(p._table[0]) == 4
         # a 1 always recycles (x = 2 > k = 1), so seven of them carry the draw to level 8
         bits = [1] * 7 + [0]
         fast, slow = ReplaySource(bits), ReplaySource(bits)
         draw = sample(p, fast, trace)
         assert draw == reference_sample(p, slow, trace)
         assert draw.flips == 8
-        assert len(p._table[0]) == 8 < table_depth(p)
+        assert len(p._table[0]) == 9 < table_depth(p) + 1
         assert fast.flips_consumed == len(bits)
