@@ -1,16 +1,15 @@
 """Fair-bit suppliers with exact accounting of how many bits were drawn.
 
-Every sampler in this package pulls single bits from a ``BitSource``.  The
-source counts each successful draw, so the entropy cost of any run can be
-read off ``flips_consumed`` afterwards.  Two backends are provided: a
-scripted ``ReplaySource`` that plays back fixed bits, used by the tests,
-and a seeded ``SeededSource`` for actual random sampling.
+Every sampler here pulls single bits from a ``BitSource``, which counts each
+draw, so ``flips_consumed`` is the entropy cost of a run.  ``ReplaySource``
+plays back fixed bits for the tests.  ``SeededSource`` takes SplitMix64's
+steps with 0x9E3779B97F4A7C15, 0xBF58476D1ED4CE4B and 0x94D049BB133111EB;
+splitmix64.c has 0xBF58476D1CE4E5B9 second, so the streams are not its.
 """
 
 import abc
 
-# A bit is a plain int restricted to {0, 1}.
-Bit = int
+Bit = int  # a plain int restricted to {0, 1}
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,9 +35,7 @@ class BitSource(abc.ABC):
         """Produce the next bit, or raise SourceExhausted."""
 
     def next_bit(self) -> Bit:
-        bit = self._draw()
-        # counted only after a successful draw, so exhaustion leaves the
-        # tally equal to the bits actually handed out
+        bit = self._draw()  # an exhausted source raises here, so the tally counts bits handed out
         self.flips_consumed += 1
         return bit
 
@@ -74,23 +71,21 @@ def _splitmix64(state: int) -> tuple[int, int]:
 class SeededSource(BitSource):
     """Deterministic pseudorandom bit stream.
 
-    Generator: SplitMix64 over a 64-bit state initialised to ``seed``
-    (taken mod 2**64).  Each 64-bit output word is served one bit at a
-    time, least-significant bit first.  The same seed always reproduces
-    the identical bit stream.
+    Generator: ``_splitmix64`` with 0x9E3779B97F4A7C15, 0xBF58476D1ED4CE4B
+    and 0x94D049BB133111EB over a 64-bit state set to ``seed`` mod 2**64.
+    Words go out least significant bit first; ``_word`` keeps the unread
+    bits below a stop bit.  Seed 0 starts 0x5b3408bf8c8e5572, bit 0 first.
     """
 
     def __init__(self, seed: int) -> None:
         super().__init__()
         self._state = seed & _MASK64
-        self._word = 0
-        self._left = 0
+        self._word = 1
 
     def _draw(self) -> Bit:
-        if self._left == 0:
-            self._state, self._word = _splitmix64(self._state)
-            self._left = 64
-        bit = self._word & 1
-        self._word >>= 1
-        self._left -= 1
-        return bit
+        word = self._word
+        if word == 1:
+            self._state, word = _splitmix64(self._state)
+            word |= 1 << 64
+        self._word = word >> 1
+        return word & 1

@@ -10,6 +10,7 @@ byte-identical between runs.
 import argparse
 import json
 import math
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -230,11 +231,12 @@ def naive_rejection_roll(n: int, source: BitSource) -> tuple[int, int]:
     """Baseline die roll: draw ceil(log2 n) bits, retry on overflow,
     discarding all bits of a failed attempt.  Returns (outcome, flips)."""
     k = analysis.ceil_log2(n)
+    next_bit = source.next_bit
     flips = 0
     while True:
         value = 0
         for _ in range(k):
-            value = (value << 1) | source.next_bit()
+            value = (value << 1) | next_bit()
         flips += k
         if value < n:
             return value + 1, flips
@@ -345,6 +347,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout then ends the process quietly, status 141
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -86,14 +86,14 @@ class ProbabilityVector:
         probs = tuple(_as_exact_fraction(e) for e in entries)
         if not probs:
             raise InvalidDistribution("distribution needs at least one outcome")
-        for i, q in enumerate(probs, start=1):
-            if q.numerator < 0:
-                raise InvalidDistribution(f"outcome {i} has negative probability {_frac(q)}")
         # one run per maximal block of equal neighbours, so each level
         # costs O(runs); only neighbours merge, which keeps acceptance
-        # lists ascending
+        # lists ascending; a run's first outcome is its first negative one
         nums, dens, spans, first = [], [], [], 1
         for (num, den), block in groupby((q.numerator, q.denominator) for q in probs):
+            if num < 0:
+                q = probs[first - 1]
+                raise InvalidDistribution(f"outcome {first} has negative probability {_frac(q)}")
             length = sum(1 for _ in block)
             nums.append(num)
             dens.append(den)

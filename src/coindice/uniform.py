@@ -61,13 +61,13 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
 
 def _roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
     """``roll`` of an n its caller has checked once for many rolls."""
+    next_bit = source.next_bit
     x, m = 1, 1
     flips = 0
     states = [RecyclerState(1, 1)] if trace else None
     while m < n:
-        bit = source.next_bit()
+        x += next_bit() * m
         flips += 1
-        x += bit * m
         m *= 2
         if states is not None:
             states.append(RecyclerState(x, m))

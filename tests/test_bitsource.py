@@ -64,3 +64,27 @@ def test_bit_mean_is_fair():
     total = sum(source.next_bit() for _ in range(10**6))
     assert 0.497 <= total / 10**6 <= 0.503
     assert source.flips_consumed == 10**6
+
+
+def _words(source, count):
+    """The next ``count`` 64-bit words of ``source``, each read from bit 0 up."""
+    return [sum(source.next_bit() << i for i in range(64)) for _ in range(count)]
+
+
+def test_seed_zero_known_answer():
+    # the generator's own constants (see the bitsource docstring), not
+    # splitmix64.c's, whose seed 0 starts 0xe220a8397b1dcdaf; the second
+    # word is read across the first refill
+    source = SeededSource(0)
+    assert _words(source, 2) == [0x5B3408BF8C8E5572, 0x1BAEF75D34A0C698]
+    assert source.flips_consumed == 128
+
+
+def test_seed_is_taken_mod_2_64():
+    assert _words(SeededSource(2**64 + 5), 3) == _words(SeededSource(5), 3)
+
+
+def test_seeded_source_keeps_one_word_and_its_state():
+    source = SeededSource(3)
+    source.next_bit()
+    assert sorted(vars(source)) == ["_state", "_word", "flips_consumed"]

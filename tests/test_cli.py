@@ -3,6 +3,9 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -438,6 +441,29 @@ class TestErrorBoundary:
 
         monkeypatch.setattr(ddg, "build_from_uniform", overflow)
         assert run_cli(capsys, "tree", "--die", "5") == (1, "", "error: too big\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_console_entry_ends_quietly_when_the_reader_closes_the_pipe():
+    # run(), the console entry point, restores the default SIGPIPE action;
+    # 200000 lines outrun the pipe buffer, so a write follows the close
+    src = os.path.dirname(os.path.dirname(coindice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["sample", "--die", "6", "--count", "200000", "--seed", "1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "coindice.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first in {b"%d\n" % side for side in range(1, 7)}
+    assert code == -signal.SIGPIPE
+    assert err == b""
 
 
 class TestSidesCheckedOnce:

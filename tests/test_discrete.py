@@ -123,6 +123,11 @@ class TestProbabilityVector:
                 ProbabilityVector(entries)
             assert str(exc.value) == "outcome 2 has negative probability -1/2"
 
+    def test_a_negative_run_is_named_by_its_first_outcome(self):
+        with pytest.raises(InvalidDistribution) as exc:
+            ProbabilityVector(["1/4", "1/4", "-1/8", "-1/8", "-1/8", "7/8"])
+        assert str(exc.value) == "outcome 3 has negative probability -1/8"
+
     def test_build_adds_one_fraction_per_run(self, monkeypatch):
         added = []
         for name in ("__add__", "__radd__"):
