@@ -195,13 +195,12 @@ def cmd_tree(args) -> int:
 
 def cmd_oracle_dump(args) -> int:
     _, _, record = _target(args)
-    states, leaves, _ = oracle._expand(record, args.depth)
-    for history in sorted(states, key=lambda h: (len(h), h)):
-        x, m = states[history]
-        line = f'{len(history)} "{history}" ({x}, {m})'
-        if history in leaves:
-            line += f" -> {leaves[history]}"
-        print(line)
+    for k, m, nodes in oracle._expand(record, args.depth):
+        for history, x, outcome in nodes:
+            if outcome is None:
+                print(f'{len(history)} "{history}" ({x}, {m})')
+            else:
+                print(f'{len(history)} "{history}" ({x}, {k}) -> {outcome}')
     return EXIT_OK
 
 

@@ -10,12 +10,12 @@ Two builders are provided: ``build_canonical`` places leaves straight
 from ``acceptance_set``, the random-access expansion bits of the
 probabilities (the optimal shape), and ``build_from_uniform`` /
 ``build_from_discrete`` materialise whatever tree the samplers actually
-walk, in O(nodes), from the oracle's one trie walk of their (x, m)
-states under the samplers' own level rules: a history that terminates
-is a leaf, one still running is internal.  The tests keep a reference
-builder that replays the samplers on every history.  ``check_optimal``
-compares any tree against the expansion-bit characterisation of
-optimality.
+walk, in O(nodes), from the node lists of the oracle's one trie walk
+under the samplers' own level rules: a history that terminates carries
+its outcome and is a leaf, one still running is internal.  The tests
+keep a reference builder that replays the samplers on every history.
+``check_optimal`` compares any tree against the expansion-bit
+characterisation of optimality.
 """
 
 from bisect import bisect_right
@@ -94,14 +94,17 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
 
 def build_from_uniform(n: int, depth_bound: int) -> DdgTree:
     """The tree the n-sided die roller actually walks."""
-    states, leaves, _ = _expand(_die(n), depth_bound)
-    return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
+    return _tree(_die(n), depth_bound)
 
 
 def build_from_discrete(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """The tree the discrete sampler actually walks."""
-    states, leaves, _ = _expand(p._runs, depth_bound)
-    return DdgTree({h: leaves.get(h, INTERNAL) for h in states}, depth_bound)
+    return _tree(p._runs, depth_bound)
+
+
+def _tree(record, depth_bound: int) -> DdgTree:
+    walk = _expand(record, depth_bound)
+    return DdgTree({h: out for _, _, nodes in walk for h, _, out in nodes}, depth_bound)
 
 
 def census(tree: DdgTree) -> dict[tuple[int, int], int]:
@@ -173,15 +176,16 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
     ]
     # one expansion bit per run and level: a uniform target is a single run
     probs = [(Fraction(num, den), run) for num, den, run in zip(nums, dens, runs)]
+    # checked to the depth bound; the mass check left no 1 bit past a complete tree's leaves
+    last = min(depth, tree.depth_bound) if complete else tree.depth_bound
     expected = {
         (level, i)
-        for level in range(tree.depth_bound + 1)
+        for level in range(last + 1)
         for q, run in probs
         if expansion_bit(q, level)
         for i in run
     }
-    # levels past the depth bound go unchecked, as in expected
-    single = {key for key, count in counts.items() if count == 1 and key[0] <= tree.depth_bound}
+    single = {key for key, count in counts.items() if count == 1 and key[0] <= last}
     for level, i in sorted((expected - counts.keys()) | (single - expected)):
         got = counts.get((level, i), 0)
         violations.append(

@@ -197,7 +197,8 @@ def _levels(record, residuals=None):
     ``sample`` and ``oracle._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
     after level j the live m is the sum over runs of
-    length * (num * 2^j mod den) / den, never negative.
+    length * (num * 2^j mod den) / den, never negative.  So the trie walk
+    of level j holds k leaves, x = 1..k, and m live histories, x = 1..m.
     """
     nums, dens, spans = record
     if residuals is None:

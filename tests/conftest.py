@@ -73,7 +73,11 @@ def walk(record, depth: int):
     each bit history's post-resolution RecyclerState (a terminating
     history keeps its final state), and the exact tallies of the walk."""
     expanded = _expand(record, depth)
-    states = {h: RecyclerState(*s) for h, s in expanded[0].items()}
+    states = {
+        h: RecyclerState(x, m if outcome is None else k)
+        for k, m, nodes in expanded
+        for h, x, outcome in nodes
+    }
     return states, _tally(expanded, depth)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import coindice
-from coindice import analysis, cli, ddg, discrete
+from coindice import analysis, cli, ddg, discrete, oracle
 from coindice.cli import main, naive_rejection_roll
 from coindice import (
     ProbabilityVector,
@@ -441,6 +441,41 @@ class TestErrorBoundary:
 
         monkeypatch.setattr(ddg, "build_from_uniform", overflow)
         assert run_cli(capsys, "tree", "--die", "5") == (1, "", "error: too big\n")
+
+
+class TestWalkBudget:
+    """A trie walk past ``oracle.WALK_BUDGET`` history characters ends at
+    once with exit 1 and one stderr line that names the budget, and a
+    complete tree costs the same at any depth bound.  The time limits are
+    wide margins over runs of about 0.1 s: they catch a walk or a check
+    that grows with the depth bound, not a slow machine."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--die", str(2**80)],
+            ["oracle-dump", "--die", "1000003", "--depth", "60"],
+            ["tree", "--dist", "1/3,2/3", "--depth", "100000000"],
+        ],
+        ids=["tree-default-depth", "oracle-dump-deep", "tree-deep"],
+    )
+    def test_walk_past_the_budget_exits_1_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: trie walk to depth ")
+        assert f"walk budget of {oracle.WALK_BUDGET} history characters" in err
+
+    @pytest.mark.parametrize("target", [["--die", "2"], ["--dist", "1/2,1/2"]], ids=["die", "dist"])
+    def test_check_of_a_complete_tree_stops_at_its_deepest_leaf(self, capsys, target):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "tree", *target, "--depth", "1000000000", "--check")
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "optimal\n")
+        assert 'r1 [shape=box, label="2"];' in out
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")

@@ -3,11 +3,12 @@ exit 1 prints exactly one stderr line.
 
 Argv is built from the grammar of every subcommand, with both target
 kinds, malformed --dist tokens and JSON, zero and negative sizes, and
-sizes up to 2^80 where the command stays cheap: ``sample``, ``tree`` at
-depth 2 or less, ``oracle-dump`` at depth 2 or its default 6, and
-``analyze`` of a power of two times a small odd factor.  Cases whose work
-is still unbounded stay out: ``analyze --die`` of a large odd n, deep
-``--depth``, and ``chisq`` over a large die.
+sizes up to 2^80 where the command stays cheap: ``sample``, ``tree`` and
+``oracle-dump`` at any depth up to 10^9 or their default one (the trie
+walk's budget bounds them), and ``analyze`` of a power of two times a
+small odd factor.  Cases whose work is still unbounded stay out:
+``analyze --die`` of a large odd n, deep ``analyze --depth``, and
+``chisq`` over a large die.
 """
 
 import io
@@ -113,12 +114,17 @@ ANALYZE = command(
     flag("--depth", sizes(12)),
     switch("--json"),
 )
-# tree's default depth, 2 log2(n) + 8, is far too deep for a big die
+# shallow trees of big dice finish and print a graph
 TREE = command("tree", target(BIG), option("--depth", sizes(2)), switch("--check")) | command(
     "tree", target(64), flag("--depth", sizes(10)), switch("--check")
 )
 ORACLE = command("oracle-dump", target(BIG), flag("--depth", sizes(2))) | command(
     "oracle-dump", target(64), flag("--depth", sizes(8))
+)
+# the walk budget ends any deeper walk with one error line
+DEEP = st.one_of(sizes(10**9), st.integers(1, 3000).map(str))
+DEEP_WALKS = command("tree", target(BIG), flag("--depth", DEEP), switch("--check")) | command(
+    "oracle-dump", target(BIG), flag("--depth", DEEP)
 )
 # at least 50 draws per outcome, so most runs reach the test
 CHISQ_COUNTS = st.one_of(st.integers(400, 600).map(str), st.integers(-5, 600).map(str), BAD_SIZES)
@@ -134,7 +140,7 @@ BENCH = command(
 # tokens a user may add by mistake: an unknown flag, a second target, a stray word
 MISTAKES = st.sampled_from([["--bogus"], ["--die", "3"], ["--dist", "1/2,1/2"], ["extra"]])
 NOISE = st.one_of(st.just([]), st.just([]), st.just([]), MISTAKES)
-ARGV = st.tuples(st.one_of(SAMPLE, ANALYZE, TREE, ORACLE, CHISQ, BENCH), NOISE).map(
+ARGV = st.tuples(st.one_of(SAMPLE, ANALYZE, TREE, ORACLE, DEEP_WALKS, CHISQ, BENCH), NOISE).map(
     lambda pair: pair[0] + pair[1]
 )
 

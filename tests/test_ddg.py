@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coindice import (
     DdgTree,
+    EnumerationResult,
     FlipDistribution,
     MassMismatch,
     OptimalityVerdict,
@@ -30,6 +31,7 @@ from coindice import (
 from coindice import ddg
 from coindice.ddg import INTERNAL, _check_optimal
 from coindice.discrete import _die
+from coindice.oracle import _expand, _tally
 from conftest import (
     HUGE_DIE,
     TWIN_HUGE_RUNS,
@@ -334,6 +336,54 @@ class TestBuildFromAlgorithm:
             assert algo == canon, p
 
 
+@st.composite
+def sampler_targets(draw):
+    """(record, run) of a die of up to 40 sides or a vector of up to 9
+    outcomes, where run draws one variate from a source."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        return _die(n), lambda source: roll(n, source)
+    weights = draw(st.lists(st.integers(0, 12), min_size=1, max_size=9).filter(any))
+    p = ProbabilityVector([Fraction(w, sum(weights)) for w in weights])
+    return p._runs, lambda source: sample(p, source)
+
+
+def replay_tally(tree: DdgTree) -> EnumerationResult:
+    """The exact tallies of a tree's leaves and frontier, one leaf at a time."""
+    leaves = dict(tree.leaves())
+    outcome_mass: dict[int, Fraction] = {}
+    flip_mass: dict[int, Fraction] = {}
+    for history, outcome in leaves.items():
+        mass = Fraction(1, 1 << len(history))
+        outcome_mass[outcome] = outcome_mass.get(outcome, Fraction(0)) + mass
+        flip_mass[len(history)] = flip_mass.get(len(history), Fraction(0)) + mass
+    return EnumerationResult(outcome_mass, flip_mass, tree.live_mass(), leaves)
+
+
+class TestTrieWalk:
+    @settings(max_examples=50, deadline=None)
+    @given(sampler_targets(), st.integers(1, 10))
+    def test_each_level_holds_k_leaves_and_m_live_histories(self, target, depth):
+        record, run = target
+        walk = _expand(record, depth)
+        live = 1
+        for level, (k, m, nodes) in enumerate(walk):
+            assert {len(h) for h, _, _ in nodes} == {level}
+            assert sorted(x for _, x, out in nodes if out is not INTERNAL) == list(range(1, k + 1))
+            assert sorted(x for _, x, out in nodes if out is INTERNAL) == list(range(1, m + 1))
+            if level:
+                assert len(nodes) == 2 * live
+            live = m
+        # the walk stops at the depth bound or at the first level where nothing runs
+        live_counts = [m for _, m, _ in walk]
+        assert 0 not in live_counts[:-1]
+        assert len(walk) == depth + 1 or live_counts[-1] == 0
+        tally = _tally(walk, depth)
+        reference = replay_tally(replay_tree(run, depth))
+        assert tally == reference
+        assert list(tally.leaf_histories) == list(reference.leaf_histories)
+
+
 class TestCheckOptimal:
     def test_flat_tree_is_valid_but_not_optimal(self):
         verdict = check_optimal(FLAT_DEPTH3_TREE, EIGHTHS)
@@ -349,6 +399,14 @@ class TestCheckOptimal:
 
     def test_canonical_tree_is_optimal(self):
         assert check_optimal(build_canonical(EIGHTHS, 3), EIGHTHS).ok
+
+    def test_complete_tree_gives_one_verdict_at_any_depth_bound(self):
+        # past its deepest leaf a complete tree has no leaf and its
+        # target no 1 bit, so the check stops there
+        flat = DdgTree(FLAT_DEPTH3_TREE.nodes, 10**9)
+        assert check_optimal(flat, EIGHTHS) == check_optimal(FLAT_DEPTH3_TREE, EIGHTHS)
+        for p in dyadic_suite()[:10]:
+            assert check_optimal(build_from_discrete(p, 10**9), p).ok
 
     def test_algorithm_tree_for_five_sided_die_is_optimal(self):
         tree = build_from_uniform(5, 12)

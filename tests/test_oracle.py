@@ -13,6 +13,7 @@ from coindice import (
     sample,
 )
 from coindice.discrete import _die
+from coindice.oracle import _expand
 from conftest import level_multisets, walk
 
 # Per-flip state multisets of the five-sided roller, derived by hand from
@@ -88,6 +89,18 @@ def test_depth_below_one_is_rejected(depth):
     with pytest.raises(ValueError) as exc:
         enumerate_uniform(5, depth)
     assert str(exc.value) == f"depth must be >= 1, got {depth}"
+
+
+def test_walk_budget_admits_depth_2895_of_thirds_and_refuses_2896():
+    # one history runs per level, so levels 1..j hold j(j + 1) characters:
+    # 2895 * 2896 <= 2^23 < 2896 * 2897
+    thirds = ProbabilityVector(["1/3", "2/3"])._runs
+    assert len(_expand(thirds, 2895)) == 2896
+    with pytest.raises(ValueError) as exc:
+        _expand(thirds, 2896)
+    assert str(exc.value) == (
+        "trie walk to depth 2896 passes the walk budget of 8388608 history characters at level 2896"
+    )
 
 
 def test_two_sided_die_depth_one():
