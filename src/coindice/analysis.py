@@ -22,7 +22,8 @@ Since q*B = 2^P - 1 this collapses to one fraction with P-bit parts,
 
 The bit-weighted sum takes ceil(log2 P) masked ANDs and P comes from
 doubling or from the Carmichael function, so no per-digit or per-state
-loop is left and memory is O(P) bits.
+loop is left and memory is O(P) bits.  P is refused past
+``PERIOD_BUDGET`` and a flip distribution's depth past ``DEPTH_BUDGET``.
 """
 
 import math
@@ -32,6 +33,12 @@ from itertools import islice
 
 from .discrete import ProbabilityVector, _die, _levels
 from .uniform import _check_sides
+
+
+# E[N] of n = 2097133 (P = 2097132) took 8.9 s, of n = 4000037 37.6 s (2-vCPU Xeon)
+PERIOD_BUDGET = 1 << 21
+# mass and output grow with depth squared: 1/3,2/3 at 2^14 took 7.5 s, 39 MB
+DEPTH_BUDGET = 1 << 14
 
 
 class BoundViolation(Exception):
@@ -91,20 +98,24 @@ def _order_of_two(q: int) -> int:
     billion steps.  Past the cap the order divides the Carmichael
     function lambda(q), read off trial-division factorisations of q and
     lambda(q) that cost no more than the doubling did, and each prime
-    factor of lambda is stripped while 2 stays a root of unity.
+    factor of lambda is stripped while 2 stays a root of unity.  An order
+    past ``PERIOD_BUDGET`` raises ValueError, and no route walks past it.
     """
     value = 2
-    for order in range(1, math.isqrt(q) + 2):
+    for order in range(1, min(math.isqrt(q) + 1, PERIOD_BUDGET) + 1):
         if value == 1:
             return order
         value = value * 2 % q
-    order = 1
-    for p, k in _factor(q).items():
-        order = math.lcm(order, p ** (k - 1) * (p - 1))
-    for p in _factor(order):
-        while order % p == 0 and pow(2, order // p, q) == 1:
-            order //= p
-    return order
+    if math.isqrt(q) < PERIOD_BUDGET:  # else the doubling stopped at the budget
+        order = 1
+        for p, k in _factor(q).items():
+            order = math.lcm(order, p ** (k - 1) * (p - 1))
+        for p in _factor(order):
+            while order % p == 0 and pow(2, order // p, q) == 1:
+                order //= p
+        if order <= PERIOD_BUDGET:
+            return order
+    raise ValueError(f"the period of 1/n passes the period budget of {PERIOD_BUDGET} bits")
 
 
 def _factor(m: int) -> dict[int, int]:
@@ -166,6 +177,8 @@ def _flip_distribution(record, depth: int) -> FlipDistribution:
     |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
     outcomes the level rule accepts at level j, with the mass beyond
     ``depth`` as the residual."""
+    if depth > DEPTH_BUDGET:
+        raise ValueError(f"depth {depth} passes the depth budget of {DEPTH_BUDGET} levels")
     leaves = [k for k, _ in islice(_levels(record), depth + 1)]
     mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
     return FlipDistribution(mass, 1 - _exact_sum([(k, 1 << j) for j, k in enumerate(leaves)]))

@@ -251,8 +251,8 @@ def _bench(roll_one, n: int, count: int, seed: int) -> tuple[float, float]:
 
 
 def cmd_bench(args) -> int:
-    for n in args.die:
-        expected = analysis.exact_expected_flips(n)
+    expectations = [analysis.exact_expected_flips(n) for n in args.die]  # every budget first
+    for n, expected in zip(args.die, expectations):
         k = analysis.ceil_log2(n)
         naive_expected = k * Fraction(1 << k, n)
         recycler_rate, recycler_time = _bench(roll, n, args.count, args.seed)

@@ -11,15 +11,15 @@ that share the probability num/den its numerator, denominator and span
 equal neighbours, so 1/n x n compiles to the die's record, one run
 (1, n, (1, n)), which ``_die`` builds in O(1).  The sampler, the oracle,
 the tree checks and the analysis all read that record.  The level rule
-reads the acceptance sets off integer residuals, one per run, from level
-0, whose one possible leaf is an outcome of probability 1: comparing
-2 * (num * 2^j mod den) with den gives bit j + 1 of every outcome in the
-run at once, with no drift, no rounding and memory linear in the input.  A
-level yields its accepted spans, no outcome listed, and the sampler
-finds the x-th accepted outcome by walking their lengths.  ``sample``
-pays a level's O(runs) once per target, into a capped table: a warm draw
-reads its levels directly, and ``_deeper`` runs only when a draw outruns
-it.
+reads the acceptance sets off one integer residual per run, num * 2^j
+mod 2 * den on entering level j (num at level 0, whose one possible leaf
+is an outcome of probability 1), so it opens at any level; comparing it
+with den gives bit j of every outcome in the run at once, with no drift,
+no rounding and memory linear in the input.  A level yields its accepted
+spans, no outcome listed, and the sampler finds the x-th accepted
+outcome by walking their lengths.  ``sample`` keeps the levels draws
+have reached in a capped table: a warm draw reads them directly, and
+``_deeper`` opens the rule at the table's end when a draw outruns it.
 ``expansion_bit`` and ``acceptance_set`` compute the same bits by random
 access and stay the reference the tests and the canonical tree builder use.
 """
@@ -104,7 +104,7 @@ class ProbabilityVector:
             raise InvalidDistribution(f"probabilities sum to {_frac(total)}, expected exactly 1")
         self.probs = probs
         self._runs = tuple(nums), tuple(dens), tuple(spans)
-        self._table = (), self._runs[0]  # the levels sample has reached; see _deeper
+        self._table = ()  # the levels sample has reached; see _deeper
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -182,17 +182,17 @@ def _die(n: int):
     return (1,), (n,), ((1, n),)
 
 
-def _levels(record, residuals=None):
-    """(k, accepted spans) of each level 0, 1, ... of the DDG tree of a
-    compiled ``record`` (see the module docstring), where k is the number
-    of accepted outcomes, the summed length of the spans.
+def _levels(record, start=0):
+    """(k, accepted spans) of each level start, start + 1, ... of the DDG
+    tree of a compiled ``record`` (see the module docstring), where k is
+    the number of accepted outcomes, the summed length of the spans.
 
-    Keeps a working residual per run: it starts from the numerators, or
-    from the given ``residuals``, which it updates in place.  A level
-    accepts the outcomes of every run whose residual reaches den, takes den
-    off it and doubles it, so after level j it is 2 * (num * 2^j mod den),
-    below twice den.  Level 0 accepts only a run with num = den, the
-    outcome of probability 1.
+    Opens with one residual per run, num * 2^start mod 2 * den (num at
+    level 0), so no state carries over from an earlier walk.  A level
+    accepts the outcomes of every run whose residual reaches den, takes
+    den off it and doubles it, so after level j it is
+    2 * (num * 2^j mod den).  Level 0 accepts only a run with num = den,
+    the outcome of probability 1.
 
     ``sample`` and ``oracle._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
@@ -201,8 +201,7 @@ def _levels(record, residuals=None):
     of level j holds k leaves, x = 1..k, and m live histories, x = 1..m.
     """
     nums, dens, spans = record
-    if residuals is None:
-        residuals = list(nums)
+    residuals = [(num << start) % (2 * den) for num, den in zip(nums, dens)]
     indices = range(len(dens))
     while True:
         k, accepted = 0, []
@@ -218,20 +217,18 @@ def _levels(record, residuals=None):
 
 
 def _deeper(p: ProbabilityVector, table):
-    """The levels of ``p`` past its ``table`` (the (k, accepted spans) of
-    levels 0..j, the residuals 2 * (num * 2^j mod den) kept after level j),
-    each added to the table up to level ``_TABLE_BITS + len(p).bit_length()``.
-    Live m stays below len(p), so a draw flips past that level with
-    probability < 2^-_TABLE_BITS; it walks the rule on from a copy of the
-    kept residuals.  ``sample`` starts it only when a draw outruns the
-    table, from the table that draw read."""
-    levels, residuals = table
-    while len(levels) <= _TABLE_BITS + len(p).bit_length():
-        residuals = list(residuals)
-        levels += (next(_levels(p._runs, residuals)),)
-        p._table = levels, residuals  # one store: no interrupt or thread sees it torn
-        yield levels[-1]
-    yield from _levels(p._runs, list(residuals))
+    """The levels of ``p`` past its ``table``, the (k, accepted spans) of
+    levels 0..len(table) - 1, by the rule opened at level len(table).
+    Each is added to the table up to level
+    ``_TABLE_BITS + len(p).bit_length()``: live m stays below len(p), so
+    a draw flips past that level with probability < 2^-_TABLE_BITS.
+    ``sample`` starts it only when a draw outruns the table, from the
+    table that draw read."""
+    for level in _levels(p._runs, len(table)):
+        if len(table) <= _TABLE_BITS + len(p).bit_length():
+            table += (level,)
+            p._table = table  # one store: no interrupt or thread sees it torn
+        yield level
 
 
 def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
@@ -247,7 +244,7 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     """
     table = p._table
     next_bit = source.next_bit
-    x, m, level, levels = 1, 1, 0, table[0]
+    x, m, level, levels = 1, 1, 0, table
     states = [RecyclerState(1, 1)] if trace else None
     while True:  # the table's levels, then, once a draw outruns them, _deeper's
         for k, accepted in levels:

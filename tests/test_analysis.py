@@ -224,6 +224,36 @@ class TestOrderOfTwo:
             assert _order_of_two(q) == order, q
 
 
+class TestPeriodBudget:
+    """An order of two past ``analysis.PERIOD_BUDGET`` raises ValueError
+    by either route, doubling or the Carmichael function, before the
+    quadratic gcd of E[N] starts."""
+
+    def test_largest_admitted_period_is_found(self):
+        # 2097133 is prime with period 2097132, 20 below the budget
+        assert analysis.PERIOD_BUDGET == 1 << 21
+        assert _order_of_two(2097133) == 2097132
+
+    @pytest.mark.parametrize("n", [4000037, 100000007, 10**30])
+    def test_period_past_the_budget_raises_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            exact_expected_flips(n)
+        assert time.perf_counter() - start < 10
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "the period of 1/n passes the period budget of 2097152 bits"
+
+    @pytest.mark.parametrize(
+        "q, order", [(2**61 - 1, 61), (4000037, 4000036)], ids=["doubling", "carmichael"]
+    )
+    def test_budget_admits_an_order_equal_to_it(self, monkeypatch, q, order):
+        monkeypatch.setattr(analysis, "PERIOD_BUDGET", order)
+        assert _order_of_two(q) == order
+        monkeypatch.setattr(analysis, "PERIOD_BUDGET", order - 1)
+        with pytest.raises(ValueError, match="period budget of"):
+            _order_of_two(q)
+
+
 class TestFlipDistributionUniform:
     def test_five_sided_levels(self):
         fd = flip_distribution_uniform(5, 8)
@@ -247,6 +277,15 @@ class TestFlipDistributionUniform:
         fd = flip_distribution_uniform(1, 4)
         assert fd.mass == {0: Fraction(1)}
         assert fd.expectation() == 0
+
+    def test_largest_admitted_depth_passes_and_the_next_raises(self):
+        assert analysis.DEPTH_BUDGET == 1 << 14
+        fd = flip_distribution_uniform(1, analysis.DEPTH_BUDGET)
+        assert fd.mass == {0: Fraction(1)}
+        with pytest.raises(ValueError) as exc:
+            flip_distribution_uniform(1, analysis.DEPTH_BUDGET + 1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "depth 16385 passes the depth budget of 16384 levels"
 
     def test_negative_depth_is_rejected(self):
         # without the check, islice raises a ValueError of its own wording

@@ -478,6 +478,39 @@ class TestWalkBudget:
         assert 'r1 [shape=box, label="2"];' in out
 
 
+class TestAnalysisBudgets:
+    """``analyze`` and ``bench`` past ``analysis.PERIOD_BUDGET`` or
+    ``analysis.DEPTH_BUDGET`` exit 1 with one stderr line that names the
+    budget.  The time limit is a wide margin over runs of under 0.5 s."""
+
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (["analyze", "--die", str(10**30)], "period budget of 2097152 bits"),
+            (["bench", "--die", str(10**30), "--count", "1"], "period budget of 2097152 bits"),
+            # every size is checked before the first one prints
+            (["bench", "--die", f"5,{10**30}", "--count", "1"], "period budget of 2097152 bits"),
+            (["analyze", "--die", "3", "--depth", str(10**9)], "depth budget of 16384 levels"),
+            (["analyze", "--dist", "1/3,2/3", "--depth", str(10**9)], "depth budget of 16384 levels"),
+        ],
+        ids=[
+            "analyze-period",
+            "bench-period",
+            "bench-second-size",
+            "analyze-die-depth",
+            "analyze-dist-depth",
+        ],
+    )
+    def test_work_past_a_budget_exits_1_at_once(self, capsys, argv, budget):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert budget in err
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_console_entry_ends_quietly_when_the_reader_closes_the_pipe():
     # run(), the console entry point, restores the default SIGPIPE action;

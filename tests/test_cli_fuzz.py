@@ -5,10 +5,11 @@ Argv is built from the grammar of every subcommand, with both target
 kinds, malformed --dist tokens and JSON, zero and negative sizes, and
 sizes up to 2^80 where the command stays cheap: ``sample``, ``tree`` and
 ``oracle-dump`` at any depth up to 10^9 or their default one (the trie
-walk's budget bounds them), and ``analyze`` of a power of two times a
-small odd factor.  Cases whose work is still unbounded stay out:
-``analyze --die`` of a large odd n, deep ``analyze --depth``, and
-``chisq`` over a large die.
+walk's budget bounds them), and ``analyze`` and ``bench`` of a power of
+two times an odd factor below 16 or at least 2^50, and ``analyze`` at
+depths up to 12 or past its depth budget (the period and depth budgets
+bound them).  ``chisq`` over a large die, whose work is still unbounded,
+stays out.
 """
 
 import io
@@ -19,6 +20,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coindice.analysis import DEPTH_BUDGET
 from coindice.cli import main
 
 BAD_SIZES = st.one_of(
@@ -95,6 +97,13 @@ BIG = 2**80
 ANALYZABLE = st.builds(
     lambda odd, k: str(odd << k), st.integers(0, 7).map(lambda i: 2 * i + 1), st.integers(0, 80)
 )
+# a power of two times an odd factor of at least 2^50: the period budget
+# refuses it in under 1 s, unless its period is short
+BIG_ODD = st.builds(
+    lambda odd, k: str(odd << k), st.integers(2**50, 2**80).map(lambda v: v | 1), st.integers(0, 30)
+)
+# shallow, or past the depth budget, which refuses it at once
+ANALYZE_DEPTHS = st.one_of(sizes(12), st.integers(DEPTH_BUDGET + 1, 10**9).map(str))
 
 
 def command(name: str, *parts):
@@ -110,8 +119,13 @@ SAMPLE = command(
 )
 ANALYZE = command(
     "analyze",
-    st.one_of(target(300), option("--die", ANALYZABLE), option("--sweep", sizes(40))),
-    flag("--depth", sizes(12)),
+    st.one_of(
+        target(300),
+        option("--die", ANALYZABLE),
+        option("--die", BIG_ODD),
+        option("--sweep", sizes(40)),
+    ),
+    flag("--depth", ANALYZE_DEPTHS),
     switch("--json"),
 )
 # shallow trees of big dice finish and print a graph
@@ -132,7 +146,7 @@ CHISQ = command("chisq", target(8), flag("--count", CHISQ_COUNTS), flag("--seed"
 # bench's default count, 100000 rolls per size, takes too long here
 BENCH = command(
     "bench",
-    flag("--die", st.lists(sizes(40), min_size=1, max_size=3).map(",".join)),
+    flag("--die", st.lists(sizes(40) | ANALYZABLE | BIG_ODD, min_size=1, max_size=3).map(",".join)),
     option("--count", sizes(30)),
     flag("--seed", SEEDS),
     switch("--json"),

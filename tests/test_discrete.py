@@ -409,6 +409,18 @@ class TestLevelRule:
             depth = rule_depth(p)
             assert rule_levels(_die(n), depth) == expansion_levels(p, depth), n
 
+    @given(
+        st.one_of(
+            weighted_runs.map(lambda weighted: blocks_vector(weighted)._runs),
+            st.sampled_from([_die(HUGE_DIE), TWIN_HUGE_RUNS]),
+        ),
+        st.integers(0, 200),
+    )
+    @settings(max_examples=100)
+    def test_rule_opened_at_any_level_continues_the_sequential_rule(self, record, start):
+        sequential = list(islice(_levels(record), start + 40))
+        assert list(islice(_levels(record, start), 40)) == sequential[start:]
+
     @given(weighted_runs)
     @settings(max_examples=100)
     def test_live_m_is_the_residual_mass(self, weighted):
@@ -457,7 +469,7 @@ def entry_record(p: ProbabilityVector):
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
     ref = copy.copy(p)
     ref._runs = entry_record(p)
-    ref._table = (), ref._runs[0]
+    ref._table = ()
     return ref
 
 
@@ -507,7 +519,7 @@ def assert_layers_match_the_per_entry_compile(p: ProbabilityVector, depth: int) 
     results = walk_results(p, depth)
     ref = compiled_per_entry(p)
     assert walk_results(ref, depth) == results
-    assert all(length == 1 for _, spans in ref._table[0] for _, length in spans)
+    assert all(length == 1 for _, spans in ref._table for _, length in spans)
 
 
 class TestBlockCompile:
@@ -528,7 +540,7 @@ class TestBlockCompile:
         assert len(p._runs[0]) < len(p)
         assert_layers_match_the_per_entry_compile(p, 12)
         # so the copy did not read the table it was copied with
-        assert any(length > 1 for _, spans in p._table[0] for _, length in spans)
+        assert any(length > 1 for _, spans in p._table for _, length in spans)
 
     def test_verdicts_list_levels_then_outcomes_ascending(self):
         p = ProbabilityVector(["1/4", "1/4", "1/2"])
@@ -695,14 +707,14 @@ class TestHugeRuns:
         # both records are uniform: the twin runs are the die 2^71 split in two
         p = copy.copy(ProbabilityVector(["1/2", "1/2"]))
         p._runs = record
-        p._table = (), record[0]
+        p._table = ()
         for seed in (1, 2, 3):
             fast, slow = SeededSource(seed), SeededSource(seed)
             assert [sample(p, fast, trace) for _ in range(20)] == [
                 roll(sides, slow, trace) for _ in range(20)
             ]
             assert fast.flips_consumed == slow.flips_consumed
-        assert len(p._table[0]) == table_depth(p) + 1
+        assert len(p._table) == table_depth(p) + 1
 
 
 def table_depth(p: ProbabilityVector) -> int:
@@ -718,31 +730,31 @@ def traced_stream(p: ProbabilityVector, seed: int, count: int = 200) -> list[Tra
 
 class TestLevelTable:
     """``sample`` computes each level once per target into a table on the
-    vector, which later draws read; past the table's depth it walks the
-    level rule on from the residuals the table keeps."""
+    vector, which later draws read; past the table's depth it opens the
+    level rule at the table's end."""
 
     def test_table_grows_to_the_deepest_level_drawn(self):
         p = ProbabilityVector(["1/3", "2/3"])
-        assert p._table[0] == ()
+        assert p._table == ()
         assert sample(p, ReplaySource([1, 1, 0])) == TracedRoll(2, 3)
-        assert p._table[0] == ((0, []), (1, [(2, 1)]), (1, [(1, 1)]), (1, [(2, 1)]))
+        assert p._table == ((0, []), (1, [(2, 1)]), (1, [(1, 1)]), (1, [(2, 1)]))
         assert sample(p, ReplaySource([0])) == TracedRoll(2, 1)
-        assert len(p._table[0]) == 4
+        assert len(p._table) == 4
 
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     def test_draws_past_the_table_match_the_reference(self, trace):
         p = ProbabilityVector(["1/3", "2/3"])
         cap = table_depth(p)
         # each level accepts one outcome, and a 1 always recycles: x = 2 > k = 1.
-        # The first draw walks 11 levels past the table; had that walk doubled
-        # the kept residuals in place, the second would read them a level off.
+        # The first draw walks 11 levels past the table, and the second must
+        # read the same levels again.
         past = [1] * (cap + 10) + [0]
         bits = past + past + [0, 1, 1, 0]
         fast, slow = ReplaySource(bits), ReplaySource(bits)
         draws = [sample(p, fast, trace) for _ in range(4)]
         assert draws == [reference_sample(p, slow, trace) for _ in range(4)]
         assert [r.flips for r in draws] == [cap + 11, cap + 11, 1, 3]
-        assert len(p._table[0]) == cap + 1
+        assert len(p._table) == cap + 1
         assert fast.flips_consumed == len(bits)
 
     @pytest.mark.parametrize(
@@ -797,12 +809,12 @@ class TestWarmDraws:
         p = ProbabilityVector(["1/3", "2/3"])
         cap = table_depth(p)
         sample(p, ReplaySource([1] * (cap + 10) + [0]))
-        assert len(p._table[0]) == cap + 1
+        assert len(p._table) == cap + 1
         started = []
         deeper = discrete._deeper
 
         def counting_deeper(p, table):
-            started.append(len(table[0]))
+            started.append(len(table))
             return deeper(p, table)
 
         monkeypatch.setattr(discrete, "_deeper", counting_deeper)
@@ -817,12 +829,12 @@ class TestWarmDraws:
     def test_a_draw_that_outruns_the_table_grows_it_mid_draw(self, trace):
         p = ProbabilityVector(["1/3", "2/3"])
         sample(p, ReplaySource([1, 1, 0]))
-        assert len(p._table[0]) == 4
+        assert len(p._table) == 4
         # a 1 always recycles (x = 2 > k = 1), so seven of them carry the draw to level 8
         bits = [1] * 7 + [0]
         fast, slow = ReplaySource(bits), ReplaySource(bits)
         draw = sample(p, fast, trace)
         assert draw == reference_sample(p, slow, trace)
         assert draw.flips == 8
-        assert len(p._table[0]) == 9 < table_depth(p) + 1
+        assert len(p._table) == 9 < table_depth(p) + 1
         assert fast.flips_consumed == len(bits)
