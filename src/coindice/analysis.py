@@ -176,12 +176,16 @@ def _flip_distribution(record, depth: int) -> FlipDistribution:
     ``record`` (see ``discrete``): P(N = j) = sum over runs of
     |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
     outcomes the level rule accepts at level j, with the mass beyond
-    ``depth`` as the residual."""
+    ``depth`` as the residual: the live count m = 1 - k_0, then
+    m <- 2m - k_j per level, over 2^depth."""
     if depth > DEPTH_BUDGET:
         raise ValueError(f"depth {depth} passes the depth budget of {DEPTH_BUDGET} levels")
     leaves = [k for k, _ in islice(_levels(record), depth + 1)]
     mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
-    return FlipDistribution(mass, 1 - _exact_sum([(k, 1 << j) for j, k in enumerate(leaves)]))
+    live = 1 - leaves[0]
+    for k in leaves[1:]:
+        live = 2 * live - k
+    return FlipDistribution(mass, Fraction(live, 1 << depth))
 
 
 def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:

@@ -16,7 +16,8 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 
-from . import analysis, ddg, gof, oracle
+# each command imports the analysis, ddg, oracle and gof modules it uses:
+# a die roll loads none of them
 from .bitsource import BitSource, SeededSource
 from .discrete import (
     ProbabilityVector,
@@ -88,7 +89,11 @@ def cmd_sample(args) -> int:
     for r in _draws(n, p, args):
         total += r.flips
         write(f"{r.outcome} {r.flips}\n" if args.show_flips else f"{r.outcome}\n")
-    floor = math.log2(n) if p is None else analysis.entropy(p)
+    if p is None:
+        floor = math.log2(n)
+    else:
+        from . import analysis
+        floor = analysis.entropy(p)
     print(
         f"# total_flips={total} flips_per_roll={total / args.count:.4f} "
         f"entropy_floor={floor:.4f}"
@@ -97,6 +102,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
     if args.sweep is not None:
         return _analyze_sweep(args)
     n, p, record = _target(args)
@@ -143,6 +149,7 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_sweep(args) -> int:
+    from . import analysis
     report = analysis.verify_bounds(args.sweep)
     for row in report.rows:
         if args.json:
@@ -174,6 +181,7 @@ def _analyze_sweep(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from . import analysis, ddg
     n, p, record = _target(args)
     depth = args.depth or (2 * analysis.ceil_log2(n) + 8 if p is None else 12)
     tree = ddg.build_from_uniform(n, depth) if p is None else ddg.build_from_discrete(p, depth)
@@ -194,6 +202,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_oracle_dump(args) -> int:
+    from . import oracle
     _, _, record = _target(args)
     for k, m, nodes in oracle._expand(record, args.depth):
         for history, x, outcome in nodes:
@@ -205,6 +214,7 @@ def cmd_oracle_dump(args) -> int:
 
 
 def cmd_chisq(args) -> int:
+    from . import gof
     n, p, _ = _target(args)
     outcomes = n if p is None else len(p)
     minimum = 50 * outcomes
@@ -229,7 +239,7 @@ def cmd_chisq(args) -> int:
 def naive_rejection_roll(n: int, source: BitSource) -> tuple[int, int]:
     """Baseline die roll: draw ceil(log2 n) bits, retry on overflow,
     discarding all bits of a failed attempt.  Returns (outcome, flips)."""
-    k = analysis.ceil_log2(n)
+    k = (n - 1).bit_length()  # ceil_log2(n), without loading analysis
     next_bit = source.next_bit
     flips = 0
     while True:
@@ -251,6 +261,7 @@ def _bench(roll_one, n: int, count: int, seed: int) -> tuple[float, float]:
 
 
 def cmd_bench(args) -> int:
+    from . import analysis
     expectations = [analysis.exact_expected_flips(n) for n in args.die]  # every budget first
     for n, expected in zip(args.die, expectations):
         k = analysis.ceil_log2(n)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coindice
 from coindice import (
@@ -303,6 +305,38 @@ class TestFlipDistributionUniform:
         fd = _flip_distribution(TWIN_HUGE_RUNS, 80)
         assert fd.mass == {71: Fraction(1)}
         assert fd.residual == 0
+
+    @given(
+        st.one_of(
+            st.integers(1, 10**6).map(_die),
+            st.lists(st.integers(0, 40), min_size=1, max_size=9)
+            .filter(any)
+            .map(lambda w: ProbabilityVector([Fraction(x, sum(w)) for x in w])._runs),
+            st.sampled_from([_die(HUGE_DIE), TWIN_HUGE_RUNS]),
+        ),
+        st.integers(0, 200),
+    )
+    @settings(max_examples=100)
+    def test_residual_is_one_minus_the_level_masses(self, record, depth):
+        # k_j counts the outcomes with a 1 at bit j: per run, bit j of num/den
+        nums, dens, spans = record
+        expected = 1 - sum(
+            Fraction(length * ((num << j) // den & 1), 1 << j)
+            for j in range(depth + 1)
+            for num, den, (_, length) in zip(nums, dens, spans)
+        )
+        assert _flip_distribution(record, depth).residual == expected
+
+    def test_deepest_certain_outcome_sums_only_its_one_mass(self, monkeypatch):
+        # a residual summed over every level, zero counts included, divides
+        # a 16,385-bit denominator 16,385 times (about 1.5 s)
+        terms = []
+        exact_sum = analysis._exact_sum
+        monkeypatch.setattr(analysis, "_exact_sum", lambda t: terms.extend(t) or exact_sum(t))
+        fd = _flip_distribution(_die(1), analysis.DEPTH_BUDGET)
+        assert fd.mass == {0: Fraction(1)}
+        assert fd.residual == 0
+        assert terms == [(1, 1)]
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_matches_canonical_tree_distribution(self, n):

@@ -1,13 +1,21 @@
 """The public API is what the CLI, the README and the benchmark reach."""
 
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import coindice
 from coindice import ddg, oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REMOVED = ("LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete")
+# what a die roll never needs
+HEAVY = ("coindice.analysis", "coindice.ddg", "coindice.oracle", "coindice.gof")
 
 
 def test_every_name_perfbench_reaches_is_exported():
@@ -26,3 +34,47 @@ def test_test_only_names_are_gone():
     assert not hasattr(coindice.ProbabilityVector, "prob")
     assert not hasattr(coindice.ReplaySource, "remaining")
     assert type(ddg.census(ddg.build_from_uniform(3, 2))) is dict
+
+
+def test_every_export_resolves_to_its_defining_module(monkeypatch):
+    assert len(set(coindice.__all__)) == len(coindice.__all__) == 37
+    for module, names in coindice._EXPORTS.items():
+        defining = importlib.import_module(f"coindice.{module}")
+        for name in names:
+            # drop a value an earlier lookup kept, so this one takes the lazy path
+            monkeypatch.delitem(vars(coindice), name, raising=False)
+            value = getattr(coindice, name)
+            assert value is getattr(defining, name), name
+            assert getattr(value, "__module__", defining.__name__) in {defining.__name__, "builtins"}
+            assert vars(coindice)[name] is value, name  # later lookups skip __getattr__
+    with pytest.raises(AttributeError, match="^module 'coindice' has no attribute 'nope'$"):
+        coindice.nope
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from coindice import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(coindice.__all__)
+    assert all(namespace[name] is getattr(coindice, name) for name in namespace)
+
+
+def test_rolling_a_die_loads_no_analysis_tree_oracle_or_gof_module():
+    script = (
+        "import sys, coindice, coindice.cli\n"
+        "coindice.cli.main(['sample', '--die', '6', '--count', '3'])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('coindice')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(coindice.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    *rolls, loaded = child.stdout.splitlines()
+    assert len(rolls) == 4  # three rolls and the summary line
+    assert {"coindice.cli", "coindice.discrete", "coindice.uniform"} <= set(loaded.split())
+    assert not set(HEAVY) & set(loaded.split()), loaded
