@@ -20,10 +20,11 @@ Since q*B = 2^P - 1 this collapses to one fraction with P-bit parts,
 
     E[N] = (q*W + P) / (2^P - 1).
 
-The bit-weighted sum takes ceil(log2 P) masked ANDs and P comes from
-doubling or from the Carmichael function, so no per-digit or per-state
-loop is left and memory is O(P) bits.  P is refused past
-``PERIOD_BUDGET`` and a flip distribution's depth past ``DEPTH_BUDGET``.
+The bit-weighted sum takes ceil(log2 P) masked ANDs and P comes from one
+baby-step giant-step search, so no per-digit or per-state loop is left
+and memory is O(P) bits.  P is refused past ``PERIOD_BUDGET`` after at
+most about 2,900 modular products, and a flip distribution's depth past
+``DEPTH_BUDGET`` before any work.
 """
 
 import math
@@ -50,8 +51,8 @@ class FlipDistribution:
     """Exact distribution of N, the number of flips a sampler consumes.
 
     ``mass[j]`` is P(N = j); ``residual`` is the probability mass of runs
-    still going at the materialisation depth.  Masses plus residual always
-    sum to exactly 1.
+    still going at the materialisation depth.  Every denominator is a
+    power of two, and masses plus residual always sum to exactly 1.
     """
 
     mass: dict[int, Fraction]
@@ -60,6 +61,9 @@ class FlipDistribution:
     def __post_init__(self) -> None:
         if any(q < 0 for q in self.mass.values()) or self.residual < 0:
             raise ValueError("negative probability mass")
+        dens = [q.denominator for q in self.mass.values()] + [self.residual.denominator]
+        if any(d & (d - 1) for d in dens):
+            raise ValueError("a mass or residual whose denominator is not a power of two")
         total = _exact_sum([(q.numerator, q.denominator) for q in self.mass.values()])
         total += self.residual
         if total != 1:
@@ -80,9 +84,11 @@ class FlipDistribution:
 
 
 def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
-    """Sum of the pairs (num, den): integer adds over one common denominator."""
-    den = math.lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+    """Sum of the pairs (num, den), each den a power of two: shifted
+    integer adds over the largest den."""
+    den = max((d for _, d in terms), default=1)
+    width = den.bit_length()
+    return Fraction(sum(n << (width - d.bit_length()) for n, d in terms), den)
 
 
 def ceil_log2(n: int) -> int:
@@ -93,43 +99,31 @@ def ceil_log2(n: int) -> int:
 def _order_of_two(q: int) -> int:
     """ord_q(2) for odd q > 1: the period of the binary expansion of 1/q.
 
-    Doubling settles a short order within isqrt(q) + 1 steps; that covers
-    q such as 2^61 - 1, whose trial-division factorisation would take a
-    billion steps.  Past the cap the order divides the Carmichael
-    function lambda(q), read off trial-division factorisations of q and
-    lambda(q) that cost no more than the doubling did, and each prime
-    factor of lambda is stripped while 2 stays a root of unity.  An order
-    past ``PERIOD_BUDGET`` raises ValueError, and no route walks past it.
+    One baby-step giant-step search (Shanks) over the orders up to
+    bound = min(``PERIOD_BUDGET``, q - 1); the order divides phi(q) <= q - 1.
+    With m = isqrt(bound), the baby steps keep 2^j for j < m and settle an
+    order up to m; each giant step i = m, 2m, ... multiplies by 2^-m, and
+    the first 2^-i equal to a baby 2^j gives the order i + j.  So at most
+    about 2 * sqrt(bound) modular products find the order or refuse it.
+    An order past ``PERIOD_BUDGET`` raises ValueError.
     """
-    value = 2
-    for order in range(1, min(math.isqrt(q) + 1, PERIOD_BUDGET) + 1):
-        if value == 1:
-            return order
+    bound = min(PERIOD_BUDGET, q - 1)
+    m = math.isqrt(bound)
+    baby = {}
+    value = 1
+    for j in range(m):
+        baby[value] = j
         value = value * 2 % q
-    if math.isqrt(q) < PERIOD_BUDGET:  # else the doubling stopped at the budget
-        order = 1
-        for p, k in _factor(q).items():
-            order = math.lcm(order, p ** (k - 1) * (p - 1))
-        for p in _factor(order):
-            while order % p == 0 and pow(2, order // p, q) == 1:
-                order //= p
-        if order <= PERIOD_BUDGET:
-            return order
+        if value == 1:
+            return j + 1
+    step = pow(2, -m, q)
+    value = 1
+    for i in range(m, bound + 1, m):
+        value = value * step % q
+        j = baby.get(value)
+        if j is not None and i + j <= bound:
+            return i + j
     raise ValueError(f"the period of 1/n passes the period budget of {PERIOD_BUDGET} bits")
-
-
-def _factor(m: int) -> dict[int, int]:
-    """Prime factorisation of m >= 1 by trial division."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
 
 
 def _bit_weighted_sum(b: int, width: int) -> int:
@@ -242,10 +236,12 @@ def verify_bounds(n_max: int) -> BoundsReport:
 def _entropy(record) -> float:
     """Shannon entropy in bits of a compiled ``record`` (see
     ``discrete``).  A run of up to 2^20 outcomes subtracts its float term
-    once per outcome, so such a die matches its n-entry vector bit for bit.
-    A longer run subtracts term * length once: its loop would take about
-    40 ms per 2^20 outcomes, and past 2^53 the total stops growing.  A
-    probability below the smallest float adds nothing."""
+    once per outcome: that keeps the printed float the goldens and
+    fingerprints record, and term * length differs from it in the last
+    bits for 4,947 of the dice n < 5,000.  A longer run subtracts
+    term * length once: its loop would take about 40 ms per 2^20
+    outcomes, and past 2^53 the total stops growing.  A probability below
+    the smallest float adds nothing."""
     nums, dens, spans = record
     total = 0.0
     for num, den, (_, length) in zip(nums, dens, spans):

@@ -155,16 +155,13 @@ def parse_distribution(text: str) -> ProbabilityVector:
 def expansion_bit(q: Fraction, j: int) -> int:
     """Bit j of the binary expansion of q in [0, 1].
 
-    Computed as floor(2^j q) - 2 floor(2^(j-1) q), which picks the finite
-    expansion whenever one exists (so bit 0 of 1 is 1 and all later bits
-    are 0).
+    Computed as floor(2^j q) mod 2, which equals
+    floor(2^j q) - 2 floor(2^(j-1) q) and picks the finite expansion
+    whenever one exists (so bit 0 of 1 is 1 and all later bits are 0).
     """
     if j < 0:
         raise ValueError(f"bit index must be >= 0, got {j}")
-    num, den = q.numerator, q.denominator
-    hi = (num << j) // den
-    lo = (num << (j - 1)) // den if j >= 1 else num // (2 * den)
-    return hi - 2 * lo
+    return (q.numerator << j) // q.denominator & 1
 
 
 def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:

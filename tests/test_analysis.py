@@ -228,8 +228,8 @@ class TestOrderOfTwo:
 
 class TestPeriodBudget:
     """An order of two past ``analysis.PERIOD_BUDGET`` raises ValueError
-    by either route, doubling or the Carmichael function, before the
-    quadratic gcd of E[N] starts."""
+    in the one baby-step giant-step search, before the quadratic gcd of
+    E[N] starts."""
 
     def test_largest_admitted_period_is_found(self):
         # 2097133 is prime with period 2097132, 20 below the budget
@@ -254,6 +254,76 @@ class TestPeriodBudget:
         monkeypatch.setattr(analysis, "PERIOD_BUDGET", order - 1)
         with pytest.raises(ValueError, match="period budget of"):
             _order_of_two(q)
+
+
+def _prime_factors(k: int) -> set[int]:
+    """The primes dividing k >= 1, by trial division."""
+    primes, d = set(), 2
+    while d * d <= k:
+        while k % d == 0:
+            primes.add(d)
+            k //= d
+        d += 1
+    return primes | ({k} if k > 1 else set())
+
+
+class TestBabyStepGiantStep:
+    """``_order_of_two`` is one search: baby steps settle an order up to
+    m = isqrt(bound), giant steps of m every longer one, with
+    bound = min(PERIOD_BUDGET, q - 1)."""
+
+    @given(st.integers(1, 2**20 - 1).map(lambda v: 2 * v + 1))
+    @settings(max_examples=300)
+    def test_order_has_a_certificate(self, q):
+        # below 2^21 no order passes the budget: 2^k = 1, and no k/p does
+        k = _order_of_two(q)
+        assert pow(2, k, q) == 1
+        assert all(pow(2, k // p, q) != 1 for p in _prime_factors(k))
+
+    @pytest.mark.parametrize(
+        "q, order",
+        [
+            (2**1447 - 1, 1447),  # m - 1: baby steps
+            (2**1448 - 1, 1448),  # m: the last baby step
+            (2**724 + 1, 1448),  # m as 2k
+            (2**1449 - 1, 1449),  # m + 1: the first giant step, j = 1
+            (2**1448 + 1, 2896),  # 2m: a giant step that hits j = 0
+            (2**2000 + 1, 4000),
+        ],
+        ids=["m-1", "m", "m-as-2k", "m+1", "2m", "giant"],
+    )
+    def test_orders_at_the_phase_edges(self, q, order):
+        assert math.isqrt(analysis.PERIOD_BUDGET) == 1448
+        assert _order_of_two(q) == order
+
+    @pytest.mark.parametrize(
+        "q, order",
+        [(2**k - 1, k) for k in (2, 3, 5, 8, 13)]
+        + [(2**k + 1, 2 * k) for k in (1, 4, 6, 8, 9)]
+        + [(7, 3), (11, 10), (25, 20), (97, 48), (101, 100)],
+    )
+    def test_every_budget_admits_the_order_or_refuses_it(self, monkeypatch, q, order):
+        # below q - 1, a budget of order^2 or more leaves the order to the
+        # baby steps and order^2 - 1 to the first giant step; budget = order
+        # is the last one admitted, for 257 = 2^8 + 1 at the last giant step
+        # (16 = 4 * isqrt(16))
+        for budget in range(1, 4 * order * order):
+            monkeypatch.setattr(analysis, "PERIOD_BUDGET", budget)
+            if order <= budget:
+                assert _order_of_two(q) == order, budget
+            else:
+                with pytest.raises(ValueError) as exc:
+                    _order_of_two(q)
+                assert str(exc.value) == (
+                    f"the period of 1/n passes the period budget of {budget} bits"
+                )
+
+    @pytest.mark.parametrize("n", [10**30, 2**42 + 15])
+    def test_refusal_takes_at_most_a_few_thousand_products(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="period budget"):
+            exact_expected_flips(n)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestFlipDistributionUniform:
@@ -338,6 +408,24 @@ class TestFlipDistributionUniform:
         assert fd.residual == 0
         assert terms == [(1, 1)]
 
+    @pytest.mark.parametrize(
+        "record, exact, seconds",
+        [
+            (_die(3), Fraction(8, 3), 0.3),
+            (ProbabilityVector(["1/3", "2/3"])._runs, Fraction(2), 0.5),
+        ],
+        ids=["die-3", "1/3,2/3"],
+    )
+    def test_deepest_admitted_masses_sum_by_shifts(self, record, exact, seconds):
+        # summed over an lcm divided by each 2^j this took 1.4 s and 2.8 s
+        depth = analysis.DEPTH_BUDGET
+        start = time.perf_counter()
+        fd = _flip_distribution(record, depth)
+        partial = fd.partial_expectation()
+        assert time.perf_counter() - start < seconds
+        # every unfinished path at the depth costs more than depth flips
+        assert depth * fd.residual <= exact - partial <= 2 * depth * fd.residual
+
     @pytest.mark.parametrize("n", range(1, 33))
     def test_matches_canonical_tree_distribution(self, n):
         depth = 2 * max(ceil_log2(n), 1) + 8
@@ -383,6 +471,21 @@ class TestFlipDistributionType:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
             FlipDistribution({1: Fraction(1, 2)}, Fraction(1, 4))
+
+    @pytest.mark.parametrize(
+        "mass, residual",
+        [
+            ({1: Fraction(1, 3), 2: Fraction(2, 3)}, Fraction(0)),
+            ({1: Fraction(1, 3)}, Fraction(2, 3)),
+        ],
+        ids=["masses", "residual"],
+    )
+    def test_non_dyadic_mass_is_rejected(self, mass, residual):
+        # these masses sum to 1, so only the power-of-two check rejects them
+        with pytest.raises(ValueError) as exc:
+            FlipDistribution(mass, residual)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "a mass or residual whose denominator is not a power of two"
 
     def test_negative_mass_is_rejected(self):
         # these masses sum to 1, so only the sign check rejects them

@@ -8,8 +8,10 @@ sizes up to 2^80 where the command stays cheap: ``sample``, ``tree`` and
 walk's budget bounds them), and ``analyze`` and ``bench`` of a power of
 two times an odd factor below 16 or at least 2^50, and ``analyze`` at
 depths up to 12 or past its depth budget (the period and depth budgets
-bound them).  ``chisq`` over a large die, whose work is still unbounded,
-stays out.
+bound them).  ``chisq`` runs over small targets with counts near 50 per
+outcome, and over dice up to 2^80 with counts up to 10^4: a die too big
+for its count is refused before any draw, so at most 10^4 draws run.
+No run prints a traceback, and a ``chisq`` run at most one stderr line.
 """
 
 import io
@@ -143,6 +145,13 @@ DEEP_WALKS = command("tree", target(BIG), flag("--depth", DEEP), switch("--check
 # at least 50 draws per outcome, so most runs reach the test
 CHISQ_COUNTS = st.one_of(st.integers(400, 600).map(str), st.integers(-5, 600).map(str), BAD_SIZES)
 CHISQ = command("chisq", target(8), flag("--count", CHISQ_COUNTS), flag("--seed", SEEDS))
+# a large die: refused at any count up to 10^4 past 200 sides
+CHISQ_BIG = command(
+    "chisq",
+    option("--die", st.one_of(sizes(200), sizes(BIG))),
+    flag("--count", st.one_of(sizes(10**4), st.integers(5000, 10**4).map(str))),
+    flag("--seed", SEEDS),
+)
 # bench's default count, 100000 rolls per size, takes too long here
 BENCH = command(
     "bench",
@@ -154,9 +163,9 @@ BENCH = command(
 # tokens a user may add by mistake: an unknown flag, a second target, a stray word
 MISTAKES = st.sampled_from([["--bogus"], ["--die", "3"], ["--dist", "1/2,1/2"], ["extra"]])
 NOISE = st.one_of(st.just([]), st.just([]), st.just([]), MISTAKES)
-ARGV = st.tuples(st.one_of(SAMPLE, ANALYZE, TREE, ORACLE, DEEP_WALKS, CHISQ, BENCH), NOISE).map(
-    lambda pair: pair[0] + pair[1]
-)
+ARGV = st.tuples(
+    st.one_of(SAMPLE, ANALYZE, TREE, ORACLE, DEEP_WALKS, CHISQ, CHISQ_BIG, BENCH), NOISE
+).map(lambda pair: pair[0] + pair[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,6 +175,9 @@ def test_every_argv_exits_0_1_or_2_with_one_error_line(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if argv[0] == "chisq":
+        assert err.getvalue().count("\n") <= 1
     if code == 1:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1

@@ -233,6 +233,16 @@ class TestExpansionBits:
             (1,),
         ]
 
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=10**6), st.integers(0, 200)
+    )
+    @settings(max_examples=300)
+    def test_one_division_matches_the_two_division_formula(self, q, j):
+        # floor(2^j q) - 2 floor(2^(j-1) q), negative q and q > 1 included
+        num, den = q.numerator, q.denominator
+        lo = (num << (j - 1)) // den if j >= 1 else num // (2 * den)
+        assert expansion_bit(q, j) == (num << j) // den - 2 * lo
+
     def test_rejects_a_negative_bit_index(self):
         with pytest.raises(ValueError) as exc:
             expansion_bit(Fraction(1, 3), -1)
