@@ -1,8 +1,9 @@
 """Fair-bit suppliers with exact accounting of how many bits were drawn.
 
-Every sampler here pulls single bits from a ``BitSource``, which counts each
-draw, so ``flips_consumed`` is the entropy cost of a run.  ``ReplaySource``
-plays back fixed bits for the tests.  ``SeededSource`` takes SplitMix64's
+Every sampler here pulls single bits from a ``BitSource`` and reads its
+entropy cost off ``flips_consumed``: the base class counts each ``_draw``,
+while ``ReplaySource`` (fixed bits, for the tests) and ``SeededSource`` flip
+in one call and count by position.  ``SeededSource`` takes SplitMix64's
 steps with 0x9E3779B97F4A7C15, 0xBF58476D1ED4CE4B and 0x94D049BB133111EB;
 splitmix64.c has 0xBF58476D1CE4E5B9 second, so the streams are not its.
 """
@@ -27,8 +28,7 @@ class BitSource(abc.ABC):
     """Supplier of fair bits.  Instances are single-owner: never share one
     source between concurrent consumers."""
 
-    def __init__(self) -> None:
-        self.flips_consumed = 0
+    flips_consumed = 0  # bumped per _draw here; a source that has a position derives it
 
     @abc.abstractmethod
     def _draw(self) -> Bit:
@@ -44,19 +44,21 @@ class ReplaySource(BitSource):
     """Plays back a fixed bit sequence, then raises SourceExhausted."""
 
     def __init__(self, bits) -> None:
-        super().__init__()
         self._bits = list(bits)
         for b in self._bits:
             if not isinstance(b, int) or b not in (0, 1):
                 raise ValueError(f"bit sequence may only contain 0 and 1, got {b!r}")
         self._cursor = 0
 
-    def _draw(self) -> Bit:
-        if self._cursor >= len(self._bits):
+    def next_bit(self) -> Bit:
+        cursor = self._cursor
+        if cursor >= len(self._bits):  # not counted: the cursor stays
             raise SourceExhausted(f"replay of {len(self._bits)} bits exhausted")
-        bit = self._bits[self._cursor]
-        self._cursor += 1
-        return bit
+        self._cursor = cursor + 1
+        return self._bits[cursor]
+
+    _draw = next_bit
+    flips_consumed = property(lambda self: self._cursor)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -74,18 +76,23 @@ class SeededSource(BitSource):
     Generator: ``_splitmix64`` with 0x9E3779B97F4A7C15, 0xBF58476D1ED4CE4B
     and 0x94D049BB133111EB over a 64-bit state set to ``seed`` mod 2**64.
     Words go out least significant bit first; ``_word`` keeps the unread
-    bits below a stop bit.  Seed 0 starts 0x5b3408bf8c8e5572, bit 0 first.
+    bits below a stop bit and ``_words`` counts the words drawn.  Seed 0
+    starts 0x5b3408bf8c8e5572, bit 0 first.
     """
 
     def __init__(self, seed: int) -> None:
-        super().__init__()
         self._state = seed & _MASK64
         self._word = 1
+        self._words = 0
 
-    def _draw(self) -> Bit:
+    def next_bit(self) -> Bit:
         word = self._word
         if word == 1:
             self._state, word = _splitmix64(self._state)
             word |= 1 << 64
+            self._words += 1
         self._word = word >> 1
         return word & 1
+
+    _draw = next_bit
+    flips_consumed = property(lambda self: 64 * self._words - self._word.bit_length() + 1)

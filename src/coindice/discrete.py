@@ -26,6 +26,7 @@ access and stay the reference the tests and the canonical tree builder use.
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import groupby
 
@@ -68,6 +69,9 @@ def _as_exact_fraction(value) -> Fraction:
 
 def _exact(v: int) -> int | str:
     """v, or v in hex when it has more digits than str() may print."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or v.bit_length() <= 3 * limit:  # below 2^(3·limit) < 10^limit, str() fits
+        return v
     try:
         str(v)
     except ValueError:  # past sys.get_int_max_str_digits()

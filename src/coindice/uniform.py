@@ -4,6 +4,7 @@ The roller keeps a state pair (x, m) with x conditionally uniform on
 {1..m}.  Each coin flip doubles the die: x <- x + bit*m, m <- 2m.  Once
 m reaches n the roll either accepts (x <= n: output x) or recycles the
 leftover uniformity (x <- x - n, m <- m - n) instead of starting over.
+As in Lumbroso's Fast Dice Roller, the loop flips while m < n, then resolves.
 The number of flips this uses is optimal in the Knuth-Yao sense; see the
 ``ddg`` and ``analysis`` modules for the machinery that verifies that.
 
@@ -25,7 +26,7 @@ class RecyclerState(NamedTuple):
     m: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TracedRoll:
     """One sample outcome plus its exact entropy cost.
 
@@ -65,21 +66,21 @@ def _roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
     x, m = 1, 1
     flips = 0
     states = [RecyclerState(1, 1)] if trace else None
-    while m < n:
-        x += next_bit() * m
-        flips += 1
-        m *= 2
+    while True:
+        while m < n:
+            x += next_bit() * m
+            m *= 2
+            flips += 1
+            if states is not None:
+                states.append(RecyclerState(x, m))
+        if x <= n:
+            if states is not None and m != n:
+                states.append(RecyclerState(x, n))
+            return TracedRoll(x, flips, states)
+        x -= n
+        m -= n
         if states is not None:
             states.append(RecyclerState(x, m))
-        if m >= n:
-            if x <= n:
-                m = n
-            else:
-                x -= n
-                m -= n
-            if states is not None and states[-1] != (x, m):
-                states.append(RecyclerState(x, m))
-    return TracedRoll(x, flips, states)
 
 
 def roll_many(n: int, count: int, source: BitSource, trace: bool = False) -> list[TracedRoll]:

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coindice import ReplaySource, SeededSource, SourceExhausted
+from coindice import BitSource, ReplaySource, SeededSource, SourceExhausted, roll_many
+from coindice.bitsource import _splitmix64
 
 
 def test_replay_returns_bits_in_order_then_exhausts():
@@ -87,4 +88,66 @@ def test_seed_is_taken_mod_2_64():
 def test_seeded_source_keeps_one_word_and_its_state():
     source = SeededSource(3)
     source.next_bit()
-    assert sorted(vars(source)) == ["_state", "_word", "flips_consumed"]
+    assert sorted(vars(source)) == ["_state", "_word", "_words"]
+
+
+@pytest.mark.parametrize("source", [SeededSource(3), ReplaySource([1, 0])])
+def test_position_counts_are_read_only(source):
+    source.next_bit()
+    with pytest.raises(AttributeError):
+        source.flips_consumed = 0
+    assert source.flips_consumed == 1
+
+
+def _reference_bits(seed, count):
+    """The first ``count`` bits of seed's stream, taken one at a time off
+    each generator word, least significant bit first."""
+    state, bits = seed % 2**64, []
+    while len(bits) < count:
+        state, word = _splitmix64(state)
+        bits += [word >> i & 1 for i in range(64)]
+    return bits[:count]
+
+
+@given(st.integers(0, 2**65), st.integers(0, 300))
+@example(0, 63)
+@example(0, 64)
+@example(0, 65)
+@example(2**64 - 1, 128)
+@example(1, 129)
+def test_bits_and_count_match_a_bit_at_a_time_reference(seed, count):
+    source = SeededSource(seed)
+    assert source.flips_consumed == 0
+    bits = []
+    for drawn in range(1, count + 1):
+        bits.append(source.next_bit())
+        assert source.flips_consumed == drawn
+    assert bits == _reference_bits(seed, count)
+
+
+class _DrawOnly(BitSource):
+    """Implements only ``_draw``, delegating to an inner source, as a
+    wrapper that times each draw does; the base class counts its bits."""
+
+    def __init__(self, inner) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def _draw(self):
+        return self.inner.next_bit()
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 1000, 2**40 + 15])
+def test_a_draw_only_source_counts_the_same_bits_and_rolls(n):
+    direct = SeededSource(9)
+    wrapped = _DrawOnly(SeededSource(9))
+    assert roll_many(n, 200, wrapped, trace=True) == roll_many(n, 200, direct, trace=True)
+    assert wrapped.flips_consumed == wrapped.inner.flips_consumed == direct.flips_consumed
+
+
+def test_a_draw_only_source_does_not_count_an_exhausted_draw():
+    wrapped = _DrawOnly(ReplaySource([1, 0]))
+    assert [wrapped.next_bit(), wrapped.next_bit()] == [1, 0]
+    with pytest.raises(SourceExhausted):
+        wrapped.next_bit()
+    assert wrapped.flips_consumed == wrapped.inner.flips_consumed == 2

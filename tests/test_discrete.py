@@ -197,6 +197,26 @@ class TestProbabilityVector:
         big = hex(10**5000)
         assert text == f"ProbabilityVector(1/{big}, {hex(10**5000 - 1)}/{big})"
 
+    @pytest.mark.parametrize("limit", [640, 0])
+    def test_exact_skips_the_trial_conversion_only_where_it_fits(self, limit):
+        # below 2^(3·limit) a part has fewer digits than the limit; past it,
+        # _exact answers as a trial str() does, on either side of 10^limit
+        def reference(v):
+            try:
+                str(v)
+            except ValueError:
+                return hex(v)
+            return v
+
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for v in [10**640 - 1, 10**640, 2**1920, 2**1920 + 1, 0, 1]:
+                for part in (v, -v):
+                    assert discrete._exact(part) == reference(part)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestParseDistribution:
     def test_comma_fractions(self):

@@ -162,3 +162,59 @@ def test_roll_is_sample_of_the_uniform_distribution(n):
             source = SeededSource(seed)
             samples = [sample(p, source, trace=trace) for _ in range(40)]
             assert rolls == samples
+
+
+def _reference_roll(n, source, trace=False):
+    """The roller as it was before it tested each flip once: after every
+    doubling it checks m >= n and resolves there.  Kept as the reference."""
+    next_bit = source.next_bit
+    x, m = 1, 1
+    flips = 0
+    states = [RecyclerState(1, 1)] if trace else None
+    while m < n:
+        x += next_bit() * m
+        flips += 1
+        m *= 2
+        if states is not None:
+            states.append(RecyclerState(x, m))
+        if m >= n:
+            if x <= n:
+                m = n
+            else:
+                x -= n
+                m -= n
+            if states is not None and states[-1] != (x, m):
+                states.append(RecyclerState(x, m))
+    return uniform.TracedRoll(x, flips, states)
+
+
+_REFERENCE_SIDES = list(range(1, 301)) + [2**40 + 15, 2**64 + 1]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_roll_matches_the_reference_loop(trace):
+    for n in _REFERENCE_SIDES:
+        source, reference = SeededSource(n), SeededSource(n)
+        for _ in range(20):
+            assert uniform._roll(n, source, trace) == _reference_roll(n, reference, trace)
+        assert source.flips_consumed == reference.flips_consumed
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 100, 2**40 + 15, 2**64 + 1])
+def test_roll_runs_dry_at_the_reference_bit(n):
+    # a replay cut at every length inside one roll raises from both loops
+    # after the same bits, and counts only the bits handed out
+    probe = SeededSource(n)
+    bits = [probe.next_bit() for _ in range(4 * n.bit_length() + 8)]
+    for cut in range(len(bits) + 1):
+        outcomes = []
+        for roller in (uniform._roll, _reference_roll):
+            source = ReplaySource(bits[:cut])
+            try:
+                outcomes.append(roller(n, source, True))
+            except SourceExhausted:
+                outcomes.append(None)
+            outcomes.append(source.flips_consumed)
+        assert outcomes[:2] == outcomes[2:]
+        if outcomes[0] is None:
+            assert outcomes[1] == cut
