@@ -22,9 +22,8 @@ _EXPORTS = {
     "bitsource": ("Bit", "BitSource", "ReplaySource", "SeededSource", "SourceExhausted"),
     "ddg": ("DdgTree", "MassMismatch", "OptimalityVerdict", "build_canonical",
             "build_from_discrete", "build_from_uniform", "census", "check_optimal",
-            "export_dot", "flip_distribution"),
-    "discrete": ("InvalidDistribution", "ProbabilityVector", "acceptance_set", "expansion_bit",
-                 "parse_distribution", "sample"),
+            "expansion_bit", "export_dot", "flip_distribution"),
+    "discrete": ("InvalidDistribution", "ProbabilityVector", "parse_distribution", "sample"),
     "gof": ("ChiSquareResult", "chi_square_test"),
     "oracle": ("EnumerationResult", "enumerate_uniform"),
     "uniform": ("RecyclerState", "TracedRoll", "roll", "roll_many"),

@@ -7,8 +7,8 @@ trees directly comparable with the enumeration oracle and gives the DOT
 exporter stable node ids.
 
 Two builders are provided: ``build_canonical`` places leaves straight
-from ``acceptance_set``, the random-access expansion bits of the
-probabilities (the optimal shape), and ``build_from_uniform`` /
+from ``expansion_bit``, the random-access bits of the probabilities'
+binary expansions (the optimal shape), and ``build_from_uniform`` /
 ``build_from_discrete`` materialise whatever tree the samplers actually
 walk, in O(nodes), from the node lists of the oracle's one trie walk
 under the samplers' own level rules: a history that terminates carries
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import FlipDistribution
-from .discrete import ProbabilityVector, _die, acceptance_set, expansion_bit
+from .discrete import ProbabilityVector, _die
 from .oracle import _expand
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
@@ -65,6 +65,18 @@ class MassMismatch(Exception):
     different failure from being suboptimal)."""
 
 
+def expansion_bit(q: Fraction, j: int) -> int:
+    """Bit j of the binary expansion of q in [0, 1].
+
+    Computed as floor(2^j q) mod 2, which equals
+    floor(2^j q) - 2 floor(2^(j-1) q) and picks the finite expansion
+    whenever one exists (so bit 0 of 1 is 1 and all later bits are 0).
+    """
+    if j < 0:
+        raise ValueError(f"bit index must be >= 0, got {j}")
+    return (q.numerator << j) // q.denominator & 1
+
+
 def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     """Optimal tree straight from the binary expansions.
 
@@ -78,17 +90,16 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     nodes: dict[str, int | None] = {}
     open_positions = [""]
     for level in range(depth_bound + 1):
-        accept = acceptance_set(p, level)
+        accept = [i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level)]
         assert len(accept) <= len(open_positions), "expansion bits exceed open slots"
         for position, outcome in zip(open_positions, accept):
             nodes[position] = outcome
         rest = open_positions[len(accept) :]
         for position in rest:
             nodes[position] = INTERNAL
-        if not rest:
+        if not rest or level == depth_bound:
             break
-        if level < depth_bound:
-            open_positions = [h + b for h in rest for b in ("0", "1")]
+        open_positions = [h + b for h in rest for b in ("0", "1")]
     return DdgTree(nodes, depth_bound)
 
 

@@ -20,8 +20,8 @@ spans, no outcome listed, and the sampler finds the x-th accepted
 outcome by walking their lengths.  ``sample`` keeps the levels draws
 have reached in a capped table: a warm draw reads them directly, and
 ``_deeper`` opens the rule at the table's end when a draw outruns it.
-``expansion_bit`` and ``acceptance_set`` compute the same bits by random
-access and stay the reference the tests and the canonical tree builder use.
+``ddg.expansion_bit`` computes the same bits by random access, for the
+canonical tree builder and the optimality check.
 """
 
 import json
@@ -154,27 +154,6 @@ def parse_distribution(text: str) -> ProbabilityVector:
             entries.append(Fraction(item["num"], item["den"]))
         return ProbabilityVector(entries)
     return ProbabilityVector(text.split(","))
-
-
-def expansion_bit(q: Fraction, j: int) -> int:
-    """Bit j of the binary expansion of q in [0, 1].
-
-    Computed as floor(2^j q) mod 2, which equals
-    floor(2^j q) - 2 floor(2^(j-1) q) and picks the finite expansion
-    whenever one exists (so bit 0 of 1 is 1 and all later bits are 0).
-    """
-    if j < 0:
-        raise ValueError(f"bit index must be >= 0, got {j}")
-    return (q.numerator << j) // q.denominator & 1
-
-
-def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
-    """Outcomes whose expansion has a 1 bit at ``level``, ascending."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    return tuple(
-        i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level) == 1
-    )
 
 
 def _die(n: int):

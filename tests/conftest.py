@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coindice import DdgTree, ProbabilityVector, RecyclerState
+from coindice import DdgTree, ProbabilityVector, RecyclerState, expansion_bit
 from coindice.ddg import INTERNAL
 from coindice.oracle import _expand, _tally
 
@@ -79,6 +79,16 @@ def walk(record, depth: int):
         for h, x, outcome in nodes
     }
     return states, _tally(expanded, depth)
+
+
+def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
+    """Outcomes whose expansion has a 1 bit at ``level``, ascending: the
+    random-access reference for the level rule and the canonical tree."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    return tuple(
+        i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level) == 1
+    )
 
 
 def shallowest_leaf(tree) -> tuple[str, int]:

@@ -359,6 +359,10 @@ class TestFlipDistributionUniform:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "depth 16385 passes the depth budget of 16384 levels"
 
+    def test_depth_zero_holds_only_level_zero(self):
+        assert flip_distribution_uniform(1, 0) == FlipDistribution({0: Fraction(1)})
+        assert flip_distribution_uniform(2, 0) == FlipDistribution({}, Fraction(1))
+
     def test_negative_depth_is_rejected(self):
         # without the check, islice raises a ValueError of its own wording
         with pytest.raises(ValueError) as exc:
@@ -487,6 +491,16 @@ class TestFlipDistributionType:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "a mass or residual whose denominator is not a power of two"
 
+    def test_a_zero_mass_is_allowed(self):
+        assert FlipDistribution({1: Fraction(0), 2: Fraction(1)}).expectation() == 2
+
+    def test_a_truncated_distribution_has_no_exact_expectation(self):
+        with pytest.raises(ValueError) as exc:
+            FlipDistribution({1: Fraction(1, 2)}, Fraction(1, 2)).expectation()
+        assert str(exc.value) == (
+            "distribution truncated with residual 1/2; use partial_expectation()"
+        )
+
     def test_negative_mass_is_rejected(self):
         # these masses sum to 1, so only the sign check rejects them
         with pytest.raises(ValueError) as exc:
@@ -528,6 +542,9 @@ class TestBounds:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "n_max must be >= 1, got 0"
 
+    def test_a_sweep_of_one_is_the_one_sided_die(self):
+        assert [(row.n, row.expected) for row in verify_bounds(1).rows] == [(1, 0)]
+
     def test_powers_of_two_meet_the_lower_bound(self):
         report = verify_bounds(64)
         for k in range(7):
@@ -552,6 +569,11 @@ class TestBounds:
             verify_bounds(8)
         assert type(info.value) is BoundViolation
         assert str(info.value) == "n=5: E[N]=2 below lower bound 3"
+
+    def test_an_expectation_on_the_upper_bound_passes(self, monkeypatch):
+        # the bracket is closed: E[N] = ceil(log2 n) + 1 is no violation
+        self.off_at_five(monkeypatch, lambda lower, upper: Fraction(upper))
+        assert verify_bounds(5).rows[-1].expected == 4
 
     def test_expectation_above_the_upper_bound_raises(self, monkeypatch):
         self.off_at_five(monkeypatch, lambda lower, upper: Fraction(upper + 1))

@@ -3,6 +3,7 @@
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,14 @@ from pathlib import Path
 import pytest
 
 import coindice
-from coindice import ddg, oracle
+from coindice import ddg, discrete, oracle
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-REMOVED = ("LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete")
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+REMOVED = (
+    "LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete",
+    "acceptance_set",
+)
 # what a die roll never needs
 HEAVY = ("coindice.analysis", "coindice.ddg", "coindice.oracle", "coindice.gof")
 
@@ -30,14 +35,19 @@ def test_every_name_perfbench_reaches_is_exported():
 def test_test_only_names_are_gone():
     for name in REMOVED:
         assert name not in coindice.__all__
-        assert not any(hasattr(module, name) for module in (coindice, ddg, oracle)), name
+        assert not any(hasattr(module, name) for module in (coindice, ddg, discrete, oracle)), name
     assert not hasattr(coindice.ProbabilityVector, "prob")
     assert not hasattr(coindice.ReplaySource, "remaining")
     assert type(ddg.census(ddg.build_from_uniform(3, 2))) is dict
 
 
+def test_expansion_bit_lives_beside_the_tree_checks_not_the_sampler():
+    assert not hasattr(discrete, "expansion_bit")
+    assert coindice.expansion_bit is ddg.expansion_bit
+
+
 def test_every_export_resolves_to_its_defining_module(monkeypatch):
-    assert len(set(coindice.__all__)) == len(coindice.__all__) == 37
+    assert len(set(coindice.__all__)) == len(coindice.__all__) == 36
     for module, names in coindice._EXPORTS.items():
         defining = importlib.import_module(f"coindice.{module}")
         for name in names:
@@ -78,3 +88,23 @@ def test_rolling_a_die_loads_no_analysis_tree_oracle_or_gof_module():
     assert len(rolls) == 4  # three rolls and the summary line
     assert {"coindice.cli", "coindice.discrete", "coindice.uniform"} <= set(loaded.split())
     assert not set(HEAVY) & set(loaded.split()), loaded
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under README's ``## heading``."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index(f"\n## {heading}\n") :]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run_as_written():
+    exec(readme_block("Library quickstart", "python"), {})
+    from coindice.cli import main
+
+    commands = [shlex.split(line, comments=True) for line in readme_block("CLI", "sh").splitlines()]
+    assert len([argv for argv in commands if argv]) == 9
+    for argv in filter(None, commands):
+        if ">" in argv:  # the output file of a redirection goes with it
+            del argv[argv.index(">") : argv.index(">") + 2]
+        assert argv[0] == "coindice", argv
+        assert main(argv[1:]) == 0, argv

@@ -36,6 +36,7 @@ from conftest import (
     HUGE_DIE,
     TWIN_HUGE_RUNS,
     Unwalkable,
+    acceptance_set,
     dyadic_suite,
     flip_tail,
     max_level,
@@ -245,6 +246,22 @@ class TestBuildCanonical:
         # the requested bound, as the sampler tree's
         assert tree.depth_bound == build_from_discrete(p, 5).depth_bound == 5
         assert check_optimal(tree, p).ok
+
+    @given(
+        # (weight, run length) pairs: zero weights and repeated neighbours included
+        st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4)), min_size=1, max_size=6).filter(
+            lambda runs: any(w for w, _ in runs)
+        ),
+        st.integers(1, 20),
+    )
+    @settings(max_examples=200)
+    def test_each_level_places_the_reference_acceptance_set(self, runs, depth):
+        weights = [w for w, length in runs for _ in range(length)]
+        p = ProbabilityVector([Fraction(w, sum(weights)) for w in weights])
+        leaves = sorted(build_canonical(p, depth).leaves())  # position order within a level
+        for level in range(depth + 1):
+            placed = tuple(out for h, out in leaves if len(h) == level)
+            assert placed == acceptance_set(p, level), level
 
     def test_depth_bound_below_one_is_rejected(self):
         # without the check, a depth bound of 0 builds a one-node tree
@@ -468,6 +485,20 @@ class TestCheckOptimal:
         tree, record = tree_and_record
         sparse = verdict_of(_check_optimal, tree, record)
         assert sparse == verdict_of(dense_check_optimal, tree, record)
+
+    def test_a_stray_leaf_at_the_depth_bound_is_named(self):
+        # thirds to depth 4 with outcome 2's level-3 leaf pruned to a frontier and
+        # outcome 1's level-4 leaf relabelled 2: no mass exceeds its target, so
+        # only the per-level check sees the leaf of outcome 2 at the last level
+        thirds = ProbabilityVector(["1/3", "2/3"])
+        nodes = {**build_canonical(thirds, 4).nodes, "110": INTERNAL, "1110": 2}
+        violations = [
+            "outcome 2 has 0 leaves at level 3, expansion bit is 1",
+            "outcome 1 has 0 leaves at level 4, expansion bit is 1",
+            "outcome 2 has 1 leaves at level 4, expansion bit is 0",
+        ]
+        for check in (_check_optimal, dense_check_optimal):
+            assert verdict_of(check, DdgTree(nodes, 4), thirds._runs) == (False, violations)
 
     def test_check_never_walks_every_side_of_a_shallow_tree(self, monkeypatch):
         n = 1000003

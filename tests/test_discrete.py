@@ -20,7 +20,6 @@ from coindice import (
     ReplaySource,
     SeededSource,
     TracedRoll,
-    acceptance_set,
     build_from_discrete,
     check_optimal,
     discrete,
@@ -31,7 +30,7 @@ from coindice import (
 )
 from coindice.analysis import _entropy, _flip_distribution
 from coindice.discrete import _die, _levels
-from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, walk
+from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, acceptance_set, dyadic_suite, walk
 
 
 @dataclass(frozen=True)
@@ -218,9 +217,38 @@ class TestProbabilityVector:
             sys.set_int_max_str_digits(saved)
 
 
+    def test_exact_makes_no_trial_conversion_up_to_3_limit_bits(self, monkeypatch):
+        # 2^(3·limit) - 1, the widest part the shortcut admits, included
+        def trial(v):
+            raise AssertionError("trial str() of a part below 2^(3·limit)")
+
+        monkeypatch.setattr(discrete, "str", trial, raising=False)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for v in [2**1920 - 1, 1 - 2**1920, 2**1919]:
+                assert discrete._exact(v) == v
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 class TestParseDistribution:
     def test_comma_fractions(self):
         assert parse_distribution("3/8,1/2,1/8") == EIGHTHS
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1/2]", "bad JSON distribution: "),
+            ('[{"num": true, "den": 2}]', "JSON distribution entries must be "),
+            ("[[1, 2]]", 'JSON distribution entries must be {"num": <int>, "den": <int>}'),
+            ('[{"num": 1, "den": 0}]', "zero denominator in {'num': 1, 'den': 0}"),
+        ],
+    )
+    def test_json_faults_are_invalid_distributions(self, text, message):
+        with pytest.raises(InvalidDistribution) as exc:
+            parse_distribution(text)
+        assert str(exc.value).startswith(message)
 
     def test_json_num_den(self):
         text = '[{"num": 1, "den": 3}, {"num": 2, "den": 3}]'

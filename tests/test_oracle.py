@@ -12,6 +12,7 @@ from coindice import (
     roll,
     sample,
 )
+from coindice import oracle
 from coindice.discrete import _die
 from coindice.oracle import _expand
 from conftest import level_multisets, walk
@@ -101,6 +102,15 @@ def test_walk_budget_admits_depth_2895_of_thirds_and_refuses_2896():
     assert str(exc.value) == (
         "trie walk to depth 2896 passes the walk budget of 8388608 history characters at level 2896"
     )
+
+
+def test_a_walk_of_exactly_the_budget_is_admitted(monkeypatch):
+    # thirds to depth j hold j(j + 1) history characters: 12 at depth 3
+    thirds = ProbabilityVector(["1/3", "2/3"])._runs
+    monkeypatch.setattr(oracle, "WALK_BUDGET", 12)
+    assert len(_expand(thirds, 3)) == 4
+    with pytest.raises(ValueError, match="walk budget of 12 history characters at level 4$"):
+        _expand(thirds, 4)
 
 
 def test_two_sided_die_depth_one():

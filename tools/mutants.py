@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Mutation runner: python tools/mutants.py [--list] src/coindice/MODULE.py ...
+
+One mutant per ``raise`` (to ``pass``) and per comparison operator (< <=,
+> >=, == != swapped).  Each runs its module's test files (TESTS) under
+``python -B`` in a throwaway copy of src/, tests/, pyproject.toml and what
+the tests read (README.md, perfbench/), so no stale bytecode, .hypothesis/
+or .pytest_cache/ of the tree is read or written.  Prints path:line, the
+change and killed, survived or timeout (a hang cannot pass, so it counts
+as detected), then the totals; exits 1 if any mutant survived.  ``--list``
+prints the mutants and runs none.
+"""
+
+import ast
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 300  # seconds per mutant
+PYTEST = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
+        ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+TESTS = {  # module -> the test files that run on its mutants
+    "__init__": ["test_api"],
+    "analysis": ["test_analysis", "test_acceptance"],
+    "bitsource": ["test_bitsource"],
+    "cli": ["test_cli", "test_cli_fuzz", "test_cli_golden"],
+    "ddg": ["test_ddg", "test_discrete", "test_acceptance"],
+    "discrete": ["test_discrete"],
+    "gof": ["test_gof"],
+    "oracle": ["test_oracle"],
+    "uniform": ["test_uniform", "test_acceptance"],
+}
+
+
+def mutants(source: bytes):
+    """(line, change, mutated source) in source order; ast columns count UTF-8 bytes."""
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    begin = lambda node: starts[node.lineno - 1] + node.col_offset
+    end = lambda node: starts[node.end_lineno - 1] + node.end_col_offset
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            found.append((begin(node), node.lineno, "raise -> pass", end(node), b"pass"))
+        elif isinstance(node, ast.Compare):
+            for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
+                if type(op) in SWAP:  # the operator is the one token between its operands
+                    old, new = SWAP[type(op)]
+                    text = source[end(left) : begin(right)].replace(old.encode(), new.encode(), 1)
+                    found.append((end(left), left.end_lineno, f"{old} -> {new}", begin(right), text))
+    for start, line, change, stop, text in sorted(found):
+        yield line, change, source[:start] + text + source[stop:]
+
+
+def run(path: Path, source: bytes) -> str:
+    """killed, survived or timeout: the module's tests on a copy with ``source`` at ``path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("src", "tests", "perfbench"):
+            skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+            shutil.copytree(ROOT / name, Path(tmp, name), ignore=skip)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tmp)
+        Path(tmp, path).write_bytes(source)
+        tests = [f"tests/{name}.py" for name in TESTS[path.stem]]
+        try:
+            done = subprocess.run(PYTEST + tests, cwd=tmp, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        return "killed" if done.returncode else "survived"
+
+
+def main(argv: list[str]) -> int:
+    listing, verdicts, started = "--list" in argv, [], time.perf_counter()
+    for path in [Path(arg).resolve().relative_to(ROOT) for arg in argv if arg != "--list"]:
+        if path.stem not in TESTS:
+            sys.exit(f"no test files mapped for {path}")
+        source = (ROOT / path).read_bytes()
+        if not listing and run(path, source) != "survived":  # the unmutated source must pass
+            sys.exit(f"the tests of {path} fail on the unmutated source")
+        for line, change, mutated in mutants(source):
+            verdicts.append("listed" if listing else run(path, mutated))
+            print(f"{path}:{line}  {change}  {verdicts[-1]}", flush=True)
+    counts = ", ".join(f"{verdicts.count(v)} {v}" for v in sorted(set(verdicts))) or "none"
+    print(f"{len(verdicts)} mutants: {counts} in {time.perf_counter() - started:.0f} s")
+    return 1 if "survived" in verdicts else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
