@@ -24,7 +24,7 @@ The bit-weighted sum takes ceil(log2 P) masked ANDs and P comes from one
 baby-step giant-step search, so no per-digit or per-state loop is left
 and memory is O(P) bits.  P is refused past ``PERIOD_BUDGET`` after at
 most about 2,900 modular products, and a flip distribution's depth past
-``DEPTH_BUDGET`` before any work.
+``DEPTH_BUDGET`` and a bounds sweep past ``SWEEP_BUDGET`` before any work.
 """
 
 import math
@@ -40,6 +40,9 @@ from .uniform import _check_sides
 PERIOD_BUDGET = 1 << 21
 # mass and output grow with depth squared: 1/3,2/3 at 2^14 took 7.5 s, 39 MB
 DEPTH_BUDGET = 1 << 14
+# a sweep holds every row until it returns: 2^14 sizes took 1.2 s and 30 MB,
+# 2^15 took 4.7 s and 61 MB (2-vCPU Xeon)
+SWEEP_BUDGET = 1 << 15
 
 
 class BoundViolation(Exception):
@@ -213,10 +216,13 @@ def verify_bounds(n_max: int) -> BoundsReport:
     """Check the expected-flip bracket for every n up to ``n_max``.
 
     Raises BoundViolation on the first offending n instead of reporting
-    it quietly: a violation means a bug, not a data point.
+    it quietly: a violation means a bug, not a data point.  An n_max past
+    ``SWEEP_BUDGET`` raises ValueError before any work.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > SWEEP_BUDGET:
+        raise ValueError(f"a sweep to {n_max} passes the sweep budget of {SWEEP_BUDGET} sizes")
     rows = []
     for n in range(1, n_max + 1):
         expected = exact_expected_flips(n)

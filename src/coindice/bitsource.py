@@ -2,26 +2,15 @@
 
 Every sampler here pulls single bits from a ``BitSource`` and reads its
 entropy cost off ``flips_consumed``: the base class counts each ``_draw``,
-while ``ReplaySource`` (fixed bits, for the tests) and ``SeededSource`` flip
-in one call and count by position.  ``SeededSource`` takes SplitMix64's
-steps with 0x9E3779B97F4A7C15, 0xBF58476D1ED4CE4B and 0x94D049BB133111EB;
-splitmix64.c has 0xBF58476D1CE4E5B9 second, so the streams are not its.
+while ``SeededSource`` flips in one call and counts by position.
+``SeededSource`` takes SplitMix64's steps with 0x9E3779B97F4A7C15,
+0xBF58476D1ED4CE4B and 0x94D049BB133111EB; splitmix64.c has
+0xBF58476D1CE4E5B9 second, so the streams are not its.
 """
 
 import abc
 
-Bit = int  # a plain int restricted to {0, 1}
-
 _MASK64 = (1 << 64) - 1
-
-
-class SourceExhausted(Exception):
-    """A scripted source ran out of bits.
-
-    A replay that ends before its draw resolves raises it, which tells a
-    bit history still live at its end from one that terminated.  The
-    exhaustive enumerator in ``oracle`` walks a trie and draws no bits.
-    """
 
 
 class BitSource(abc.ABC):
@@ -31,34 +20,13 @@ class BitSource(abc.ABC):
     flips_consumed = 0  # bumped per _draw here; a source that has a position derives it
 
     @abc.abstractmethod
-    def _draw(self) -> Bit:
-        """Produce the next bit, or raise SourceExhausted."""
+    def _draw(self) -> int:
+        """Produce the next bit, 0 or 1, or raise if the source has none left."""
 
-    def next_bit(self) -> Bit:
-        bit = self._draw()  # an exhausted source raises here, so the tally counts bits handed out
+    def next_bit(self) -> int:
+        bit = self._draw()  # a draw that raises is not counted: the tally counts bits handed out
         self.flips_consumed += 1
         return bit
-
-
-class ReplaySource(BitSource):
-    """Plays back a fixed bit sequence, then raises SourceExhausted."""
-
-    def __init__(self, bits) -> None:
-        self._bits = list(bits)
-        for b in self._bits:
-            if not isinstance(b, int) or b not in (0, 1):
-                raise ValueError(f"bit sequence may only contain 0 and 1, got {b!r}")
-        self._cursor = 0
-
-    def next_bit(self) -> Bit:
-        cursor = self._cursor
-        if cursor >= len(self._bits):  # not counted: the cursor stays
-            raise SourceExhausted(f"replay of {len(self._bits)} bits exhausted")
-        self._cursor = cursor + 1
-        return self._bits[cursor]
-
-    _draw = next_bit
-    flips_consumed = property(lambda self: self._cursor)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -85,7 +53,7 @@ class SeededSource(BitSource):
         self._word = 1
         self._words = 0
 
-    def next_bit(self) -> Bit:
+    def next_bit(self) -> int:
         word = self._word
         if word == 1:
             self._state, word = _splitmix64(self._state)

@@ -27,7 +27,7 @@ from .discrete import (
     parse_distribution,
     sample,
 )
-from .uniform import _roll, roll
+from .uniform import _roll
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -262,11 +262,11 @@ def _bench(roll_one, n: int, count: int, seed: int) -> tuple[float, float]:
 
 def cmd_bench(args) -> int:
     from . import analysis
-    expectations = [analysis.exact_expected_flips(n) for n in args.die]  # every budget first
+    expectations = [analysis.exact_expected_flips(n) for n in args.die]  # every n and budget first
     for n, expected in zip(args.die, expectations):
         k = analysis.ceil_log2(n)
         naive_expected = k * Fraction(1 << k, n)
-        recycler_rate, recycler_time = _bench(roll, n, args.count, args.seed)
+        recycler_rate, recycler_time = _bench(_roll, n, args.count, args.seed)
         naive_rate, naive_time = _bench(naive_rejection_roll, n, args.count, args.seed)
         if args.json:
             print(

@@ -49,13 +49,10 @@ def _expand(record, depth: int):
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     levels = _levels(record)
-    k, accepted = next(levels)
-    if k:  # level 0 accepts only an outcome of probability 1
-        return [(k, 0, [("", 1, accepted[0][0])])]
-
+    k, accepted = next(levels)  # level 0 accepts only an outcome of probability 1
     # every history still running at a level has the same m
-    m, size = 1, 0
-    walk = [(k, m, [("", 1, None)])]
+    m, size = 1 - k, 0
+    walk = [(k, m, [("", 1, accepted[0][0] if k else None)])]
     for j, (k, accepted) in zip(range(1, depth + 1), levels):
         if not m:
             break

@@ -51,10 +51,9 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
     """Roll a fair n-sided die, consuming bits from ``source``.
 
     Returns the outcome in {1..n} together with the number of bits
-    consumed.  Raises SourceExhausted if a scripted source runs dry
-    mid-roll.  This is ``discrete.sample`` of 1/n x n, with the level
-    rule on the die's one run (``discrete._die``) inlined as arithmetic
-    on m.
+    consumed; a source that runs dry mid-roll raises its own error.
+    This is ``discrete.sample`` of 1/n x n, with the level rule on the
+    die's one run (``discrete._die``) inlined as arithmetic on m.
     """
     _check_sides(n)
     return _roll(n, source, trace)

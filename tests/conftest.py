@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from coindice import DdgTree, ProbabilityVector, RecyclerState, expansion_bit
-from coindice.ddg import INTERNAL
+from coindice import BitSource, ProbabilityVector
+from coindice.ddg import INTERNAL, DdgTree, expansion_bit
 from coindice.oracle import _expand, _tally
+from coindice.uniform import RecyclerState
 
 
 def random_dyadic_distribution(
@@ -89,6 +90,35 @@ def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
     return tuple(
         i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level) == 1
     )
+
+
+class SourceExhausted(Exception):
+    """A scripted source ran out of bits.
+
+    A replay that ends before its draw resolves raises it, which tells a
+    bit history still live at its end from one that terminated.
+    """
+
+
+class ReplaySource(BitSource):
+    """Plays back a fixed bit sequence, then raises SourceExhausted."""
+
+    def __init__(self, bits) -> None:
+        self._bits = list(bits)
+        for b in self._bits:
+            if not isinstance(b, int) or b not in (0, 1):
+                raise ValueError(f"bit sequence may only contain 0 and 1, got {b!r}")
+        self._cursor = 0
+
+    def next_bit(self) -> int:
+        cursor = self._cursor
+        if cursor >= len(self._bits):  # not counted: the cursor stays
+            raise SourceExhausted(f"replay of {len(self._bits)} bits exhausted")
+        self._cursor = cursor + 1
+        return self._bits[cursor]
+
+    _draw = next_bit
+    flips_consumed = property(lambda self: self._cursor)
 
 
 def shallowest_leaf(tree) -> tuple[str, int]:

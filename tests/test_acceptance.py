@@ -10,21 +10,19 @@ from fractions import Fraction
 import pytest
 
 from coindice import (
-    DdgTree,
     ProbabilityVector,
     build_canonical,
     build_from_discrete,
     build_from_uniform,
-    census,
-    ceil_log2,
     check_optimal,
     enumerate_uniform,
     exact_expected_flips,
-    expansion_bit,
     flip_distribution,
     verify_bounds,
 )
+from coindice.analysis import ceil_log2
 from coindice.cli import main
+from coindice.ddg import DdgTree, census, expansion_bit
 from coindice.discrete import _die
 from conftest import dyadic_suite, level_multisets, walk
 

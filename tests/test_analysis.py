@@ -12,21 +12,25 @@ from hypothesis import strategies as st
 
 import coindice
 from coindice import (
-    BoundViolation,
-    FlipDistribution,
     ProbabilityVector,
     build_canonical,
-    ceil_log2,
     entropy,
     enumerate_uniform,
     exact_expected_flips,
-    expansion_bit,
     flip_distribution,
     flip_distribution_uniform,
     verify_bounds,
 )
 from coindice import analysis
-from coindice.analysis import _entropy, _flip_distribution, _order_of_two
+from coindice.analysis import (
+    BoundViolation,
+    FlipDistribution,
+    _entropy,
+    _flip_distribution,
+    _order_of_two,
+    ceil_log2,
+)
+from coindice.ddg import expansion_bit
 from coindice.discrete import _die
 from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, flip_tail
 
@@ -541,6 +545,20 @@ class TestBounds:
             verify_bounds(0)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "n_max must be >= 1, got 0"
+
+    def test_a_sweep_past_the_sweep_budget_is_refused_before_any_work(self, monkeypatch):
+        assert analysis.SWEEP_BUDGET == 1 << 15
+        seen = []
+        monkeypatch.setattr(analysis, "exact_expected_flips", seen.append)
+        with pytest.raises(ValueError) as exc:
+            verify_bounds(10**9)
+        assert str(exc.value) == "a sweep to 1000000000 passes the sweep budget of 32768 sizes"
+        with pytest.raises(ValueError, match="^a sweep to 32769 passes the sweep budget"):
+            verify_bounds(32769)
+        assert seen == []
+        monkeypatch.undo()
+        monkeypatch.setattr(analysis, "SWEEP_BUDGET", 8)
+        assert len(verify_bounds(8).rows) == 8  # the budget itself is admitted
 
     def test_a_sweep_of_one_is_the_one_sided_die(self):
         assert [(row.n, row.expected) for row in verify_bounds(1).rows] == [(1, 0)]

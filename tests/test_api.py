@@ -1,5 +1,6 @@
 """The public API is what the CLI, the README and the benchmark reach."""
 
+import ast
 import importlib
 import os
 import re
@@ -11,43 +12,61 @@ from pathlib import Path
 import pytest
 
 import coindice
-from coindice import ddg, discrete, oracle
+from coindice import bitsource, ddg, discrete, oracle
+from conftest import ReplaySource
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 REMOVED = (
     "LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete",
-    "acceptance_set",
+    "acceptance_set", "ReplaySource", "SourceExhausted", "Bit",
 )
+# the errors that public calls raise on a caller's input
+ERRORS = {"InvalidDistribution", "MassMismatch"}
 # what a die roll never needs
 HEAVY = ("coindice.analysis", "coindice.ddg", "coindice.oracle", "coindice.gof")
 
 
+def _cd_names(*paths: Path) -> set[str]:
+    """NAME of each lib.cd.NAME and cd.NAME, where cd is the imported coindice package."""
+    return {name for path in paths for name in re.findall(r"\bcd\.([A-Za-z]\w*)", path.read_text())}
+
+
 def test_every_name_perfbench_reaches_is_exported():
-    reached = set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        # lib.cd.NAME and cd.NAME, where cd is the imported coindice package
-        reached.update(re.findall(r"\bcd\.([A-Za-z]\w*)", path.read_text()))
+    reached = _cd_names(*PERFBENCH.glob("*.py"))
     assert "check_optimal" in reached
     assert reached <= set(coindice.__all__), sorted(reached - set(coindice.__all__))
 
 
+def test_the_exports_are_what_perfbench_ci_and_the_quickstart_reach_plus_the_input_errors():
+    reached = _cd_names(WORKFLOW, *PERFBENCH.glob("*.py"))
+    for node in ast.walk(ast.parse(readme_block("Library quickstart", "python"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "coindice":
+            reached.update(alias.name for alias in node.names)
+    assert "roll" in reached  # only the quickstart reaches it
+    assert set(coindice.__all__) == reached | ERRORS
+    assert len(coindice.__all__) == 21
+
+
 def test_test_only_names_are_gone():
+    modules = (coindice, bitsource, ddg, discrete, oracle)
     for name in REMOVED:
         assert name not in coindice.__all__
-        assert not any(hasattr(module, name) for module in (coindice, ddg, discrete, oracle)), name
+        assert not any(hasattr(module, name) for module in modules), name
     assert not hasattr(coindice.ProbabilityVector, "prob")
-    assert not hasattr(coindice.ReplaySource, "remaining")
+    assert not hasattr(ReplaySource, "remaining")
     assert type(ddg.census(ddg.build_from_uniform(3, 2))) is dict
 
 
 def test_expansion_bit_lives_beside_the_tree_checks_not_the_sampler():
     assert not hasattr(discrete, "expansion_bit")
-    assert coindice.expansion_bit is ddg.expansion_bit
+    assert ddg.expansion_bit.__module__ == "coindice.ddg"
+    assert "expansion_bit" not in coindice.__all__
 
 
 def test_every_export_resolves_to_its_defining_module(monkeypatch):
-    assert len(set(coindice.__all__)) == len(coindice.__all__) == 36
+    assert len(set(coindice.__all__)) == len(coindice.__all__) == 21
     for module, names in coindice._EXPORTS.items():
         defining = importlib.import_module(f"coindice.{module}")
         for name in names:

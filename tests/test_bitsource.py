@@ -2,8 +2,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coindice import BitSource, ReplaySource, SeededSource, SourceExhausted, roll_many
+from coindice import BitSource, SeededSource, roll_many
 from coindice.bitsource import _splitmix64
+from conftest import ReplaySource, SourceExhausted
 
 
 def test_replay_returns_bits_in_order_then_exhausts():

@@ -15,17 +15,11 @@ from fractions import Fraction
 import pytest
 
 import coindice
-from coindice import analysis, cli, ddg, discrete, oracle
+from coindice import analysis, cli, ddg, discrete, oracle, uniform
 from coindice.cli import main, naive_rejection_roll
-from coindice import (
-    ProbabilityVector,
-    ReplaySource,
-    SeededSource,
-    TracedRoll,
-    entropy,
-    exact_expected_flips,
-)
-from conftest import HUGE_DIE, shallowest_leaf, split_shallowest_leaf
+from coindice import ProbabilityVector, SeededSource, entropy, exact_expected_flips
+from coindice.uniform import TracedRoll
+from conftest import HUGE_DIE, ReplaySource, shallowest_leaf, split_shallowest_leaf
 
 HUGE = "7" * 5001  # past Python's default 4300-digit int/str limit
 
@@ -479,9 +473,10 @@ class TestWalkBudget:
 
 
 class TestAnalysisBudgets:
-    """``analyze`` and ``bench`` past ``analysis.PERIOD_BUDGET`` or
-    ``analysis.DEPTH_BUDGET`` exit 1 with one stderr line that names the
-    budget.  The time limit is a wide margin over runs of under 0.5 s."""
+    """``analyze`` and ``bench`` past ``analysis.PERIOD_BUDGET``,
+    ``analysis.DEPTH_BUDGET`` or ``analysis.SWEEP_BUDGET`` exit 1 with one
+    stderr line that names the budget.  The time limit is a wide margin
+    over runs of under 0.5 s."""
 
     @pytest.mark.parametrize(
         "argv, budget",
@@ -492,6 +487,8 @@ class TestAnalysisBudgets:
             (["bench", "--die", f"5,{10**30}", "--count", "1"], "period budget of 2097152 bits"),
             (["analyze", "--die", "3", "--depth", str(10**9)], "depth budget of 16384 levels"),
             (["analyze", "--dist", "1/3,2/3", "--depth", str(10**9)], "depth budget of 16384 levels"),
+            (["analyze", "--sweep", str(10**9)], "sweep budget of 32768 sizes"),
+            (["analyze", "--sweep", "32769", "--json"], "sweep budget of 32768 sizes"),
         ],
         ids=[
             "analyze-period",
@@ -499,6 +496,8 @@ class TestAnalysisBudgets:
             "bench-second-size",
             "analyze-die-depth",
             "analyze-dist-depth",
+            "analyze-sweep",
+            "analyze-sweep-edge",
         ],
     )
     def test_work_past_a_budget_exits_1_at_once(self, capsys, argv, budget):
@@ -551,6 +550,16 @@ class TestSidesCheckedOnce:
         monkeypatch.setattr(discrete, "_check_sides", calls.append)
         assert run_cli(capsys, *argv) == expected
         assert calls == [6]
+
+    def test_bench_times_the_roller_that_checks_no_sides(self, capsys, monkeypatch):
+        # exact_expected_flips checks each n before any roll is timed
+        argv = ["bench", "--die", "6,257", "--count", "300", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out.count("\n")) == (0, 2)
+        calls = []
+        monkeypatch.setattr(uniform, "_check_sides", calls.append)
+        assert run_cli(capsys, *argv)[:2] == (0, out)  # rates go to stderr
+        assert calls == []
 
 
 def _quiet(argv, main=main) -> tuple[int, str]:

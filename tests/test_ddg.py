@@ -6,34 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coindice import (
-    DdgTree,
-    EnumerationResult,
-    FlipDistribution,
     MassMismatch,
-    OptimalityVerdict,
     ProbabilityVector,
-    ReplaySource,
-    SourceExhausted,
     build_canonical,
     build_from_discrete,
     build_from_uniform,
-    census,
-    ceil_log2,
     check_optimal,
     enumerate_uniform,
     exact_expected_flips,
-    expansion_bit,
     export_dot,
     flip_distribution,
     roll,
     sample,
 )
 from coindice import ddg
-from coindice.ddg import INTERNAL, _check_optimal
+from coindice.analysis import FlipDistribution, ceil_log2
+from coindice.ddg import DdgTree, INTERNAL, OptimalityVerdict, _check_optimal, census, expansion_bit
 from coindice.discrete import _die
-from coindice.oracle import _expand, _tally
+from coindice.oracle import EnumerationResult, _expand, _tally
 from conftest import (
     HUGE_DIE,
+    ReplaySource,
+    SourceExhausted,
     TWIN_HUGE_RUNS,
     Unwalkable,
     acceptance_set,

@@ -13,24 +13,29 @@ from hypothesis import strategies as st
 
 from coindice import (
     BitSource,
-    DdgTree,
     InvalidDistribution,
     ProbabilityVector,
-    RecyclerState,
-    ReplaySource,
     SeededSource,
-    TracedRoll,
     build_from_discrete,
     check_optimal,
     discrete,
-    expansion_bit,
     parse_distribution,
     roll,
     sample,
 )
 from coindice.analysis import _entropy, _flip_distribution
+from coindice.ddg import DdgTree, expansion_bit
 from coindice.discrete import _die, _levels
-from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, acceptance_set, dyadic_suite, walk
+from coindice.uniform import RecyclerState, TracedRoll
+from conftest import (
+    HUGE_DIE,
+    ReplaySource,
+    TWIN_HUGE_RUNS,
+    Unwalkable,
+    acceptance_set,
+    dyadic_suite,
+    walk,
+)
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from coindice import (
-    ProbabilityVector,
-    RecyclerState,
-    ReplaySource,
-    SourceExhausted,
-    enumerate_uniform,
-    roll,
-    sample,
-)
+from coindice import ProbabilityVector, enumerate_uniform, roll, sample
 from coindice import oracle
 from coindice.discrete import _die
 from coindice.oracle import _expand
-from conftest import level_multisets, walk
+from coindice.uniform import RecyclerState
+from conftest import ReplaySource, SourceExhausted, level_multisets, walk
 
 # Per-flip state multisets of the five-sided roller, derived by hand from
 # the doubling/accept/recycle rules and frozen here.

@@ -4,20 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coindice import (
-    ProbabilityVector,
-    RecyclerState,
-    ReplaySource,
-    SeededSource,
-    SourceExhausted,
-    enumerate_uniform,
-    roll,
-    roll_many,
-    sample,
-)
+from coindice import ProbabilityVector, SeededSource, enumerate_uniform, roll, roll_many, sample
 from coindice import uniform
 from coindice.discrete import _die
-from conftest import walk
+from coindice.uniform import RecyclerState
+from conftest import ReplaySource, SourceExhausted, walk
 
 
 def test_one_sided_die_needs_no_flips():

@@ -4,11 +4,11 @@
 One mutant per ``raise`` (to ``pass``) and per comparison operator (< <=,
 > >=, == != swapped).  Each runs its module's test files (TESTS) under
 ``python -B`` in a throwaway copy of src/, tests/, pyproject.toml and what
-the tests read (README.md, perfbench/), so no stale bytecode, .hypothesis/
-or .pytest_cache/ of the tree is read or written.  Prints path:line, the
-change and killed, survived or timeout (a hang cannot pass, so it counts
-as detected), then the totals; exits 1 if any mutant survived.  ``--list``
-prints the mutants and runs none.
+the tests read (README.md, perfbench/, .github/), so no stale bytecode,
+.hypothesis/ or .pytest_cache/ of the tree is read or written.  Prints
+path:line, the change and killed, survived or timeout (a hang cannot pass,
+so it counts as detected), then the totals; exits 1 if any mutant
+survived.  ``--list`` prints the mutants and runs none.
 """
 
 import ast
@@ -61,7 +61,7 @@ def mutants(source: bytes):
 def run(path: Path, source: bytes) -> str:
     """killed, survived or timeout: the module's tests on a copy with ``source`` at ``path``."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("src", "tests", "perfbench"):
+        for name in ("src", "tests", "perfbench", ".github"):
             skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
             shutil.copytree(ROOT / name, Path(tmp, name), ignore=skip)
         for name in ("pyproject.toml", "README.md"):
