@@ -8,7 +8,7 @@ closed form.
 
 Importing the package loads no submodule: the first use of a public name
 imports the module that defines it (PEP 562), so rolling a die never
-loads the analysis, tree, oracle or goodness-of-fit code.
+loads the analysis, tree or goodness-of-fit code.
 """
 
 from importlib import import_module
@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 # defining module -> its public names: those the README quickstart, CI's smoke
 # step and the benchmark reach, and the errors public calls raise on bad input
 _EXPORTS = {
-    "analysis": ("entropy", "exact_expected_flips", "flip_distribution_uniform", "verify_bounds"),
+    "analysis": ("entropy", "exact_expected_flips", "verify_bounds"),
     "bitsource": ("BitSource", "SeededSource"),
     "ddg": ("MassMismatch", "build_canonical", "build_from_discrete", "build_from_uniform",
-            "check_optimal", "export_dot", "flip_distribution"),
+            "check_optimal", "enumerate_uniform", "export_dot", "flip_distribution",
+            "flip_distribution_uniform"),
     "discrete": ("InvalidDistribution", "ProbabilityVector", "parse_distribution", "sample"),
     "gof": ("chi_square_test",),
-    "oracle": ("enumerate_uniform",),
     "uniform": ("roll", "roll_many"),
 }
 

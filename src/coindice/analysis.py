@@ -1,45 +1,42 @@
 """Exact rational analysis of the die roller's entropy cost.
 
-Everything here is closed-form.  The optimal n-sided die roller stops
-after exactly j flips with probability P(N = j) = n * bit_j(1/n) * 2^-j
-(Knuth and Yao), so E[N] is a weighted sum over the binary expansion of
-1/n, and that expansion is periodic.  Write n = 2^a * q with q odd.  The
-expansion is a zeros followed by the repeating block B = (2^P - 1)/q of
-1/q, whose length P = ord_q(2) is the multiplicative order of 2 mod q.
-Digit u = 1..P of the block is bit_{P-u}(B), and it recurs at positions
-j = a + t*P + u for t = 0, 1, ...  With x = 2^-P,
+Everything here is closed-form: E[N] from the period of 1/n, the bounds
+sweep over it, and entropy.  The optimal n-sided die roller stops after
+exactly j flips with probability P(N = j) = n * bit_j(1/n) * 2^-j (Knuth
+and Yao).  Bit j + 1 of 1/(2n) is bit j of 1/n, so E(2n) = E(n) + 1, and
+for n = 2^a * q with q odd, E(n) = a + E(q).  The expansion of 1/q is
+purely periodic: its repeating block B = (2^P - 1)/q has length
+P = ord_q(2), the multiplicative order of 2 mod q.  Digit u = 1..P of the
+block is bit_{P-u}(B), and it recurs at j = t*P + u for t = 0, 1, ...
+With x = 2^-P,
 
-    E[N] = q * sum_t x^t * sum_u (a + t*P + u) * bit_{P-u}(B) * 2^-u
+    E(q) = q * sum_t x^t * sum_u (t*P + u) * bit_{P-u}(B) * 2^-u
          = q * (x*W / (1 - x) + P*B * x^2 / (1 - x)^2)
 
 after summing sum_t x^t = 1/(1-x) and sum_t t*x^t = x/(1-x)^2, where
 
-    W = sum_i (a + P - i) * bit_i(B) * 2^i = (a + P)*B - sum_i i*bit_i(B)*2^i.
+    W = sum_i (P - i) * bit_i(B) * 2^i = P*B - sum_i i*bit_i(B)*2^i.
 
 Since q*B = 2^P - 1 this collapses to one fraction with P-bit parts,
 
-    E[N] = (q*W + P) / (2^P - 1).
+    E(q) = (q*W + P) / (2^P - 1).
 
 The bit-weighted sum takes ceil(log2 P) masked ANDs and P comes from one
 baby-step giant-step search, so no per-digit or per-state loop is left
 and memory is O(P) bits.  P is refused past ``PERIOD_BUDGET`` after at
-most about 2,900 modular products, and a flip distribution's depth past
-``DEPTH_BUDGET`` and a bounds sweep past ``SWEEP_BUDGET`` before any work.
+most about 2,900 modular products, a sweep past ``SWEEP_BUDGET`` at once.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
-from .discrete import ProbabilityVector, _die, _levels
+from .discrete import ProbabilityVector
 from .uniform import _check_sides
 
 
 # E[N] of n = 2097133 (P = 2097132) took 8.9 s, of n = 4000037 37.6 s (2-vCPU Xeon)
 PERIOD_BUDGET = 1 << 21
-# mass and output grow with depth squared: 1/3,2/3 at 2^14 took 7.5 s, 39 MB
-DEPTH_BUDGET = 1 << 14
 # a sweep holds every row until it returns: 2^14 sizes took 1.2 s and 30 MB,
 # 2^15 took 4.7 s and 61 MB (2-vCPU Xeon)
 SWEEP_BUDGET = 1 << 15
@@ -47,51 +44,6 @@ SWEEP_BUDGET = 1 << 15
 
 class BoundViolation(Exception):
     """The expected flip count escaped its proven bracket: a genuine bug."""
-
-
-@dataclass
-class FlipDistribution:
-    """Exact distribution of N, the number of flips a sampler consumes.
-
-    ``mass[j]`` is P(N = j); ``residual`` is the probability mass of runs
-    still going at the materialisation depth.  Every denominator is a
-    power of two, and masses plus residual always sum to exactly 1.
-    """
-
-    mass: dict[int, Fraction]
-    residual: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if any(q < 0 for q in self.mass.values()) or self.residual < 0:
-            raise ValueError("negative probability mass")
-        dens = [q.denominator for q in self.mass.values()] + [self.residual.denominator]
-        if any(d & (d - 1) for d in dens):
-            raise ValueError("a mass or residual whose denominator is not a power of two")
-        total = _exact_sum([(q.numerator, q.denominator) for q in self.mass.values()])
-        total += self.residual
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected exactly 1")
-
-    def expectation(self) -> Fraction:
-        """Exact E[N]; requires the distribution to be fully materialised."""
-        if self.residual != 0:
-            raise ValueError(
-                f"distribution truncated with residual {self.residual}; "
-                "use partial_expectation()"
-            )
-        return self.partial_expectation()
-
-    def partial_expectation(self) -> Fraction:
-        """Sum of j * P(N = j) over the materialised levels only."""
-        return _exact_sum([(j * q.numerator, q.denominator) for j, q in self.mass.items()])
-
-
-def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
-    """Sum of the pairs (num, den), each den a power of two: shifted
-    integer adds over the largest den."""
-    den = max((d for _, d in terms), default=1)
-    width = den.bit_length()
-    return Fraction(sum(n << (width - d.bit_length()) for n, d in terms), den)
 
 
 def ceil_log2(n: int) -> int:
@@ -152,9 +104,9 @@ def _bit_weighted_sum(b: int, width: int) -> int:
 def exact_expected_flips(n: int) -> Fraction:
     """Exact expected number of coin flips to roll a fair n-sided die.
 
-    E[N] = (q*W + P) / (2^P - 1) for n = 2^a * q, q odd, from the period
-    P = ord_q(2) of 1/n and its repeating block B (derived in the module
-    docstring).  One Fraction with P-bit parts is normalised at the end.
+    E(n) = a + (q*W + P) / (2^P - 1) for n = 2^a * q, q odd, from the
+    period P = ord_q(2) of 1/q and its repeating block B (derived in the
+    module docstring).  One Fraction with P-bit parts is normalised at the end.
     """
     _check_sides(n)
     a = (n & -n).bit_length() - 1  # v2(n)
@@ -164,34 +116,8 @@ def exact_expected_flips(n: int) -> Fraction:
     period = _order_of_two(q)
     ones = (1 << period) - 1
     block = ones // q
-    weighted = (a + period) * block - _bit_weighted_sum(block, period)
-    return Fraction(q * weighted + period, ones)
-
-
-def _flip_distribution(record, depth: int) -> FlipDistribution:
-    """Flip-count distribution of the optimal sampler of a compiled
-    ``record`` (see ``discrete``): P(N = j) = sum over runs of
-    |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
-    outcomes the level rule accepts at level j, with the mass beyond
-    ``depth`` as the residual: the live count m = 1 - k_0, then
-    m <- 2m - k_j per level, over 2^depth."""
-    if depth > DEPTH_BUDGET:
-        raise ValueError(f"depth {depth} passes the depth budget of {DEPTH_BUDGET} levels")
-    leaves = [k for k, _ in islice(_levels(record), depth + 1)]
-    mass = {j: Fraction(count, 1 << j) for j, count in enumerate(leaves) if count}
-    live = 1 - leaves[0]
-    for k in leaves[1:]:
-        live = 2 * live - k
-    return FlipDistribution(mass, Fraction(live, 1 << depth))
-
-
-def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
-    """Flip-count distribution of the optimal n-sided die roller, the
-    target 1/n x n."""
-    record = _die(n)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    return _flip_distribution(record, depth)
+    weighted = period * block - _bit_weighted_sum(block, period)
+    return a + Fraction(q * weighted + period, ones)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 
-# each command imports the analysis, ddg, oracle and gof modules it uses:
+# each command imports the analysis, ddg and gof modules it uses:
 # a die roll loads none of them
 from .bitsource import BitSource, SeededSource
 from .discrete import (
@@ -102,13 +102,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from . import analysis
     if args.sweep is not None:
         return _analyze_sweep(args)
+    from . import analysis, ddg
     n, p, record = _target(args)
     lower = analysis.ceil_log2(n) if p is None else None
     depth = args.depth or (2 * lower + 8 if p is None else 16)
-    dist = analysis._flip_distribution(record, depth)
+    dist = ddg._flip_distribution(record, depth)
     exact = p is None or dist.residual == 0
     expected = analysis.exact_expected_flips(n) if p is None else dist.partial_expectation()
     ent = analysis._entropy(record)
@@ -202,9 +202,9 @@ def cmd_tree(args) -> int:
 
 
 def cmd_oracle_dump(args) -> int:
-    from . import oracle
+    from . import ddg
     _, _, record = _target(args)
-    for k, m, nodes in oracle._expand(record, args.depth):
+    for k, m, nodes in ddg._expand(record, args.depth):
         for history, x, outcome in nodes:
             if outcome is None:
                 print(f'{len(history)} "{history}" ({x}, {m})')

@@ -1,30 +1,185 @@
-"""Explicit discrete-distribution-generating trees.
+"""The sampler's DDG tree: its trie walk, trees and flip distributions.
 
-A DDG tree is walked by coin flips (0 = left, 1 = right) until a leaf
-emits an outcome; a leaf at level j carries probability 2^-j.  Nodes are
-keyed by their bit history rather than linked by pointers, which makes
-trees directly comparable with the enumeration oracle and gives the DOT
-exporter stable node ids.
+A DDG (discrete-distribution-generating) tree of Knuth and Yao is walked
+by coin flips (0 = left, 1 = right) until a leaf emits an outcome; a leaf
+at level j carries probability 2^-j.  Nodes are keyed by bit history, so
+trees compare directly with the walk and DOT node ids are stable.
 
-Two builders are provided: ``build_canonical`` places leaves straight
-from ``expansion_bit``, the random-access bits of the probabilities'
-binary expansions (the optimal shape), and ``build_from_uniform`` /
-``build_from_discrete`` materialise whatever tree the samplers actually
-walk, in O(nodes), from the node lists of the oracle's one trie walk
-under the samplers' own level rules: a history that terminates carries
-its outcome and is a leaf, one still running is internal.  The tests
-keep a reference builder that replays the samplers on every history.
-``check_optimal`` compares any tree against the expansion-bit
-characterisation of optimality.
+``_expand`` walks every bit string to a depth bound as a shared-prefix
+trie, at a cost of the live states per level (at most 2n - 1 for a die)
+times the depth, not 2^depth.  It steps the recycled pair (x, m) of both
+samplers through the one level rule, the residual doubling of
+``discrete._levels``, over the target's compiled record (a vector's
+``_runs``, or the die's from ``discrete._die``).  It keeps one node list
+per level, of k leaves (x = 1..k) and m live histories (x = 1..m), and
+raises ValueError before its histories pass ``WALK_BUDGET`` characters.
+
+``build_canonical`` places leaves straight from ``expansion_bit``, the
+random-access bits of the probabilities' binary expansions (the optimal
+shape); ``build_from_uniform`` / ``build_from_discrete`` read the tree the
+samplers walk off the walk's node lists in O(nodes).  ``check_optimal``
+compares any tree against the expansion-bit characterisation of
+optimality.  A ``FlipDistribution`` holds a truncated tree's leaf and live
+counts per level: the walk's tally, any tree's ``flip_distribution``, and
+``_flip_distribution``, which reads the level rule alone to at most
+``DEPTH_BUDGET`` levels, each build one.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .analysis import FlipDistribution
-from .discrete import ProbabilityVector, _die
-from .oracle import _expand
+from .discrete import ProbabilityVector, _die, _levels
+
+# the summed length of all bit histories a walk may hold; the largest walk
+# it admits, ``tree --die 9406 --check``, took 1.5 s and 225 MB (2-vCPU Xeon)
+WALK_BUDGET = 1 << 23
+# mass and output grow with depth squared: 1/3,2/3 at 2^14 took 7.5 s, 39 MB
+DEPTH_BUDGET = 1 << 14
+
+
+@dataclass
+class FlipDistribution:
+    """Exact distribution of N, the number of flips a sampler consumes.
+
+    ``leaves[j]`` histories stop after exactly j flips and ``live`` still
+    run at depth d = len(leaves) - 1, so sum_j leaves[j] * 2^(d - j) + live
+    = 2^d.  From them, ``mass[j]`` = P(N = j) for each level with a leaf
+    and ``residual`` is the probability mass of runs still going; equal
+    distributions compare equal whatever their depth.
+    """
+
+    leaves: list[int] = field(compare=False)
+    live: int = field(default=0, compare=False)
+    mass: dict[int, Fraction] = field(init=False)
+    residual: Fraction = field(init=False)
+
+    def __post_init__(self) -> None:
+        if min([*self.leaves, self.live]) < 0:
+            raise ValueError("negative probability mass")
+        depth = len(self.leaves) - 1
+        filled = sum(k << (depth - j) for j, k in enumerate(self.leaves) if k) + self.live
+        if filled != 1 << depth:
+            raise ValueError(f"masses sum to {Fraction(filled, 1 << depth)}, expected exactly 1")
+        self.mass = {j: Fraction(k, 1 << j) for j, k in enumerate(self.leaves) if k}
+        self.residual = Fraction(self.live, 1 << depth)
+
+    def expectation(self) -> Fraction:
+        """Exact E[N]; requires the distribution to be fully materialised."""
+        if self.residual != 0:
+            raise ValueError(
+                f"distribution truncated with residual {self.residual}; "
+                "use partial_expectation()"
+            )
+        return self.partial_expectation()
+
+    def partial_expectation(self) -> Fraction:
+        """Sum of j * P(N = j) over the materialised levels only."""
+        depth = len(self.leaves) - 1
+        weighted = sum(j * k << (depth - j) for j, k in enumerate(self.leaves) if k)
+        return Fraction(weighted, 1 << depth)
+
+
+@dataclass
+class EnumerationResult:
+    """Exact tallies from walking all bit strings up to a depth bound."""
+
+    outcome_mass: dict[int, Fraction]
+    flip_mass: dict[int, Fraction]
+    live_mass: Fraction
+    leaf_histories: dict[str, int]
+
+    def terminated_mass(self) -> Fraction:
+        return sum(self.outcome_mass.values(), Fraction(0))
+
+
+def _expand(record, depth: int):
+    """Trie walk of the sampler of a compiled ``record`` (see
+    ``discrete``) to ``depth``, or until no history runs.  Returns one
+    (k, m, nodes) per level, where nodes lists (history, x, outcome) in
+    breadth-first order: a history that terminates there has state (x, k)
+    and its outcome, one still running has state (x, m) and outcome None.
+    Raises ValueError before the summed length of all histories would
+    pass ``WALK_BUDGET`` characters.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    levels = _levels(record)
+    k, accepted = next(levels)  # level 0 accepts only an outcome of probability 1
+    # every history still running at a level has the same m
+    m, size = 1 - k, 0
+    walk = [(k, m, [("", 1, accepted[0][0] if k else None)])]
+    for j, (k, accepted) in zip(range(1, depth + 1), levels):
+        if not m:
+            break
+        size += 2 * j * m
+        if size > WALK_BUDGET:
+            raise ValueError(
+                f"trie walk to depth {depth} passes the walk budget of {WALK_BUDGET} "
+                f"history characters at level {j}"
+            )
+        # one list per level: indexing it per leaf beats walking the spans
+        accept = []
+        for first, length in accepted:
+            accept += range(first, first + length)
+        nodes = []
+        append = nodes.append
+        for history, x, outcome in walk[-1][2]:
+            if outcome is None:
+                h0, h1, x1 = history + "0", history + "1", x + m
+                append((h0, x, accept[x - 1]) if x <= k else (h0, x - k, None))
+                append((h1, x1, accept[x1 - 1]) if x1 <= k else (h1, x1 - k, None))
+        m = 2 * m - k
+        walk.append((k, m, nodes))
+    return walk
+
+
+def _tally(walk, depth: int) -> EnumerationResult:
+    # level j holds k leaves and m live histories; a leaf there carries
+    # 2^(depth - j) / 2^depth
+    outcome_weight: dict[int, int] = {}
+    leaves: dict[str, int] = {}
+    for j, (_, _, nodes) in enumerate(walk):
+        weight = 1 << (depth - j)
+        for history, _, outcome in nodes:
+            if outcome is not None:
+                leaves[history] = outcome
+                outcome_weight[outcome] = outcome_weight.get(outcome, 0) + weight
+    masses = {w: Fraction(w, 1 << depth) for w in set(outcome_weight.values())}
+    outcome_mass = {o: masses[w] for o, w in outcome_weight.items()}
+    flips = FlipDistribution([k for k, _, _ in walk], walk[-1][1])
+    return EnumerationResult(outcome_mass, flips.mass, flips.residual, leaves)
+
+
+def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
+    """Exact outcome and flip-count masses for the n-sided die roller."""
+    return _tally(_expand(_die(n), depth), depth)
+
+
+def _flip_distribution(record, depth: int) -> FlipDistribution:
+    """Flip-count distribution of the optimal sampler of a compiled
+    ``record`` (see ``discrete``): P(N = j) = sum over runs of
+    |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
+    k_j outcomes the level rule accepts at level j, with the live count
+    m = 1 - k_0, then m <- 2m - k_j per level, to ``depth``."""
+    if depth > DEPTH_BUDGET:
+        raise ValueError(f"depth {depth} passes the depth budget of {DEPTH_BUDGET} levels")
+    leaves = [k for k, _ in islice(_levels(record), depth + 1)]
+    live = 1 - leaves[0]
+    for k in leaves[1:]:
+        live = 2 * live - k
+    return FlipDistribution(leaves, live)
+
+
+def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
+    """Flip-count distribution of the optimal n-sided die roller, the
+    target 1/n x n."""
+    record = _die(n)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return _flip_distribution(record, depth)
+
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
 INTERNAL = None
@@ -206,13 +361,13 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
 
 
 def flip_distribution(tree: DdgTree) -> FlipDistribution:
-    """P(N = j) = (leaves at level j) * 2^-j; frontier mass is residual."""
-    level_leaves: dict[int, int] = {}
+    """Leaves per level; each frontier node at level j counts as
+    2^(depth - j) live runs at the depth of the deepest node."""
+    depth = max(map(len, tree.nodes))
+    leaves = [0] * (depth + 1)
     for history, _ in tree.leaves():
-        j = len(history)
-        level_leaves[j] = level_leaves.get(j, 0) + 1
-    mass = {j: Fraction(count, 1 << j) for j, count in level_leaves.items()}
-    return FlipDistribution(mass, tree.live_mass())
+        leaves[len(history)] += 1
+    return FlipDistribution(leaves, sum(1 << (depth - len(h)) for h in tree.frontier()))
 
 
 def export_dot(tree: DdgTree) -> str:

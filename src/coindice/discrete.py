@@ -9,8 +9,8 @@ into one record ``(nums, dens, spans)``: per run of consecutive outcomes
 that share the probability num/den its numerator, denominator and span
 (first, length), two ints.  A vector has one run per maximal block of
 equal neighbours, so 1/n x n compiles to the die's record, one run
-(1, n, (1, n)), which ``_die`` builds in O(1).  The sampler, the oracle,
-the tree checks and the analysis all read that record.  The level rule
+(1, n, (1, n)), which ``_die`` builds in O(1).  The sampler, the trie
+walk, the tree checks and the analysis all read that record.  The level rule
 reads the acceptance sets off one integer residual per run, num * 2^j
 mod 2 * den on entering level j (num at level 0, whose one possible leaf
 is an outcome of probability 1), so it opens at any level; comparing it
@@ -174,7 +174,7 @@ def _levels(record, start=0):
     2 * (num * 2^j mod den).  Level 0 accepts only a run with num = den,
     the outcome of probability 1.
 
-    ``sample`` and ``oracle._expand`` resolve on every nonempty level
+    ``sample`` and ``ddg._expand`` resolve on every nonempty level
     without testing m >= k, and x <= k always names an accepted outcome:
     after level j the live m is the sum over runs of
     length * (num * 2^j mod den) / den, never negative.  So the trie walk

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coindice import BitSource, ProbabilityVector
-from coindice.ddg import INTERNAL, DdgTree, expansion_bit
-from coindice.oracle import _expand, _tally
+from coindice.ddg import INTERNAL, DdgTree, _expand, _tally, expansion_bit
 from coindice.uniform import RecyclerState
 
 

@@ -21,16 +21,9 @@ from coindice import (
     flip_distribution_uniform,
     verify_bounds,
 )
-from coindice import analysis
-from coindice.analysis import (
-    BoundViolation,
-    FlipDistribution,
-    _entropy,
-    _flip_distribution,
-    _order_of_two,
-    ceil_log2,
-)
-from coindice.ddg import expansion_bit
+from coindice import analysis, ddg
+from coindice.analysis import BoundViolation, _entropy, _order_of_two, ceil_log2
+from coindice.ddg import FlipDistribution, _flip_distribution, expansion_bit
 from coindice.discrete import _die
 from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, flip_tail
 
@@ -146,6 +139,16 @@ class TestExactExpectedFlips:
     @pytest.mark.parametrize("k", range(13))
     def test_powers_of_two_never_reject(self, k):
         assert exact_expected_flips(1 << k) == k
+
+    def test_doubling_the_die_adds_one_flip_below_600(self):
+        # bit j + 1 of 1/(2n) is bit j of 1/n, so every history is one flip longer
+        for n in range(1, 600):
+            assert exact_expected_flips(2 * n) == exact_expected_flips(n) + 1, n
+
+    # 1000003 has period 1000002 (about 2 s per call), 2^64 + 1 period 128
+    @pytest.mark.parametrize("n", [1000003, 2**64 + 1])
+    def test_doubling_a_large_die_adds_one_flip(self, n):
+        assert exact_expected_flips(2 * n) == exact_expected_flips(n) + 1
 
     # 4099 and 20011 have long periods (2049 and 3335 chain steps); the
     # even sizes enter their cycle after a non-empty chain prefix
@@ -355,17 +358,18 @@ class TestFlipDistributionUniform:
         assert fd.expectation() == 0
 
     def test_largest_admitted_depth_passes_and_the_next_raises(self):
-        assert analysis.DEPTH_BUDGET == 1 << 14
-        fd = flip_distribution_uniform(1, analysis.DEPTH_BUDGET)
+        assert ddg.DEPTH_BUDGET == 1 << 14
+        fd = flip_distribution_uniform(1, ddg.DEPTH_BUDGET)
         assert fd.mass == {0: Fraction(1)}
         with pytest.raises(ValueError) as exc:
-            flip_distribution_uniform(1, analysis.DEPTH_BUDGET + 1)
+            flip_distribution_uniform(1, ddg.DEPTH_BUDGET + 1)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "depth 16385 passes the depth budget of 16384 levels"
 
     def test_depth_zero_holds_only_level_zero(self):
-        assert flip_distribution_uniform(1, 0) == FlipDistribution({0: Fraction(1)})
-        assert flip_distribution_uniform(2, 0) == FlipDistribution({}, Fraction(1))
+        assert flip_distribution_uniform(1, 0) == FlipDistribution([1])
+        assert flip_distribution_uniform(2, 0) == FlipDistribution([0], 1)
+        assert flip_distribution_uniform(2, 0).residual == 1
 
     def test_negative_depth_is_rejected(self):
         # without the check, islice raises a ValueError of its own wording
@@ -405,16 +409,15 @@ class TestFlipDistributionUniform:
         )
         assert _flip_distribution(record, depth).residual == expected
 
-    def test_deepest_certain_outcome_sums_only_its_one_mass(self, monkeypatch):
-        # a residual summed over every level, zero counts included, divides
-        # a 16,385-bit denominator 16,385 times (about 1.5 s)
-        terms = []
-        exact_sum = analysis._exact_sum
-        monkeypatch.setattr(analysis, "_exact_sum", lambda t: terms.extend(t) or exact_sum(t))
-        fd = _flip_distribution(_die(1), analysis.DEPTH_BUDGET)
+    def test_deepest_certain_outcome_sums_only_its_one_mass(self):
+        # a residual summed as Fractions over every level, zero counts
+        # included, divides a 16,385-bit denominator 16,385 times (about 1.5 s)
+        start = time.perf_counter()
+        fd = _flip_distribution(_die(1), ddg.DEPTH_BUDGET)
+        assert fd.partial_expectation() == 0
+        assert time.perf_counter() - start < 0.1
         assert fd.mass == {0: Fraction(1)}
         assert fd.residual == 0
-        assert terms == [(1, 1)]
 
     @pytest.mark.parametrize(
         "record, exact, seconds",
@@ -426,7 +429,7 @@ class TestFlipDistributionUniform:
     )
     def test_deepest_admitted_masses_sum_by_shifts(self, record, exact, seconds):
         # summed over an lcm divided by each 2^j this took 1.4 s and 2.8 s
-        depth = analysis.DEPTH_BUDGET
+        depth = ddg.DEPTH_BUDGET
         start = time.perf_counter()
         fd = _flip_distribution(record, depth)
         partial = fd.partial_expectation()
@@ -477,45 +480,60 @@ class TestFlipDistributionUniform:
 
 class TestFlipDistributionType:
     def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            FlipDistribution({1: Fraction(1, 2)}, Fraction(1, 4))
+        # P(N = 1) = 1/2 and a residual of 1/4 at depth 2
+        with pytest.raises(ValueError) as exc:
+            FlipDistribution([0, 1, 0], 1)
+        assert str(exc.value) == "masses sum to 3/4, expected exactly 1"
 
     @pytest.mark.parametrize(
-        "mass, residual",
+        "leaves, live, total",
         [
-            ({1: Fraction(1, 3), 2: Fraction(2, 3)}, Fraction(0)),
-            ({1: Fraction(1, 3)}, Fraction(2, 3)),
+            ([0, 2, 1], 0, "5/4"),
+            ([0, 1, 0], 3, "5/4"),
+            ([0, 1, 1], 0, "3/4"),
+            ([0, 0, 1], 2, "3/4"),
         ],
-        ids=["masses", "residual"],
+        ids=["leaves-over", "live-over", "leaves-under", "live-under"],
     )
-    def test_non_dyadic_mass_is_rejected(self, mass, residual):
-        # these masses sum to 1, so only the power-of-two check rejects them
+    def test_counts_must_fill_the_tree(self, leaves, live, total):
+        # a mass is a count over a power of two, reduced, so no other
+        # denominator can arise; only counts that over- or under-fill the
+        # 2^depth histories are wrong
+        fd = FlipDistribution([0, 0, 2, 0], 4)
+        assert (fd.mass, fd.residual) == ({2: Fraction(1, 2)}, Fraction(1, 2))
         with pytest.raises(ValueError) as exc:
-            FlipDistribution(mass, residual)
+            FlipDistribution(leaves, live)
         assert type(exc.value) is ValueError
-        assert str(exc.value) == "a mass or residual whose denominator is not a power of two"
+        assert str(exc.value) == f"masses sum to {total}, expected exactly 1"
 
     def test_a_zero_mass_is_allowed(self):
-        assert FlipDistribution({1: Fraction(0), 2: Fraction(1)}).expectation() == 2
+        fd = FlipDistribution([0, 0, 4])
+        assert fd.mass == {2: Fraction(1)}
+        assert fd.expectation() == 2
 
     def test_a_truncated_distribution_has_no_exact_expectation(self):
         with pytest.raises(ValueError) as exc:
-            FlipDistribution({1: Fraction(1, 2)}, Fraction(1, 2)).expectation()
+            FlipDistribution([0, 1], 1).expectation()
         assert str(exc.value) == (
             "distribution truncated with residual 1/2; use partial_expectation()"
         )
 
     def test_negative_mass_is_rejected(self):
-        # these masses sum to 1, so only the sign check rejects them
-        with pytest.raises(ValueError) as exc:
-            FlipDistribution({1: Fraction(-1, 2), 2: Fraction(3, 2)})
-        assert type(exc.value) is ValueError
-        assert str(exc.value) == "negative probability mass"
+        # these counts fill the tree, so only the sign check rejects them
+        for leaves, live in [([0, -1, 6], 0), ([0, 1, 3], -1)]:
+            with pytest.raises(ValueError) as exc:
+                FlipDistribution(leaves, live)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == "negative probability mass"
+
+    def test_equal_distributions_compare_equal_at_any_depth(self):
+        shallow, deep = FlipDistribution([0, 1], 1), FlipDistribution([0, 1, 0], 2)
+        assert shallow == deep
+        assert shallow.partial_expectation() == deep.partial_expectation() == Fraction(1, 2)
+        assert shallow != FlipDistribution([0, 1, 1], 1)
 
     def test_tail(self):
-        fd = FlipDistribution(
-            {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
-        )
+        fd = FlipDistribution([0, 1, 1, 2])
         assert flip_tail(fd, 0) == 1
         assert flip_tail(fd, 1) == Fraction(1, 2)
         assert flip_tail(fd, 2) == Fraction(1, 4)

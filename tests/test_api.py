@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coindice
-from coindice import bitsource, ddg, discrete, oracle
+from coindice import bitsource, ddg, discrete
 from conftest import ReplaySource
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,7 +25,7 @@ REMOVED = (
 # the errors that public calls raise on a caller's input
 ERRORS = {"InvalidDistribution", "MassMismatch"}
 # what a die roll never needs
-HEAVY = ("coindice.analysis", "coindice.ddg", "coindice.oracle", "coindice.gof")
+HEAVY = ("coindice.analysis", "coindice.ddg", "coindice.gof")
 
 
 def _cd_names(*paths: Path) -> set[str]:
@@ -50,7 +50,7 @@ def test_the_exports_are_what_perfbench_ci_and_the_quickstart_reach_plus_the_inp
 
 
 def test_test_only_names_are_gone():
-    modules = (coindice, bitsource, ddg, discrete, oracle)
+    modules = (coindice, bitsource, ddg, discrete)
     for name in REMOVED:
         assert name not in coindice.__all__
         assert not any(hasattr(module, name) for module in modules), name
@@ -107,6 +107,25 @@ def test_rolling_a_die_loads_no_analysis_tree_oracle_or_gof_module():
     assert len(rolls) == 4  # three rolls and the summary line
     assert {"coindice.cli", "coindice.discrete", "coindice.uniform"} <= set(loaded.split())
     assert not set(HEAVY) & set(loaded.split()), loaded
+
+
+def test_the_trie_walk_lives_in_ddg_which_loads_no_analysis():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("coindice.oracle")
+    assert ddg.enumerate_uniform.__module__ == ddg.FlipDistribution.__module__ == "coindice.ddg"
+    script = "import sys, coindice.ddg\nprint(*sorted(m for m in sys.modules if m.startswith('coindice')))"
+    src = os.path.dirname(os.path.dirname(coindice.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [
+        "coindice", "coindice.bitsource", "coindice.ddg", "coindice.discrete", "coindice.uniform"
+    ]
 
 
 def readme_block(heading: str, language: str) -> str:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import coindice
-from coindice import analysis, cli, ddg, discrete, oracle, uniform
+from coindice import analysis, cli, ddg, discrete, uniform
 from coindice.cli import main, naive_rejection_roll
 from coindice import ProbabilityVector, SeededSource, entropy, exact_expected_flips
 from coindice.uniform import TracedRoll
@@ -438,7 +438,7 @@ class TestErrorBoundary:
 
 
 class TestWalkBudget:
-    """A trie walk past ``oracle.WALK_BUDGET`` history characters ends at
+    """A trie walk past ``ddg.WALK_BUDGET`` history characters ends at
     once with exit 1 and one stderr line that names the budget, and a
     complete tree costs the same at any depth bound.  The time limits are
     wide margins over runs of about 0.1 s: they catch a walk or a check
@@ -461,7 +461,7 @@ class TestWalkBudget:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: trie walk to depth ")
-        assert f"walk budget of {oracle.WALK_BUDGET} history characters" in err
+        assert f"walk budget of {ddg.WALK_BUDGET} history characters" in err
 
     @pytest.mark.parametrize("target", [["--die", "2"], ["--dist", "1/2,1/2"]], ids=["die", "dist"])
     def test_check_of_a_complete_tree_stops_at_its_deepest_leaf(self, capsys, target):
@@ -474,7 +474,7 @@ class TestWalkBudget:
 
 class TestAnalysisBudgets:
     """``analyze`` and ``bench`` past ``analysis.PERIOD_BUDGET``,
-    ``analysis.DEPTH_BUDGET`` or ``analysis.SWEEP_BUDGET`` exit 1 with one
+    ``ddg.DEPTH_BUDGET`` or ``analysis.SWEEP_BUDGET`` exit 1 with one
     stderr line that names the budget.  The time limit is a wide margin
     over runs of under 0.5 s."""
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coindice.analysis import DEPTH_BUDGET
+from coindice.ddg import DEPTH_BUDGET
 from coindice.cli import main
 
 BAD_SIZES = st.one_of(

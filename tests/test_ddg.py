@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,21 @@ from coindice import (
     sample,
 )
 from coindice import ddg
-from coindice.analysis import FlipDistribution, ceil_log2
-from coindice.ddg import DdgTree, INTERNAL, OptimalityVerdict, _check_optimal, census, expansion_bit
+from coindice.analysis import ceil_log2
+from coindice.ddg import (
+    DdgTree,
+    EnumerationResult,
+    FlipDistribution,
+    INTERNAL,
+    OptimalityVerdict,
+    _check_optimal,
+    _expand,
+    _flip_distribution,
+    _tally,
+    census,
+    expansion_bit,
+)
 from coindice.discrete import _die
-from coindice.oracle import EnumerationResult, _expand, _tally
 from conftest import (
     HUGE_DIE,
     ReplaySource,
@@ -531,6 +543,89 @@ class TestFlipDistribution:
         fd = flip_distribution(build_from_uniform(5, 6))
         with pytest.raises(ValueError):
             fd.expectation()
+
+
+def fills_the_tree(leaves: list[int], live: int) -> bool:
+    """The counts are never negative and sum_j leaves[j] * 2^(d - j) + live
+    = 2^d over d = len(leaves) - 1: they place every history of the depth."""
+    depth = len(leaves) - 1
+    filled = sum(k << (depth - j) for j, k in enumerate(leaves)) + live
+    return min(leaves + [live]) >= 0 and filled == 1 << depth
+
+
+def level_masses(leaves) -> dict[int, Fraction]:
+    """P(N = j) = k_j * 2^-j over the levels with a leaf."""
+    return {j: Fraction(k, 1 << j) for j, k in enumerate(leaves) if k}
+
+
+@st.composite
+def built_trees(draw):
+    """A canonical or sampler tree of a die of up to 40 sides or a vector
+    of up to 9 outcomes, or the same with its shallowest leaf split."""
+    depth = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        p, sampler = uniform_probs(n), build_from_uniform(n, depth)
+    else:
+        weights = draw(st.lists(st.integers(0, 12), min_size=1, max_size=9).filter(any))
+        p = ProbabilityVector([Fraction(w, sum(weights)) for w in weights])
+        sampler = build_from_discrete(p, depth)
+    tree = sampler if draw(st.booleans()) else build_canonical(p, depth)
+    split = any(tree.leaves()) and draw(st.booleans())
+    return split_shallowest_leaf(tree) if split else tree
+
+
+class TestLeafCounts:
+    """Every producer of a flip distribution passes leaf and live counts
+    that fill the tree, and the masses are those counts over 2^j."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 40))
+    def test_the_level_rule_passes_counts_to_its_depth(self, data, depth):
+        record = data.draw(sampler_targets())[0]
+        fd = _flip_distribution(record, depth)
+        assert len(fd.leaves) == depth + 1
+        assert fills_the_tree(fd.leaves, fd.live)
+        assert fd.mass == level_masses(fd.leaves)
+        assert fd.residual == Fraction(fd.live, 1 << depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampler_targets(), st.integers(1, 12))
+    def test_the_walk_passes_the_level_rules_counts(self, target, depth):
+        record = target[0]
+        walk = _expand(record, depth)
+        leaves, live = [k for k, _, _ in walk], walk[-1][1]
+        assert fills_the_tree(leaves, live)
+        tally = _tally(walk, depth)
+        assert tally.flip_mass == level_masses(leaves)
+        assert tally.live_mass == Fraction(live, 1 << depth)
+        # a walk that stops early has no leaf left to place
+        fd = _flip_distribution(record, depth)
+        assert fd.leaves[: len(leaves)] == leaves
+        assert (fd.mass, fd.residual) == (tally.flip_mass, tally.live_mass)
+
+    @settings(max_examples=60, deadline=None)
+    @given(built_trees())
+    def test_a_tree_passes_its_leaves_per_level_and_its_frontier(self, tree):
+        fd = flip_distribution(tree)
+        assert len(fd.leaves) == 1 + max(map(len, tree.nodes))
+        assert fills_the_tree(fd.leaves, fd.live)
+        levels = Counter(len(h) for h, _ in tree.leaves())
+        assert fd.mass == {j: Fraction(k, 1 << j) for j, k in levels.items()}
+        assert fd.residual == tree.live_mass()
+
+    @pytest.mark.parametrize(
+        "level, extra_leaves, extra_live",
+        [(3, 1, 0), (6, 0, 1), (6, 0, -1)],
+        ids=["extra-leaf", "live-plus-one", "live-minus-one"],
+    )
+    def test_a_walk_with_corrupted_counts_is_refused(self, level, extra_leaves, extra_live):
+        walk = _expand(_die(5), 6)
+        k, m, nodes = walk[level]
+        assert (level, k, m) in {(3, 5, 3), (6, 0, 4)}
+        walk[level] = (k + extra_leaves, m + extra_live, nodes)
+        with pytest.raises(ValueError, match="^masses sum to .*, expected exactly 1$"):
+            _tally(walk, 6)
 
 
 class TestDominates:

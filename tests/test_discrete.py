@@ -23,8 +23,8 @@ from coindice import (
     roll,
     sample,
 )
-from coindice.analysis import _entropy, _flip_distribution
-from coindice.ddg import DdgTree, expansion_bit
+from coindice.analysis import _entropy
+from coindice.ddg import DdgTree, _flip_distribution, expansion_bit
 from coindice.discrete import _die, _levels
 from coindice.uniform import RecyclerState, TracedRoll
 from conftest import (

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from coindice import ProbabilityVector, enumerate_uniform, roll, sample
-from coindice import oracle
+from coindice import ddg
+from coindice.ddg import _expand
 from coindice.discrete import _die
-from coindice.oracle import _expand
 from coindice.uniform import RecyclerState
 from conftest import ReplaySource, SourceExhausted, level_multisets, walk
 
@@ -100,7 +100,7 @@ def test_walk_budget_admits_depth_2895_of_thirds_and_refuses_2896():
 def test_a_walk_of_exactly_the_budget_is_admitted(monkeypatch):
     # thirds to depth j hold j(j + 1) history characters: 12 at depth 3
     thirds = ProbabilityVector(["1/3", "2/3"])._runs
-    monkeypatch.setattr(oracle, "WALK_BUDGET", 12)
+    monkeypatch.setattr(ddg, "WALK_BUDGET", 12)
     assert len(_expand(thirds, 3)) == 4
     with pytest.raises(ValueError, match="walk budget of 12 history characters at level 4$"):
         _expand(thirds, 4)

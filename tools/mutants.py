@@ -29,10 +29,9 @@ TESTS = {  # module -> the test files that run on its mutants
     "analysis": ["test_analysis", "test_acceptance"],
     "bitsource": ["test_bitsource"],
     "cli": ["test_cli", "test_cli_fuzz", "test_cli_golden"],
-    "ddg": ["test_ddg", "test_discrete", "test_acceptance"],
+    "ddg": ["test_ddg", "test_oracle", "test_analysis", "test_discrete", "test_acceptance"],
     "discrete": ["test_discrete"],
     "gof": ["test_gof"],
-    "oracle": ["test_oracle"],
     "uniform": ["test_uniform", "test_acceptance"],
 }
 
