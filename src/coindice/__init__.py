@@ -23,9 +23,9 @@ _EXPORTS = {
     "ddg": ("MassMismatch", "build_canonical", "build_from_discrete", "build_from_uniform",
             "check_optimal", "enumerate_uniform", "export_dot", "flip_distribution",
             "flip_distribution_uniform"),
-    "discrete": ("InvalidDistribution", "ProbabilityVector", "parse_distribution", "sample"),
+    "discrete": ("InvalidDistribution", "ProbabilityVector", "parse_distribution", "roll",
+                 "roll_many", "sample"),
     "gof": ("chi_square_test",),
-    "uniform": ("roll", "roll_many"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrete import ProbabilityVector
-from .uniform import _check_sides
+from .discrete import ProbabilityVector, _check_sides, ceil_log2
 
 
 # E[N] of n = 2097133 (P = 2097132) took 8.9 s, of n = 4000037 37.6 s (2-vCPU Xeon)
@@ -44,11 +43,6 @@ SWEEP_BUDGET = 1 << 15
 
 class BoundViolation(Exception):
     """The expected flip count escaped its proven bracket: a genuine bug."""
-
-
-def ceil_log2(n: int) -> int:
-    """Smallest k with 2^k >= n."""
-    return (n - 1).bit_length()
 
 
 def _order_of_two(q: int) -> int:

@@ -24,10 +24,11 @@ from .discrete import (
     _die,
     _exact,
     _frac,
+    _roll,
+    ceil_log2,
     parse_distribution,
     sample,
 )
-from .uniform import _roll
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -106,7 +107,7 @@ def cmd_analyze(args) -> int:
         return _analyze_sweep(args)
     from . import analysis, ddg
     n, p, record = _target(args)
-    lower = analysis.ceil_log2(n) if p is None else None
+    lower = ceil_log2(n) if p is None else None
     depth = args.depth or (2 * lower + 8 if p is None else 16)
     dist = ddg._flip_distribution(record, depth)
     exact = p is None or dist.residual == 0
@@ -181,10 +182,10 @@ def _analyze_sweep(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    from . import analysis, ddg
+    from . import ddg
     n, p, record = _target(args)
-    depth = args.depth or (2 * analysis.ceil_log2(n) + 8 if p is None else 12)
-    tree = ddg.build_from_uniform(n, depth) if p is None else ddg.build_from_discrete(p, depth)
+    depth = args.depth or (2 * ceil_log2(n) + 8 if p is None else 12)
+    tree = ddg._tree(record, depth)
     sys.stdout.write(ddg.export_dot(tree))
     if args.check:
         try:
@@ -239,7 +240,7 @@ def cmd_chisq(args) -> int:
 def naive_rejection_roll(n: int, source: BitSource) -> tuple[int, int]:
     """Baseline die roll: draw ceil(log2 n) bits, retry on overflow,
     discarding all bits of a failed attempt.  Returns (outcome, flips)."""
-    k = (n - 1).bit_length()  # ceil_log2(n), without loading analysis
+    k = ceil_log2(n)
     next_bit = source.next_bit
     flips = 0
     while True:
@@ -264,7 +265,7 @@ def cmd_bench(args) -> int:
     from . import analysis
     expectations = [analysis.exact_expected_flips(n) for n in args.die]  # every n and budget first
     for n, expected in zip(args.die, expectations):
-        k = analysis.ceil_log2(n)
+        k = ceil_log2(n)
         naive_expected = k * Fraction(1 << k, n)
         recycler_rate, recycler_time = _bench(_roll, n, args.count, args.seed)
         naive_rate, naive_time = _bench(naive_rejection_roll, n, args.count, args.seed)

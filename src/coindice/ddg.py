@@ -209,11 +209,6 @@ class DdgTree:
     def is_complete(self) -> bool:
         return not self.frontier()
 
-    def live_mass(self) -> Fraction:
-        frontier = self.frontier()
-        depth = max(map(len, frontier), default=0)
-        return Fraction(sum(1 << (depth - len(h)) for h in frontier), 1 << depth)
-
 
 class MassMismatch(Exception):
     """Tree leaf masses do not reproduce the target distribution (a

@@ -1,37 +1,63 @@
-"""Sampling from arbitrary exact-rational distributions.
+"""Fair dice and exact-rational distributions from fair coin flips.
 
-The sampler generalises the fair-die roller: at flip j the outcomes
-whose probability has a 1 at position j of its binary expansion form the
-acceptance set for that level, and the recycled pair (x, m) selects
-uniformly among them.  Probabilities are exact ``fractions.Fraction``
-values throughout.  Every target, a vector or a fair die, compiles once
+Both draw loops keep a recycled pair (x, m), x uniform on {1..m} given m.
+A flip doubles it: x <- x + bit*m, m <- 2m.  A resolution against k
+accepted outcomes accepts (x <= k: the x-th of them) or recycles the
+leftover uniformity (x <- x - k, m <- m - k) instead of starting over.
+Both flip counts are Knuth-Yao optimal, as ``ddg`` and ``analysis`` check.
+Outcome i is accepted at level j when bit j of its probability, an exact
+``Fraction``, is 1.  Every target, a vector or a fair die, compiles once
 into one record ``(nums, dens, spans)``: per run of consecutive outcomes
 that share the probability num/den its numerator, denominator and span
-(first, length), two ints.  A vector has one run per maximal block of
-equal neighbours, so 1/n x n compiles to the die's record, one run
+(first, length).  A vector has one run per maximal block of equal
+neighbours, so 1/n x n compiles to the die's record, one run
 (1, n, (1, n)), which ``_die`` builds in O(1).  The sampler, the trie
-walk, the tree checks and the analysis all read that record.  The level rule
-reads the acceptance sets off one integer residual per run, num * 2^j
-mod 2 * den on entering level j (num at level 0, whose one possible leaf
-is an outcome of probability 1), so it opens at any level; comparing it
-with den gives bit j of every outcome in the run at once, with no drift,
-no rounding and memory linear in the input.  A level yields its accepted
-spans, no outcome listed, and the sampler finds the x-th accepted
-outcome by walking their lengths.  ``sample`` keeps the levels draws
-have reached in a capped table: a warm draw reads them directly, and
+walk, the tree checks and the analysis all read that record.  The level
+rule reads the acceptance sets off one integer residual per run,
+num * 2^j mod 2 * den on entering level j, so it opens at any level and
+gives bit j of every outcome in the run at once, with no rounding and
+memory linear in the input.  A level yields its accepted spans, and the
+sampler finds the x-th accepted outcome by walking their lengths.
+``sample`` keeps the levels draws have reached in a capped table, and
 ``_deeper`` opens the rule at the table's end when a draw outruns it.
-``ddg.expansion_bit`` computes the same bits by random access, for the
-canonical tree builder and the optimality check.
+
+``_roll`` is ``sample``'s arithmetic fast path on the die's one run, which
+accepts all n sides at a level exactly when the doubled m reaches n: as in
+Lumbroso's Fast Dice Roller, it flips while m < n, then resolves, so m
+stays below 2n.  Through ``sample`` a roll keeps every outcome, flip and
+trace but takes 1.00-1.63x the time (ROADMAP aim 2, route (a)).
 """
 
 import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .bitsource import BitSource
-from .uniform import RecyclerState, TracedRoll, _check_sides
+
+
+class RecyclerState(NamedTuple):
+    """State pair of a draw: x is uniform on {1..m} given m."""
+
+    x: int
+    m: int
+
+
+@dataclass(slots=True)
+class TracedRoll:
+    """One sample outcome plus its exact entropy cost.
+
+    ``trace`` (opt-in) lists every intermediate state: the pair after
+    each doubling, and the pair after an accept/recycle resolution when
+    one fired.
+    """
+
+    outcome: int
+    flips: int
+    trace: list[RecyclerState] | None = None
 
 
 class InvalidDistribution(Exception):
@@ -156,6 +182,18 @@ def parse_distribution(text: str) -> ProbabilityVector:
     return ProbabilityVector(text.split(","))
 
 
+def _check_sides(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"number of sides must be an int, got {type(n).__name__}")
+    if n < 1:
+        raise ValueError(f"number of sides must be >= 1, got {n}")
+
+
+def ceil_log2(n: int) -> int:
+    """Smallest k with 2^k >= n."""
+    return (n - 1).bit_length()
+
+
 def _die(n: int):
     """The fair n-sided die's record: one run, all n sides at 1/n."""
     _check_sides(n)
@@ -246,3 +284,46 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
             if states is not None:
                 states.append(RecyclerState(x, m))
         levels = _deeper(p, table)
+
+
+def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
+    """Roll a fair n-sided die, consuming bits from ``source``.
+
+    Returns the outcome in {1..n} together with the number of bits
+    consumed; a source that runs dry mid-roll raises its own error.
+    This is ``sample`` of 1/n x n, with the level rule on the die's one
+    run (``_die``) inlined as arithmetic on m.
+    """
+    _check_sides(n)
+    return _roll(n, source, trace)
+
+
+def _roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
+    """``roll`` of an n its caller has checked once for many rolls."""
+    next_bit = source.next_bit
+    x, m = 1, 1
+    flips = 0
+    states = [RecyclerState(1, 1)] if trace else None
+    while True:
+        while m < n:
+            x += next_bit() * m
+            m *= 2
+            flips += 1
+            if states is not None:
+                states.append(RecyclerState(x, m))
+        if x <= n:
+            if states is not None and m != n:
+                states.append(RecyclerState(x, n))
+            return TracedRoll(x, flips, states)
+        x -= n
+        m -= n
+        if states is not None:
+            states.append(RecyclerState(x, m))
+
+
+def roll_many(n: int, count: int, source: BitSource, trace: bool = False) -> list[TracedRoll]:
+    """Roll ``count`` times, drawing bits sequentially from one source."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    _check_sides(n)
+    return [_roll(n, source, trace) for _ in range(count)]

@@ -6,7 +6,7 @@ import pytest
 
 from coindice import BitSource, ProbabilityVector
 from coindice.ddg import INTERNAL, DdgTree, _expand, _tally, expansion_bit
-from coindice.uniform import RecyclerState
+from coindice.discrete import RecyclerState
 
 
 def random_dyadic_distribution(
@@ -118,6 +118,13 @@ class ReplaySource(BitSource):
 
     _draw = next_bit
     flips_consumed = property(lambda self: self._cursor)
+
+
+def live_mass(tree: DdgTree) -> Fraction:
+    """Probability mass of a tree's frontier: the runs still going."""
+    frontier = tree.frontier()
+    depth = max(map(len, frontier), default=0)
+    return Fraction(sum(1 << (depth - len(h)) for h in frontier), 1 << depth)
 
 
 def shallowest_leaf(tree) -> tuple[str, int]:

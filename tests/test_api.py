@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coindice
-from coindice import bitsource, ddg, discrete
+from coindice import analysis, bitsource, ddg, discrete
 from conftest import ReplaySource
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,7 +105,7 @@ def test_rolling_a_die_loads_no_analysis_tree_oracle_or_gof_module():
     assert child.returncode == 0, child.stderr
     *rolls, loaded = child.stdout.splitlines()
     assert len(rolls) == 4  # three rolls and the summary line
-    assert {"coindice.cli", "coindice.discrete", "coindice.uniform"} <= set(loaded.split())
+    assert {"coindice.cli", "coindice.discrete"} <= set(loaded.split())
     assert not set(HEAVY) & set(loaded.split()), loaded
 
 
@@ -124,8 +124,48 @@ def test_the_trie_walk_lives_in_ddg_which_loads_no_analysis():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == [
-        "coindice", "coindice.bitsource", "coindice.ddg", "coindice.discrete", "coindice.uniform"
+        "coindice", "coindice.bitsource", "coindice.ddg", "coindice.discrete"
     ]
+
+
+def _loaded_by(script: str) -> list[str]:
+    """The coindice modules a fresh interpreter holds after ``script``."""
+    script += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('coindice')))"
+    src = os.path.dirname(os.path.dirname(coindice.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()[-1].split()
+
+
+def test_the_die_and_both_draw_loops_live_in_discrete():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("coindice.uniform")
+    for name in ("roll", "roll_many", "_roll", "RecyclerState", "TracedRoll", "_check_sides",
+                 "ceil_log2"):
+        assert getattr(discrete, name).__module__ == "coindice.discrete", name
+    assert analysis.ceil_log2 is discrete.ceil_log2  # imported, not a copy
+
+
+def test_importing_the_cli_loads_only_bitsource_and_discrete():
+    assert _loaded_by("import coindice.cli") == [
+        "coindice", "coindice.bitsource", "coindice.cli", "coindice.discrete"
+    ]
+
+
+def test_a_checked_tree_loads_no_analysis_or_gof():
+    loaded = _loaded_by(
+        "import contextlib, io, coindice.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert coindice.cli.main(['tree', '--die', '5', '--check']) == 0"
+    )
+    assert "coindice.ddg" in loaded
+    assert not {"coindice.analysis", "coindice.gof"} & set(loaded), loaded
 
 
 def readme_block(heading: str, language: str) -> str:

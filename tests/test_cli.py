@@ -15,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 import coindice
-from coindice import analysis, cli, ddg, discrete, uniform
+from coindice import analysis, cli, ddg, discrete
 from coindice.cli import main, naive_rejection_roll
 from coindice import ProbabilityVector, SeededSource, entropy, exact_expected_flips
-from coindice.uniform import TracedRoll
+from coindice.discrete import TracedRoll
 from conftest import HUGE_DIE, ReplaySource, shallowest_leaf, split_shallowest_leaf
 
 HUGE = "7" * 5001  # past Python's default 4300-digit int/str limit
@@ -211,8 +211,8 @@ class TestTree:
         assert "optimal" in err
 
     def patch_tree(self, monkeypatch, change):
-        build = ddg.build_from_uniform
-        monkeypatch.setattr(ddg, "build_from_uniform", lambda n, depth: change(build(n, depth)))
+        build = ddg._tree
+        monkeypatch.setattr(ddg, "_tree", lambda record, depth: change(build(record, depth)))
 
     def test_relabelled_leaf_is_a_mass_mismatch(self, capsys, monkeypatch):
         def relabel(tree):
@@ -430,10 +430,10 @@ class TestErrorBoundary:
         assert run_cli(capsys, "analyze", "--die", "5") == (1, "", "error: MemoryError\n")
 
     def test_library_error_prints_its_message(self, capsys, monkeypatch):
-        def overflow(n, depth):
+        def overflow(record, depth):
             raise OverflowError("too big")
 
-        monkeypatch.setattr(ddg, "build_from_uniform", overflow)
+        monkeypatch.setattr(ddg, "_tree", overflow)
         assert run_cli(capsys, "tree", "--die", "5") == (1, "", "error: too big\n")
 
 
@@ -557,7 +557,7 @@ class TestSidesCheckedOnce:
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out.count("\n")) == (0, 2)
         calls = []
-        monkeypatch.setattr(uniform, "_check_sides", calls.append)
+        monkeypatch.setattr(discrete, "_check_sides", calls.append)
         assert run_cli(capsys, *argv)[:2] == (0, out)  # rates go to stderr
         assert calls == []
 

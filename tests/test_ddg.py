@@ -45,6 +45,7 @@ from conftest import (
     acceptance_set,
     dyadic_suite,
     flip_tail,
+    live_mass,
     max_level,
     random_dyadic_distribution,
     split_shallowest_leaf,
@@ -280,13 +281,13 @@ class TestBuildCanonical:
         tree = build_canonical(ProbabilityVector(["1/3", "2/3"]), 6)
         counts = census(tree)
         assert counts == {(1, 2): 1, (2, 1): 1, (3, 2): 1, (4, 1): 1, (5, 2): 1, (6, 1): 1}
-        assert tree.live_mass() == Fraction(1, 64)
+        assert live_mass(tree) == Fraction(1, 64)
         # unplaced expansion mass per outcome
         placed_1 = Fraction(1, 4) + Fraction(1, 16) + Fraction(1, 64)
         placed_2 = Fraction(1, 2) + Fraction(1, 8) + Fraction(1, 32)
         assert Fraction(1, 3) - placed_1 == Fraction(1, 192)
         assert Fraction(2, 3) - placed_2 == Fraction(1, 96)
-        assert (Fraction(1, 3) - placed_1) + (Fraction(2, 3) - placed_2) == tree.live_mass()
+        assert (Fraction(1, 3) - placed_1) + (Fraction(2, 3) - placed_2) == live_mass(tree)
 
 
 class TestBuildFromAlgorithm:
@@ -380,7 +381,7 @@ def replay_tally(tree: DdgTree) -> EnumerationResult:
         mass = Fraction(1, 1 << len(history))
         outcome_mass[outcome] = outcome_mass.get(outcome, Fraction(0)) + mass
         flip_mass[len(history)] = flip_mass.get(len(history), Fraction(0)) + mass
-    return EnumerationResult(outcome_mass, flip_mass, tree.live_mass(), leaves)
+    return EnumerationResult(outcome_mass, flip_mass, live_mass(tree), leaves)
 
 
 class TestTrieWalk:
@@ -612,7 +613,7 @@ class TestLeafCounts:
         assert fills_the_tree(fd.leaves, fd.live)
         levels = Counter(len(h) for h, _ in tree.leaves())
         assert fd.mass == {j: Fraction(k, 1 << j) for j, k in levels.items()}
-        assert fd.residual == tree.live_mass()
+        assert fd.residual == live_mass(tree)
 
     @pytest.mark.parametrize(
         "level, extra_leaves, extra_live",
@@ -683,7 +684,7 @@ class TestMassCorrectness:
             )
             assert placed <= p.probs[i - 1]
             total_residual += p.probs[i - 1] - placed
-        assert total_residual == tree.live_mass()
+        assert total_residual == live_mass(tree)
 
 
 class TestExportDot:

@@ -25,8 +25,7 @@ from coindice import (
 )
 from coindice.analysis import _entropy
 from coindice.ddg import DdgTree, _flip_distribution, expansion_bit
-from coindice.discrete import _die, _levels
-from coindice.uniform import RecyclerState, TracedRoll
+from coindice.discrete import RecyclerState, TracedRoll, _die, _levels
 from conftest import (
     HUGE_DIE,
     ReplaySource,

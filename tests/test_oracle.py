@@ -7,7 +7,7 @@ from coindice import ProbabilityVector, enumerate_uniform, roll, sample
 from coindice import ddg
 from coindice.ddg import _expand
 from coindice.discrete import _die
-from coindice.uniform import RecyclerState
+from coindice.discrete import RecyclerState
 from conftest import ReplaySource, SourceExhausted, level_multisets, walk
 
 # Per-flip state multisets of the five-sided roller, derived by hand from

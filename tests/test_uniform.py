@@ -5,9 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coindice import ProbabilityVector, SeededSource, enumerate_uniform, roll, roll_many, sample
-from coindice import uniform
-from coindice.discrete import _die
-from coindice.uniform import RecyclerState
+from coindice import discrete
+from coindice.discrete import RecyclerState, _die
 from conftest import ReplaySource, SourceExhausted, walk
 
 
@@ -82,7 +81,7 @@ def test_roll_many_checks_sides_once_and_rolls_as_roll_does(monkeypatch):
     source = SeededSource(5)
     expected = [roll(7, source, trace=True) for _ in range(60)]
     calls = []
-    monkeypatch.setattr(uniform, "_check_sides", calls.append)
+    monkeypatch.setattr(discrete, "_check_sides", calls.append)
     assert roll_many(7, 60, SeededSource(5), trace=True) == expected
     assert calls == [7]
 
@@ -176,7 +175,7 @@ def _reference_roll(n, source, trace=False):
                 m -= n
             if states is not None and states[-1] != (x, m):
                 states.append(RecyclerState(x, m))
-    return uniform.TracedRoll(x, flips, states)
+    return discrete.TracedRoll(x, flips, states)
 
 
 _REFERENCE_SIDES = list(range(1, 301)) + [2**40 + 15, 2**64 + 1]
@@ -187,7 +186,7 @@ def test_roll_matches_the_reference_loop(trace):
     for n in _REFERENCE_SIDES:
         source, reference = SeededSource(n), SeededSource(n)
         for _ in range(20):
-            assert uniform._roll(n, source, trace) == _reference_roll(n, reference, trace)
+            assert discrete._roll(n, source, trace) == _reference_roll(n, reference, trace)
         assert source.flips_consumed == reference.flips_consumed
 
 
@@ -199,7 +198,7 @@ def test_roll_runs_dry_at_the_reference_bit(n):
     bits = [probe.next_bit() for _ in range(4 * n.bit_length() + 8)]
     for cut in range(len(bits) + 1):
         outcomes = []
-        for roller in (uniform._roll, _reference_roll):
+        for roller in (discrete._roll, _reference_roll):
             source = ReplaySource(bits[:cut])
             try:
                 outcomes.append(roller(n, source, True))

@@ -30,9 +30,8 @@ TESTS = {  # module -> the test files that run on its mutants
     "bitsource": ["test_bitsource"],
     "cli": ["test_cli", "test_cli_fuzz", "test_cli_golden"],
     "ddg": ["test_ddg", "test_oracle", "test_analysis", "test_discrete", "test_acceptance"],
-    "discrete": ["test_discrete"],
+    "discrete": ["test_discrete", "test_uniform", "test_acceptance"],
     "gof": ["test_gof"],
-    "uniform": ["test_uniform", "test_acceptance"],
 }
 
 
