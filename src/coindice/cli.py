@@ -13,6 +13,7 @@ import math
 import signal
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 
@@ -185,21 +186,26 @@ def cmd_tree(args) -> int:
     from . import ddg
     n, p, record = _target(args)
     depth = args.depth or (2 * ceil_log2(n) + 8 if p is None else 12)
-    tree = ddg._tree(record, depth)
-    sys.stdout.write(ddg.export_dot(tree))
-    if args.check:
-        try:
-            verdict = ddg._check_optimal(tree, record)
-        except ddg.MassMismatch as exc:
-            print(f"mass mismatch: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        if verdict.ok:
-            print("optimal", file=sys.stderr)
-        else:
-            for violation in verdict.violations:
-                print(f"violation: {violation}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-    return EXIT_OK
+    levels = ddg._expand(record, depth)  # a walk past the budget stops before any output
+    write = sys.stdout.write
+    write("digraph ddg {\n")
+    # leaves per (level, outcome); live nodes at the depth bound form the frontier
+    counts = Counter()
+    for j, (_, m, nodes) in enumerate(levels):
+        frontier = {h for h, _, out in nodes if out is None} if j == depth else ()
+        write("".join(ddg._dot(((h, out) for h, _, out in nodes), frontier)))
+        counts.update((j, out) for _, _, out in nodes if out is not None)
+    write("}\n")
+    if not args.check:
+        return EXIT_OK
+    try:
+        verdict = ddg._verdict(counts, not m, depth, record)
+    except ddg.MassMismatch as exc:
+        print(f"mass mismatch: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    for line in [f"violation: {v}" for v in verdict.violations] or ["optimal"]:
+        print(line, file=sys.stderr)
+    return EXIT_OK if verdict.ok else EXIT_CHECK_FAILED
 
 
 def cmd_oracle_dump(args) -> int:
@@ -230,11 +236,8 @@ def cmd_chisq(args) -> int:
     result = gof.chi_square_test(counts, probs, significance=0.001)
     print(f"samples = {args.count}  seed = {args.seed}")
     print(f"chi-square = {result.statistic:.4f}  df = {result.df}  p-value = {result.p_value:.6f}")
-    if result.passed:
-        print("PASS at significance 0.001")
-        return EXIT_OK
-    print("FAIL at significance 0.001")
-    return EXIT_CHECK_FAILED
+    print(f"{'PASS' if result.passed else 'FAIL'} at significance 0.001")
+    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
 def naive_rejection_roll(n: int, source: BitSource) -> tuple[int, int]:

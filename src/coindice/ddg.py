@@ -7,33 +7,26 @@ trees compare directly with the walk and DOT node ids are stable.
 
 ``_expand`` walks every bit string to a depth bound as a shared-prefix
 trie, at a cost of the live states per level (at most 2n - 1 for a die)
-times the depth, not 2^depth.  It steps the recycled pair (x, m) of both
-samplers through the one level rule, the residual doubling of
-``discrete._levels``, over the target's compiled record (a vector's
-``_runs``, or the die's from ``discrete._die``).  It keeps one node list
-per level, of k leaves (x = 1..k) and m live histories (x = 1..m), and
-raises ValueError before its histories pass ``WALK_BUDGET`` characters.
-
-``build_canonical`` places leaves straight from ``expansion_bit``, the
-random-access bits of the probabilities' binary expansions (the optimal
-shape); ``build_from_uniform`` / ``build_from_discrete`` read the tree the
-samplers walk off the walk's node lists in O(nodes).  ``check_optimal``
-compares any tree against the expansion-bit characterisation of
-optimality.  A ``FlipDistribution`` holds a truncated tree's leaf and live
-counts per level: the walk's tally, any tree's ``flip_distribution``, and
-``_flip_distribution``, which reads the level rule alone to at most
-``DEPTH_BUDGET`` levels, each build one.
+times the depth, not 2^depth: the recycled pair (x, m) of both samplers
+stepped through the level rule of ``discrete._levels``.  It checks
+``WALK_BUDGET`` from the level counts alone, then yields one level at a
+time to readers that write, tally or keep it.  One verdict checks leaf
+counts per (level, outcome) against ``expansion_bit``, the random-access
+bits of the binary expansions by which ``build_canonical`` places its
+leaves, and one writer turns nodes into DOT lines.  A
+``FlipDistribution`` holds leaf and live counts per level.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
 from .discrete import ProbabilityVector, _die, _levels
 
-# the summed length of all bit histories a walk may hold; the largest walk
-# it admits, ``tree --die 9406 --check``, took 1.5 s and 225 MB (2-vCPU Xeon)
+# the summed length of all bit histories a walk may yield: it bounds output and walk time, not
+# memory held; ``tree --die 9406 --check`` took 0.5-0.6 s and 49 MB RSS (2-vCPU Xeon)
 WALK_BUDGET = 1 << 23
 # mass and output grow with depth squared: 1/3,2/3 at 2^14 took 7.5 s, 39 MB
 DEPTH_BUDGET = 1 << 14
@@ -96,51 +89,58 @@ class EnumerationResult:
 
 def _expand(record, depth: int):
     """Trie walk of the sampler of a compiled ``record`` (see
-    ``discrete``) to ``depth``, or until no history runs.  Returns one
-    (k, m, nodes) per level, where nodes lists (history, x, outcome) in
-    breadth-first order: a history that terminates there has state (x, k)
-    and its outcome, one still running has state (x, m) and outcome None.
-    Raises ValueError before the summed length of all histories would
-    pass ``WALK_BUDGET`` characters.
-    """
+    ``discrete``) to ``depth``, or until no history runs: a generator of
+    one (k, m, nodes) per level, nodes (history, x, outcome) in (length,
+    history) order, where a history that terminates there has state (x, k)
+    and its outcome, one still running (x, m) and outcome None.  Raises
+    ValueError at once if the summed length of all histories would pass
+    ``WALK_BUDGET`` characters."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    levels = _levels(record)
-    k, accepted = next(levels)  # level 0 accepts only an outcome of probability 1
-    # every history still running at a level has the same m
-    m, size = 1 - k, 0
-    walk = [(k, m, [("", 1, accepted[0][0] if k else None)])]
-    for j, (k, accepted) in zip(range(1, depth + 1), levels):
-        if not m:
-            break
-        size += 2 * j * m
+    # level j holds k + m histories of j characters; level 0 is the root
+    plan, m, size = [], 0, 0
+    for j, (k, accepted) in enumerate(islice(_levels(record), depth + 1)):
+        m = (2 * m if j else 1) - k
+        size += j * (k + m)
         if size > WALK_BUDGET:
             raise ValueError(
                 f"trie walk to depth {depth} passes the walk budget of {WALK_BUDGET} "
                 f"history characters at level {j}"
             )
+        plan.append((k, m, accepted))
+        if not m:
+            break
+    return _walk(plan)
+
+
+def _walk(plan):
+    """The levels of ``_expand``, each built from the one before."""
+    (k, m, accepted), *deeper = plan
+    nodes = [("", 1, accepted[0][0] if k else None)]
+    yield k, m, nodes
+    for k, live, accepted in deeper:
         # one list per level: indexing it per leaf beats walking the spans
         accept = []
         for first, length in accepted:
             accept += range(first, first + length)
-        nodes = []
-        append = nodes.append
-        for history, x, outcome in walk[-1][2]:
+        children = []
+        append = children.append
+        for history, x, outcome in nodes:
             if outcome is None:
                 h0, h1, x1 = history + "0", history + "1", x + m
                 append((h0, x, accept[x - 1]) if x <= k else (h0, x - k, None))
                 append((h1, x1, accept[x1 - 1]) if x1 <= k else (h1, x1 - k, None))
-        m = 2 * m - k
-        walk.append((k, m, nodes))
-    return walk
+        nodes, m = children, live
+        yield k, m, nodes
 
 
 def _tally(walk, depth: int) -> EnumerationResult:
-    # level j holds k leaves and m live histories; a leaf there carries
-    # 2^(depth - j) / 2^depth
+    # a leaf at level j carries 2^(depth - j) / 2^depth
     outcome_weight: dict[int, int] = {}
     leaves: dict[str, int] = {}
-    for j, (_, _, nodes) in enumerate(walk):
+    counts = []
+    for j, (k, m, nodes) in enumerate(walk):
+        counts.append(k)
         weight = 1 << (depth - j)
         for history, _, outcome in nodes:
             if outcome is not None:
@@ -148,7 +148,7 @@ def _tally(walk, depth: int) -> EnumerationResult:
                 outcome_weight[outcome] = outcome_weight.get(outcome, 0) + weight
     masses = {w: Fraction(w, 1 << depth) for w in set(outcome_weight.values())}
     outcome_mass = {o: masses[w] for o, w in outcome_weight.items()}
-    flips = FlipDistribution([k for k, _, _ in walk], walk[-1][1])
+    flips = FlipDistribution(counts, m)
     return EnumerationResult(outcome_mass, flips.mass, flips.residual, leaves)
 
 
@@ -163,6 +163,8 @@ def _flip_distribution(record, depth: int) -> FlipDistribution:
     |outcomes| * bit_j(num / den) * 2^-j (Knuth and Yao), read as the
     k_j outcomes the level rule accepts at level j, with the live count
     m = 1 - k_0, then m <- 2m - k_j per level, to ``depth``."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > DEPTH_BUDGET:
         raise ValueError(f"depth {depth} passes the depth budget of {DEPTH_BUDGET} levels")
     leaves = [k for k, _ in islice(_levels(record), depth + 1)]
@@ -175,10 +177,7 @@ def _flip_distribution(record, depth: int) -> FlipDistribution:
 def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
     """Flip-count distribution of the optimal n-sided die roller, the
     target 1/n x n."""
-    record = _die(n)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    return _flip_distribution(record, depth)
+    return _flip_distribution(_die(n), depth)
 
 
 # node payloads: an int is a leaf outcome, INTERNAL marks a branch node
@@ -200,11 +199,8 @@ class DdgTree:
 
     def frontier(self) -> list[str]:
         """Internal nodes whose children were never materialised."""
-        return [
-            h
-            for h, payload in self.nodes.items()
-            if payload is INTERNAL and h + "0" not in self.nodes
-        ]
+        nodes = self.nodes
+        return [h for h, payload in nodes.items() if payload is INTERNAL and h + "0" not in nodes]
 
     def is_complete(self) -> bool:
         return not self.frontier()
@@ -242,11 +238,9 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
     for level in range(depth_bound + 1):
         accept = [i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level)]
         assert len(accept) <= len(open_positions), "expansion bits exceed open slots"
-        for position, outcome in zip(open_positions, accept):
-            nodes[position] = outcome
+        nodes.update(zip(open_positions, accept))
         rest = open_positions[len(accept) :]
-        for position in rest:
-            nodes[position] = INTERNAL
+        nodes.update(dict.fromkeys(rest, INTERNAL))
         if not rest or level == depth_bound:
             break
         open_positions = [h + b for h in rest for b in ("0", "1")]
@@ -270,11 +264,7 @@ def _tree(record, depth_bound: int) -> DdgTree:
 
 def census(tree: DdgTree) -> dict[tuple[int, int], int]:
     """Leaf counts per (level, outcome)."""
-    counts: dict[tuple[int, int], int] = {}
-    for history, outcome in tree.leaves():
-        key = (len(history), outcome)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter((len(history), outcome) for history, outcome in tree.leaves()))
 
 
 @dataclass
@@ -298,12 +288,15 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
 
 
 def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
-    """``check_optimal`` against a target's compiled ``record`` (see
-    ``discrete``).  It visits only outcomes with leaves or with a 1 bit at
-    a checked level, so a sampler tree costs O(leaves + runs x depth)."""
+    """``check_optimal`` against a target's compiled ``record`` (see ``discrete``)."""
+    return _verdict(census(tree), tree.is_complete(), tree.depth_bound, record)
+
+
+def _verdict(counts, complete: bool, depth_bound: int, record) -> OptimalityVerdict:
+    """The verdict on leaf ``counts`` per (level, outcome) of a tree, with no frontier if
+    ``complete``, visiting only outcomes with leaves or a 1 bit: O(leaves + runs x depth)."""
     nums, dens, spans = record
     runs = [range(first, first + length) for first, length in spans]
-    counts = census(tree)
     outcomes = runs[-1][-1]
     # leaf mass of outcome i is weight[i] / 2^depth
     depth = max((level for level, _ in counts), default=0)
@@ -312,7 +305,6 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
         if not 1 <= outcome <= outcomes:
             raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
         weight[outcome] = weight.get(outcome, 0) + (count << (depth - level))
-    complete = tree.is_complete()
     # runs hold consecutive outcomes in ascending order, so the outcomes
     # with leaves of each run are the next slice of the sorted ones
     with_leaves = sorted(weight)
@@ -335,19 +327,18 @@ def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
         f"outcome {outcome} appears {count} times at level {level}"
         for (level, outcome), count in sorted(item for item in counts.items() if item[1] > 1)
     ]
-    # one expansion bit per run and level: a uniform target is a single run
-    probs = [(Fraction(num, den), run) for num, den, run in zip(nums, dens, runs)]
     # checked to the depth bound; the mass check left no 1 bit past a complete tree's leaves
-    last = min(depth, tree.depth_bound) if complete else tree.depth_bound
-    expected = {
-        (level, i)
-        for level in range(last + 1)
-        for q, run in probs
-        if expansion_bit(q, level)
-        for i in run
-    }
-    single = {key for key, count in counts.items() if count == 1 and key[0] <= last}
-    for level, i in sorted((expected - counts.keys()) | (single - expected)):
+    last = min(depth, depth_bound) if complete else depth_bound
+    # the runs with a 1 bit at each checked level: a uniform target is a single run
+    probs = [Fraction(num, den) for num, den in zip(nums, dens)]
+    ones = [{r for r, q in enumerate(probs) if expansion_bit(q, j)} for j in range(last + 1)]
+    firsts = [first for first, _ in spans]
+    # the missing leaves of 1 bits, then the single leaves of 0 bits
+    wrong = [(j, i) for j, bits in enumerate(ones) for r in bits for i in runs[r]
+             if (j, i) not in counts]
+    wrong += [(j, i) for (j, i), count in counts.items()
+              if count == 1 and j <= last and bisect_right(firsts, i) - 1 not in ones[j]]
+    for level, i in sorted(wrong):
         got = counts.get((level, i), 0)
         violations.append(
             f"outcome {i} has {got} leaves at level {level}, expansion bit is {1 - got}"
@@ -366,19 +357,24 @@ def flip_distribution(tree: DdgTree) -> FlipDistribution:
 
 
 def export_dot(tree: DdgTree) -> str:
-    """Graphviz DOT text: unlabeled circles for internal nodes, outcome
-    labels on leaves, 0/1 edge labels, node ids "r" + bit history."""
-    lines = ["digraph ddg {"]
-    unresolved = set(tree.frontier())
-    for history in sorted(tree.nodes, key=lambda h: (len(h), h)):
-        payload = tree.nodes[history]
+    """Graphviz DOT text: ``_dot`` lines of ``tree`` in (length, history) order."""
+    ordered = sorted(tree.nodes, key=lambda h: (len(h), h))
+    lines = _dot(((h, tree.nodes[h]) for h in ordered), set(tree.frontier()))
+    return "".join(["digraph ddg {\n", *lines, "}\n"])
+
+
+def _dot(nodes, unresolved) -> list[str]:
+    """DOT lines of (history, payload) nodes, ids "r" + history: circles for
+    internal nodes, dashed if ``unresolved``, labelled boxes for leaves."""
+    lines = []
+    append = lines.append
+    for history, payload in nodes:
         node_id = "r" + history
         if payload is INTERNAL:
             style = ', style="dashed"' if history in unresolved else ""
-            lines.append(f'  {node_id} [shape=circle, label=""{style}];')
+            append(f'  {node_id} [shape=circle, label=""{style}];\n')
         else:
-            lines.append(f'  {node_id} [shape=box, label="{payload}"];')
+            append(f'  {node_id} [shape=box, label="{payload}"];\n')
         if history:
-            lines.append(f'  r{history[:-1]} -> {node_id} [label="{history[-1]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            append(f'  r{history[:-1]} -> {node_id} [label="{history[-1]}"];\n')
+    return lines

@@ -71,8 +71,9 @@ class Unwalkable:
 def walk(record, depth: int):
     """The oracle's trie walk of a target's compiled record to ``depth``:
     each bit history's post-resolution RecyclerState (a terminating
-    history keeps its final state), and the exact tallies of the walk."""
-    expanded = _expand(record, depth)
+    history keeps its final state), and the exact tallies of the walk.
+    The walk's stream is kept whole, as a list of its levels."""
+    expanded = list(_expand(record, depth))
     states = {
         h: RecyclerState(x, m if outcome is None else k)
         for k, m, nodes in expanded
@@ -139,6 +140,23 @@ def split_shallowest_leaf(tree) -> DdgTree:
     history, outcome = shallowest_leaf(tree)
     nodes = {**tree.nodes, history: INTERNAL, history + "0": outcome, history + "1": outcome}
     return DdgTree(nodes, tree.depth_bound)
+
+
+def tree_levels(tree: DdgTree):
+    """A tree as ``ddg._expand``'s stream: one (k, m, nodes) per level,
+    nodes (history, x, outcome) in (length, history) order, where x counts
+    the level's leaves 1..k and its internal nodes 1..m in that order."""
+    ordered = sorted(tree.nodes, key=lambda h: (len(h), h))
+    for level in range(len(ordered[-1]) + 1):
+        nodes, k, m = [], 0, 0
+        for history in (h for h in ordered if len(h) == level):
+            outcome = tree.nodes[history]
+            if outcome is INTERNAL:
+                m = x = m + 1
+            else:
+                k = x = k + 1
+            nodes.append((history, x, outcome))
+        yield k, m, nodes
 
 
 def level_multisets(states) -> dict[int, Counter]:

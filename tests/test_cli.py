@@ -19,13 +19,27 @@ from coindice import analysis, cli, ddg, discrete
 from coindice.cli import main, naive_rejection_roll
 from coindice import ProbabilityVector, SeededSource, entropy, exact_expected_flips
 from coindice.discrete import TracedRoll
-from conftest import HUGE_DIE, ReplaySource, shallowest_leaf, split_shallowest_leaf
+from coindice.ddg import DdgTree
+from conftest import HUGE_DIE, ReplaySource, shallowest_leaf, split_shallowest_leaf, tree_levels
 
 HUGE = "7" * 5001  # past Python's default 4300-digit int/str limit
 
 
 class _Discard(io.TextIOBase):
     def write(self, text):
+        return len(text)
+
+
+class _Digest(io.TextIOBase):
+    """A stdout that keeps only the sha256 and the length of what it is sent."""
+
+    def __init__(self):
+        self.sha256, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha256.update(data)
+        self.size += len(data)
         return len(text)
 
 
@@ -211,8 +225,14 @@ class TestTree:
         assert "optimal" in err
 
     def patch_tree(self, monkeypatch, change):
-        build = ddg._tree
-        monkeypatch.setattr(ddg, "_tree", lambda record, depth: change(build(record, depth)))
+        # tree reads the walk's stream of levels: feed it a changed tree's levels
+        expand = ddg._expand
+
+        def changed(record, depth):
+            nodes = {h: out for _, _, level in expand(record, depth) for h, _, out in level}
+            return tree_levels(change(DdgTree(nodes, depth)))
+
+        monkeypatch.setattr(ddg, "_expand", changed)
 
     def test_relabelled_leaf_is_a_mass_mismatch(self, capsys, monkeypatch):
         def relabel(tree):
@@ -433,7 +453,7 @@ class TestErrorBoundary:
         def overflow(record, depth):
             raise OverflowError("too big")
 
-        monkeypatch.setattr(ddg, "_tree", overflow)
+        monkeypatch.setattr(ddg, "_expand", overflow)
         assert run_cli(capsys, "tree", "--die", "5") == (1, "", "error: too big\n")
 
 
@@ -470,6 +490,63 @@ class TestWalkBudget:
         assert time.perf_counter() - start < 10
         assert (code, err) == (0, "optimal\n")
         assert 'r1 [shape=box, label="2"];' in out
+
+
+class TestStreamedWalk:
+    """``tree`` and ``oracle-dump`` write the walk level by level as it
+    goes, after a budget check that reads the level counts alone, so
+    neither holds the whole walk.  Their outputs are too large for the
+    golden corpus, so their digests are pinned here."""
+
+    def traced(self, *argv):
+        """Exit code, stderr, stdout digest and tracemalloc peak of one call."""
+        cli.build_parser()  # the parser is built once per process, not per command
+        out, err = _Digest(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return code, err.getvalue(), out, peak
+
+    def test_a_refused_walk_allocates_nothing(self):
+        code, err, out, peak = self.traced("oracle-dump", "--die", "1000003", "--depth", "40")
+        assert code == 1
+        assert "walk budget" in err
+        assert out.size == 0
+        assert peak < 1 << 20
+
+    def test_tree_check_holds_one_level(self):
+        code, err, _, peak = self.traced("tree", "--die", "1000", "--check")
+        assert (code, err) == (0, "optimal\n")
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "argv, digest, size, err",
+        [
+            (
+                "tree --die 1000 --check",
+                "7dad272365ac00a7f26d0486823c093433ad055abbcbd20c6b48d5336719c363",
+                1_656_881,
+                "optimal\n",
+            ),
+            (
+                "oracle-dump --die 1000 --depth 30",
+                "d7459ae11c57de45637a2cf9d591060fa253c672ecab12511cfbc9c3528a1cb4",
+                736_071,
+                "",
+            ),
+        ],
+        ids=["tree", "oracle-dump"],
+    )
+    def test_large_output_is_pinned(self, argv, digest, size, err):
+        out = _Digest()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()) as stderr:
+            code = main(argv.split())
+        assert (code, stderr.getvalue()) == (0, err)
+        assert (out.sha256.hexdigest(), out.size) == (digest, size)
 
 
 class TestAnalysisBudgets:

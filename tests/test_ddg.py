@@ -389,7 +389,7 @@ class TestTrieWalk:
     @given(sampler_targets(), st.integers(1, 10))
     def test_each_level_holds_k_leaves_and_m_live_histories(self, target, depth):
         record, run = target
-        walk = _expand(record, depth)
+        walk = list(_expand(record, depth))
         live = 1
         for level, (k, m, nodes) in enumerate(walk):
             assert {len(h) for h, _, _ in nodes} == {level}
@@ -594,7 +594,7 @@ class TestLeafCounts:
     @given(sampler_targets(), st.integers(1, 12))
     def test_the_walk_passes_the_level_rules_counts(self, target, depth):
         record = target[0]
-        walk = _expand(record, depth)
+        walk = list(_expand(record, depth))
         leaves, live = [k for k, _, _ in walk], walk[-1][1]
         assert fills_the_tree(leaves, live)
         tally = _tally(walk, depth)
@@ -621,7 +621,7 @@ class TestLeafCounts:
         ids=["extra-leaf", "live-plus-one", "live-minus-one"],
     )
     def test_a_walk_with_corrupted_counts_is_refused(self, level, extra_leaves, extra_live):
-        walk = _expand(_die(5), 6)
+        walk = list(_expand(_die(5), 6))
         k, m, nodes = walk[level]
         assert (level, k, m) in {(3, 5, 3), (6, 0, 4)}
         walk[level] = (k + extra_leaves, m + extra_live, nodes)

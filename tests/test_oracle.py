@@ -89,7 +89,7 @@ def test_walk_budget_admits_depth_2895_of_thirds_and_refuses_2896():
     # one history runs per level, so levels 1..j hold j(j + 1) characters:
     # 2895 * 2896 <= 2^23 < 2896 * 2897
     thirds = ProbabilityVector(["1/3", "2/3"])._runs
-    assert len(_expand(thirds, 2895)) == 2896
+    assert len(list(_expand(thirds, 2895))) == 2896
     with pytest.raises(ValueError) as exc:
         _expand(thirds, 2896)
     assert str(exc.value) == (
@@ -101,7 +101,7 @@ def test_a_walk_of_exactly_the_budget_is_admitted(monkeypatch):
     # thirds to depth j hold j(j + 1) history characters: 12 at depth 3
     thirds = ProbabilityVector(["1/3", "2/3"])._runs
     monkeypatch.setattr(ddg, "WALK_BUDGET", 12)
-    assert len(_expand(thirds, 3)) == 4
+    assert len(list(_expand(thirds, 3))) == 4
     with pytest.raises(ValueError, match="walk budget of 12 history characters at level 4$"):
         _expand(thirds, 4)
 
