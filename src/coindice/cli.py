@@ -13,7 +13,6 @@ import math
 import signal
 import sys
 import time
-from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 
@@ -190,11 +189,13 @@ def cmd_tree(args) -> int:
     write = sys.stdout.write
     write("digraph ddg {\n")
     # leaves per (level, outcome); live nodes at the depth bound form the frontier
-    counts = Counter()
+    counts = {}
     for j, (_, m, nodes) in enumerate(levels):
         frontier = {h for h, _, out in nodes if out is None} if j == depth else ()
-        write("".join(ddg._dot(((h, out) for h, _, out in nodes), frontier)))
-        counts.update((j, out) for _, _, out in nodes if out is not None)
+        write("".join(ddg._dot(nodes, frontier)))
+        for _, _, out in nodes:
+            if out is not None:
+                counts[j, out] = counts.get((j, out), 0) + 1
     write("}\n")
     if not args.check:
         return EXIT_OK

@@ -21,12 +21,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from .discrete import ProbabilityVector, _die, _levels
 
 # the summed length of all bit histories a walk may yield: it bounds output and walk time, not
-# memory held; ``tree --die 9406 --check`` took 0.5-0.6 s and 49 MB RSS (2-vCPU Xeon)
+# memory held; ``tree --die 9406 --check`` took 0.5-0.7 s and 49 MB RSS (2-vCPU Xeon)
 WALK_BUDGET = 1 << 23
 # mass and output grow with depth squared: 1/3,2/3 at 2^14 took 7.5 s, 39 MB
 DEPTH_BUDGET = 1 << 14
@@ -359,16 +359,16 @@ def flip_distribution(tree: DdgTree) -> FlipDistribution:
 def export_dot(tree: DdgTree) -> str:
     """Graphviz DOT text: ``_dot`` lines of ``tree`` in (length, history) order."""
     ordered = sorted(tree.nodes, key=lambda h: (len(h), h))
-    lines = _dot(((h, tree.nodes[h]) for h in ordered), set(tree.frontier()))
-    return "".join(["digraph ddg {\n", *lines, "}\n"])
+    nodes = zip(ordered, repeat(None), map(tree.nodes.__getitem__, ordered))
+    return "".join(["digraph ddg {\n", *_dot(nodes, set(tree.frontier())), "}\n"])
 
 
 def _dot(nodes, unresolved) -> list[str]:
-    """DOT lines of (history, payload) nodes, ids "r" + history: circles for
-    internal nodes, dashed if ``unresolved``, labelled boxes for leaves."""
+    """DOT lines of nodes (history, x, payload) as the walk lists them, ids "r" +
+    history: circles for internal nodes, dashed if ``unresolved``, labelled boxes for leaves."""
     lines = []
     append = lines.append
-    for history, payload in nodes:
+    for history, _, payload in nodes:
         node_id = "r" + history
         if payload is INTERNAL:
             style = ', style="dashed"' if history in unresolved else ""
