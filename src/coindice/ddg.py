@@ -180,13 +180,9 @@ def flip_distribution_uniform(n: int, depth: int) -> FlipDistribution:
     return _flip_distribution(_die(n), depth)
 
 
-# node payloads: an int is a leaf outcome, INTERNAL marks a branch node
-INTERNAL = None
-
-
 @dataclass
 class DdgTree:
-    """Binary tree over bit histories; internal nodes map to INTERNAL,
+    """Binary tree over bit histories; internal nodes map to None,
     leaves to their outcome.  Internal nodes at the depth bound may have
     unmaterialised children: they form the live frontier of a truncated
     (conceptually infinite) tree."""
@@ -195,12 +191,12 @@ class DdgTree:
     depth_bound: int
 
     def leaves(self):
-        return ((h, out) for h, out in self.nodes.items() if out is not INTERNAL)
+        return ((h, out) for h, out in self.nodes.items() if out is not None)
 
     def frontier(self) -> list[str]:
         """Internal nodes whose children were never materialised."""
         nodes = self.nodes
-        return [h for h, payload in nodes.items() if payload is INTERNAL and h + "0" not in nodes]
+        return [h for h, payload in nodes.items() if payload is None and h + "0" not in nodes]
 
     def is_complete(self) -> bool:
         return not self.frontier()
@@ -240,7 +236,7 @@ def build_canonical(p: ProbabilityVector, depth_bound: int) -> DdgTree:
         assert len(accept) <= len(open_positions), "expansion bits exceed open slots"
         nodes.update(zip(open_positions, accept))
         rest = open_positions[len(accept) :]
-        nodes.update(dict.fromkeys(rest, INTERNAL))
+        nodes.update(dict.fromkeys(rest, None))
         if not rest or level == depth_bound:
             break
         open_positions = [h + b for h in rest for b in ("0", "1")]
@@ -370,7 +366,7 @@ def _dot(nodes, unresolved) -> list[str]:
     append = lines.append
     for history, _, payload in nodes:
         node_id = "r" + history
-        if payload is INTERNAL:
+        if payload is None:
             style = ', style="dashed"' if history in unresolved else ""
             append(f'  {node_id} [shape=circle, label=""{style}];\n')
         else:

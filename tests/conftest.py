@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from coindice import BitSource, ProbabilityVector
-from coindice.ddg import INTERNAL, DdgTree, _expand, _tally, expansion_bit
+from coindice import ProbabilityVector
+from coindice.ddg import DdgTree, _expand, _tally
 from coindice.discrete import RecyclerState
 
 
@@ -29,6 +29,11 @@ def flip_tail(fd, i: int) -> Fraction:
 def max_level(fd) -> int:
     """The deepest level at which a FlipDistribution has mass."""
     return max(fd.mass, default=0)
+
+
+def uniform_probs(n: int) -> ProbabilityVector:
+    """The target 1/n x n, whose optimal sampler is the n-sided die."""
+    return ProbabilityVector([Fraction(1, n)] * n)
 
 
 def dyadic_suite() -> list[ProbabilityVector]:
@@ -69,10 +74,10 @@ class Unwalkable:
 
 
 def walk(record, depth: int):
-    """The oracle's trie walk of a target's compiled record to ``depth``:
-    each bit history's post-resolution RecyclerState (a terminating
-    history keeps its final state), and the exact tallies of the walk.
-    The walk's stream is kept whole, as a list of its levels."""
+    """The trie walk of a target's compiled record to ``depth``: each bit
+    history's post-resolution RecyclerState (a terminating history keeps
+    its final state), and the exact tallies of the walk.  The walk's
+    stream is kept whole, as a list of its levels."""
     expanded = list(_expand(record, depth))
     states = {
         h: RecyclerState(x, m if outcome is None else k)
@@ -80,52 +85,6 @@ def walk(record, depth: int):
         for h, x, outcome in nodes
     }
     return states, _tally(expanded, depth)
-
-
-def acceptance_set(p: ProbabilityVector, level: int) -> tuple[int, ...]:
-    """Outcomes whose expansion has a 1 bit at ``level``, ascending: the
-    random-access reference for the level rule and the canonical tree."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    return tuple(
-        i for i, q in enumerate(p.probs, start=1) if expansion_bit(q, level) == 1
-    )
-
-
-class SourceExhausted(Exception):
-    """A scripted source ran out of bits.
-
-    A replay that ends before its draw resolves raises it, which tells a
-    bit history still live at its end from one that terminated.
-    """
-
-
-class ReplaySource(BitSource):
-    """Plays back a fixed bit sequence, then raises SourceExhausted."""
-
-    def __init__(self, bits) -> None:
-        self._bits = list(bits)
-        for b in self._bits:
-            if not isinstance(b, int) or b not in (0, 1):
-                raise ValueError(f"bit sequence may only contain 0 and 1, got {b!r}")
-        self._cursor = 0
-
-    def next_bit(self) -> int:
-        cursor = self._cursor
-        if cursor >= len(self._bits):  # not counted: the cursor stays
-            raise SourceExhausted(f"replay of {len(self._bits)} bits exhausted")
-        self._cursor = cursor + 1
-        return self._bits[cursor]
-
-    _draw = next_bit
-    flips_consumed = property(lambda self: self._cursor)
-
-
-def live_mass(tree: DdgTree) -> Fraction:
-    """Probability mass of a tree's frontier: the runs still going."""
-    frontier = tree.frontier()
-    depth = max(map(len, frontier), default=0)
-    return Fraction(sum(1 << (depth - len(h)) for h in frontier), 1 << depth)
 
 
 def shallowest_leaf(tree) -> tuple[str, int]:
@@ -138,7 +97,7 @@ def split_shallowest_leaf(tree) -> DdgTree:
     outcome one level deeper: every leaf mass is unchanged, but that
     outcome appears twice at one level, which no optimal tree allows."""
     history, outcome = shallowest_leaf(tree)
-    nodes = {**tree.nodes, history: INTERNAL, history + "0": outcome, history + "1": outcome}
+    nodes = {**tree.nodes, history: None, history + "0": outcome, history + "1": outcome}
     return DdgTree(nodes, tree.depth_bound)
 
 
@@ -151,7 +110,7 @@ def tree_levels(tree: DdgTree):
         nodes, k, m = [], 0, 0
         for history in (h for h in ordered if len(h) == level):
             outcome = tree.nodes[history]
-            if outcome is INTERNAL:
+            if outcome is None:
                 m = x = m + 1
             else:
                 k = x = k + 1

@@ -20,10 +20,9 @@ from coindice import (
     flip_distribution,
     verify_bounds,
 )
-from coindice.analysis import ceil_log2
 from coindice.cli import main
 from coindice.ddg import DdgTree, census, expansion_bit
-from coindice.discrete import _die
+from coindice.discrete import _die, ceil_log2
 from conftest import dyadic_suite, level_multisets, walk
 
 _RESULTS: list[tuple[str, bool, float]] = []

@@ -22,10 +22,10 @@ from coindice import (
     verify_bounds,
 )
 from coindice import analysis, ddg
-from coindice.analysis import BoundViolation, _entropy, _order_of_two, ceil_log2
+from coindice.analysis import BoundViolation, _entropy, _order_of_two
 from coindice.ddg import FlipDistribution, _flip_distribution, expansion_bit
-from coindice.discrete import _die
-from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, flip_tail
+from coindice.discrete import _die, ceil_log2
+from conftest import HUGE_DIE, TWIN_HUGE_RUNS, Unwalkable, dyadic_suite, flip_tail, uniform_probs
 
 # Independent second route: the recycle chain.  From a recycled s-sided
 # die the roller flips k = ceil(log2(n/s)) coins up to s' = s*2^k in
@@ -440,7 +440,7 @@ class TestFlipDistributionUniform:
     @pytest.mark.parametrize("n", range(1, 33))
     def test_matches_canonical_tree_distribution(self, n):
         depth = 2 * max(ceil_log2(n), 1) + 8
-        probs = ProbabilityVector([Fraction(1, n)] * n)
+        probs = uniform_probs(n)
         from_bits = flip_distribution_uniform(n, depth)
         from_tree = flip_distribution(build_canonical(probs, depth))
         assert from_bits.mass == from_tree.mass

@@ -13,14 +13,15 @@ import pytest
 
 import coindice
 from coindice import analysis, bitsource, ddg, discrete
-from conftest import ReplaySource
+from reference import ReplaySource
 
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 REMOVED = (
     "LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete",
-    "acceptance_set", "ReplaySource", "SourceExhausted", "Bit",
+    "acceptance_set", "ReplaySource", "SourceExhausted", "Bit", "INTERNAL",
 )
 # the errors that public calls raise on a caller's input
 ERRORS = {"InvalidDistribution", "MassMismatch"}
@@ -63,6 +64,31 @@ def test_expansion_bit_lives_beside_the_tree_checks_not_the_sampler():
     assert not hasattr(discrete, "expansion_bit")
     assert ddg.expansion_bit.__module__ == "coindice.ddg"
     assert "expansion_bit" not in coindice.__all__
+
+
+def _defined_names(module: str) -> set[str]:
+    """Names a def, a class or an assignment binds at the top level of ``module``."""
+    names = set()
+    for node in ast.parse(Path(importlib.import_module(module).__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_tests_import_each_name_from_the_module_that_defines_it():
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coindice.")
+        for alias in node.names
+    ]
+    assert imports
+    stray = [line for line in imports if line[2] not in _defined_names(line[1])]
+    assert not stray, stray
 
 
 def test_every_export_resolves_to_its_defining_module(monkeypatch):

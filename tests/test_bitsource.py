@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from coindice import BitSource, SeededSource, roll_many
 from coindice.bitsource import _splitmix64
-from conftest import ReplaySource, SourceExhausted
+from reference import ReplaySource, SourceExhausted
 
 
 def test_replay_returns_bits_in_order_then_exhausts():

@@ -20,7 +20,8 @@ from coindice.cli import main, naive_rejection_roll
 from coindice import ProbabilityVector, SeededSource, entropy, exact_expected_flips
 from coindice.discrete import TracedRoll
 from coindice.ddg import DdgTree
-from conftest import HUGE_DIE, ReplaySource, shallowest_leaf, split_shallowest_leaf, tree_levels
+from conftest import HUGE_DIE, shallowest_leaf, split_shallowest_leaf, tree_levels, uniform_probs
+from reference import ReplaySource
 
 HUGE = "7" * 5001  # past Python's default 4300-digit int/str limit
 
@@ -135,7 +136,7 @@ class TestAnalyze:
     def test_die_entropy_equals_the_distribution_entropy(self, capsys, n):
         code, out, _ = run_cli(capsys, "analyze", "--die", str(n), "--json")
         assert code == 0
-        probs = ProbabilityVector([Fraction(1, n)] * n)
+        probs = uniform_probs(n)
         assert json.loads(out)["entropy"] == entropy(probs)
 
     def test_die_past_2_64_finishes_at_64_bits_of_entropy(self, capsys):

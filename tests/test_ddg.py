@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -21,34 +21,38 @@ from coindice import (
     sample,
 )
 from coindice import ddg
-from coindice.analysis import ceil_log2
 from coindice.ddg import (
     DdgTree,
-    EnumerationResult,
     FlipDistribution,
-    INTERNAL,
-    OptimalityVerdict,
     _check_optimal,
     _expand,
     _flip_distribution,
     _tally,
     census,
-    expansion_bit,
 )
-from coindice.discrete import _die
+from coindice.discrete import RecyclerState, _die, ceil_log2
 from conftest import (
     HUGE_DIE,
-    ReplaySource,
-    SourceExhausted,
     TWIN_HUGE_RUNS,
     Unwalkable,
-    acceptance_set,
     dyadic_suite,
     flip_tail,
-    live_mass,
+    level_multisets,
     max_level,
     random_dyadic_distribution,
     split_shallowest_leaf,
+    uniform_probs,
+    walk,
+)
+from reference import (
+    ReplaySource,
+    SourceExhausted,
+    acceptance_set,
+    dense_check_optimal,
+    history_bits,
+    live_mass,
+    replay_tally,
+    replay_tree,
 )
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
@@ -94,97 +98,16 @@ def dominates(a: FlipDistribution, b: FlipDistribution) -> bool:
     return a.residual <= b.residual
 
 
-def uniform_probs(n):
-    return ProbabilityVector([Fraction(1, n)] * n)
-
-
-def _bits(history):
-    return [int(b) for b in history]
-
-
-def replay_tree(run, depth_bound):
-    """Reference builder: classify every bit history up to the depth bound
-    by replaying the sampler on exactly those bits.  A run that terminates
-    on the last bit is a leaf, one that runs dry is internal.  It costs
-    O(nodes x depth)."""
-    nodes = {}
-    frontier = [""]
-    for depth in range(depth_bound + 1):
-        next_frontier = []
-        for history in frontier:
-            try:
-                result = run(ReplaySource(_bits(history)))
-            except SourceExhausted:
-                nodes[history] = None
-                if depth < depth_bound:
-                    next_frontier += [history + "0", history + "1"]
-                continue
-            assert result.flips == len(history)
-            nodes[history] = result.outcome
-        frontier = next_frontier
-    return DdgTree(nodes, depth_bound)
-
-
 def assert_equals_replay(tree, run):
     reference = replay_tree(run, tree.depth_bound)
     assert tree == reference
     assert list(tree.nodes) == list(reference.nodes)  # same insertion order
     for history, outcome in tree.leaves():
-        result = run(ReplaySource(_bits(history)))
+        result = run(ReplaySource(history_bits(history)))
         assert (result.outcome, result.flips) == (outcome, len(history))
     for history in tree.frontier():
         with pytest.raises(SourceExhausted):
-            run(ReplaySource(_bits(history)))
-
-
-def dense_check_optimal(tree, record):
-    """Reference for ``ddg._check_optimal``: visits every outcome of every
-    run of ``record``, and every level for each, so it costs
-    O(outcomes x depth)."""
-    nums, dens, spans = record
-    runs = [
-        (num, den, range(first, first + length))
-        for num, den, (first, length) in zip(nums, dens, spans)
-    ]
-    counts = census(tree)
-    outcomes = runs[-1][2][-1]
-    # leaf mass of outcome i is weight[i] / 2^depth
-    depth = max((level for level, _ in counts), default=0)
-    weight = [0] * (outcomes + 1)
-    for (level, outcome), count in counts.items():
-        if not 1 <= outcome <= outcomes:
-            raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
-        weight[outcome] += count << (depth - level)
-    complete = tree.is_complete()
-    probs = [Fraction(num, den) for num, den, _ in runs]
-    for (num, den, run), q in zip(runs, probs):
-        target = num << depth
-        for i in run:
-            scaled = weight[i] * den
-            if complete and scaled != target:
-                raise MassMismatch(
-                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)}, "
-                    f"distribution says {q}"
-                )
-            if scaled > target:
-                raise MassMismatch(
-                    f"outcome {i} has leaf mass {Fraction(weight[i], 1 << depth)} exceeding {q}"
-                )
-
-    violations = []
-    for (level, outcome), count in sorted(counts.items()):
-        if count > 1:
-            violations.append(f"outcome {outcome} appears {count} times at level {level}")
-    for level in range(tree.depth_bound + 1):
-        for (_, _, run), q in zip(runs, probs):
-            want = expansion_bit(q, level)
-            for i in run:
-                got = counts.get((level, i), 0)
-                if got != want and got <= 1:
-                    violations.append(
-                        f"outcome {i} has {got} leaves at level {level}, expansion bit is {want}"
-                    )
-    return OptimalityVerdict(not violations, violations)
+            run(ReplaySource(history_bits(history)))
 
 
 def verdict_of(check, tree, record):
@@ -219,7 +142,7 @@ def checked_trees(draw):
         on_leaf = kind in ("relabel", "split")
         # a leaf to relabel or split, or a branch node to prune
         candidates = sorted(
-            h for h, out in nodes.items() if (out is not INTERNAL if on_leaf else h + "0" in nodes)
+            h for h, out in nodes.items() if (out is not None if on_leaf else h + "0" in nodes)
         )
         if not candidates:
             continue
@@ -227,11 +150,11 @@ def checked_trees(draw):
         if kind == "relabel":
             nodes[history] = draw(label)
         elif kind == "split":
-            nodes.update({history: INTERNAL, history + "0": draw(label), history + "1": draw(label)})
+            nodes.update({history: None, history + "0": draw(label), history + "1": draw(label)})
         else:
             for below in [h for h in nodes if len(h) > len(history) and h.startswith(history)]:
                 del nodes[below]
-            nodes[history] = draw(label) if kind == "leaf" else INTERNAL
+            nodes[history] = draw(label) if kind == "leaf" else None
     return DdgTree(nodes, tree.depth_bound), record
 
 
@@ -372,18 +295,6 @@ def sampler_targets(draw):
     return p._runs, lambda source: sample(p, source)
 
 
-def replay_tally(tree: DdgTree) -> EnumerationResult:
-    """The exact tallies of a tree's leaves and frontier, one leaf at a time."""
-    leaves = dict(tree.leaves())
-    outcome_mass: dict[int, Fraction] = {}
-    flip_mass: dict[int, Fraction] = {}
-    for history, outcome in leaves.items():
-        mass = Fraction(1, 1 << len(history))
-        outcome_mass[outcome] = outcome_mass.get(outcome, Fraction(0)) + mass
-        flip_mass[len(history)] = flip_mass.get(len(history), Fraction(0)) + mass
-    return EnumerationResult(outcome_mass, flip_mass, live_mass(tree), leaves)
-
-
 class TestTrieWalk:
     @settings(max_examples=50, deadline=None)
     @given(sampler_targets(), st.integers(1, 10))
@@ -393,8 +304,8 @@ class TestTrieWalk:
         live = 1
         for level, (k, m, nodes) in enumerate(walk):
             assert {len(h) for h, _, _ in nodes} == {level}
-            assert sorted(x for _, x, out in nodes if out is not INTERNAL) == list(range(1, k + 1))
-            assert sorted(x for _, x, out in nodes if out is INTERNAL) == list(range(1, m + 1))
+            assert sorted(x for _, x, out in nodes if out is not None) == list(range(1, k + 1))
+            assert sorted(x for _, x, out in nodes if out is None) == list(range(1, m + 1))
             if level:
                 assert len(nodes) == 2 * live
             live = m
@@ -498,7 +409,7 @@ class TestCheckOptimal:
         # outcome 1's level-4 leaf relabelled 2: no mass exceeds its target, so
         # only the per-level check sees the leaf of outcome 2 at the last level
         thirds = ProbabilityVector(["1/3", "2/3"])
-        nodes = {**build_canonical(thirds, 4).nodes, "110": INTERNAL, "1110": 2}
+        nodes = {**build_canonical(thirds, 4).nodes, "110": None, "1110": 2}
         violations = [
             "outcome 2 has 0 leaves at level 3, expansion bit is 1",
             "outcome 1 has 0 leaves at level 4, expansion bit is 1",
@@ -710,3 +621,203 @@ class TestExportDot:
         a = export_dot(build_from_uniform(6, 8))
         b = export_dot(build_from_uniform(6, 8))
         assert a == b
+
+
+# Per-flip state multisets of the five-sided roller, derived by hand from
+# the doubling/accept/recycle rules and frozen here.
+FIVE_SIDED_LEVELS = {
+    0: {(1, 1): 1},
+    1: {(1, 2): 1, (2, 2): 1},
+    2: {(1, 4): 1, (3, 4): 1, (2, 4): 1, (4, 4): 1},
+    3: {
+        (1, 5): 1,
+        (5, 5): 1,
+        (3, 5): 1,
+        (2, 3): 1,
+        (2, 5): 1,
+        (1, 3): 1,
+        (4, 5): 1,
+        (3, 3): 1,
+    },
+    4: {(2, 5): 1, (5, 5): 1, (1, 5): 1, (4, 5): 1, (3, 5): 1, (1, 1): 1},
+}
+
+
+class TestStateTree:
+    """The trie walk's (x, m) states and tallies, replayed by ``roll`` and ``sample``."""
+
+    def test_five_sided_state_tree_spot_paths(self):
+        states = walk(_die(5), 4)[0]
+        assert states[""] == RecyclerState(1, 1)
+        assert states["0"] == RecyclerState(1, 2)
+        assert states["11"] == RecyclerState(4, 4)
+        assert states["111"] == RecyclerState(3, 3)  # (8, 8) recycled
+        assert states["110"] == RecyclerState(4, 5)  # (4, 8) accepted
+
+    def test_five_sided_level_multisets_match_known_layout(self):
+        grouped = level_multisets(walk(_die(5), 4)[0])
+        for level, expected in FIVE_SIDED_LEVELS.items():
+            assert grouped[level] == Counter(expected), level
+
+    def test_five_sided_restart_levels_repeat_the_top(self):
+        grouped = level_multisets(walk(_die(5), 6)[0])
+        assert grouped[5] == grouped[1]
+        assert grouped[6] == grouped[2]
+
+    def test_five_sided_pre_resolution_states(self):
+        # the doubled states before accept/recycle fire: all of {1..8} x {8}
+        # after flip three, then the six-sided row after flip four
+        states = walk(_die(5), 4)[0]
+        doubled_three = Counter()
+        doubled_four = Counter()
+        for history, state in states.items():
+            if len(history) in (3, 4):
+                parent = states[history[:-1]]
+                bit = int(history[-1])
+                pre = (parent.x + bit * parent.m, 2 * parent.m)
+                (doubled_three if len(history) == 3 else doubled_four)[pre] += 1
+        assert doubled_three == Counter({(i, 8): 1 for i in range(1, 9)})
+        assert doubled_four == Counter(
+            {(2, 6): 1, (5, 6): 1, (1, 6): 1, (4, 6): 1, (3, 6): 1, (6, 6): 1}
+        )
+
+    def test_one_sided_die_is_an_immediate_leaf(self):
+        states = walk(_die(1), 3)[0]
+        assert states == {"": RecyclerState(1, 1)}
+        result = enumerate_uniform(1, 3)
+        assert result.outcome_mass == {1: Fraction(1)}
+        assert result.flip_mass == {0: Fraction(1)}
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_rejected(self, depth):
+        # without the check, depth 0 would report the whole mass as live
+        with pytest.raises(ValueError) as exc:
+            enumerate_uniform(5, depth)
+        assert str(exc.value) == f"depth must be >= 1, got {depth}"
+
+    def test_walk_budget_admits_depth_2895_of_thirds_and_refuses_2896(self):
+        # one history runs per level, so levels 1..j hold j(j + 1) characters:
+        # 2895 * 2896 <= 2^23 < 2896 * 2897
+        thirds = ProbabilityVector(["1/3", "2/3"])._runs
+        assert len(list(_expand(thirds, 2895))) == 2896
+        with pytest.raises(ValueError) as exc:
+            _expand(thirds, 2896)
+        assert str(exc.value) == (
+            "trie walk to depth 2896 passes the walk budget of 8388608 history characters at level 2896"
+        )
+
+    def test_a_walk_of_exactly_the_budget_is_admitted(self, monkeypatch):
+        # thirds to depth j hold j(j + 1) history characters: 12 at depth 3
+        thirds = ProbabilityVector(["1/3", "2/3"])._runs
+        monkeypatch.setattr(ddg, "WALK_BUDGET", 12)
+        assert len(list(_expand(thirds, 3))) == 4
+        with pytest.raises(ValueError, match="walk budget of 12 history characters at level 4$"):
+            _expand(thirds, 4)
+
+    def test_two_sided_die_depth_one(self):
+        result = enumerate_uniform(2, 1)
+        assert result.outcome_mass == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert result.live_mass == 0
+
+    def test_five_sided_depth_four_leaves_and_live_mass(self):
+        result = enumerate_uniform(5, 4)
+        assert result.leaf_histories["000"] == 1
+        assert result.leaf_histories["001"] == 5
+        by_level = Counter(len(h) for h in result.leaf_histories)
+        assert by_level == {3: 5, 4: 5}
+        assert result.live_mass == Fraction(1, 16)
+
+    def test_five_sided_depth_eight_masses_equal(self):
+        result = enumerate_uniform(5, 8)
+        assert result.live_mass == Fraction(1, 256)
+        assert set(result.outcome_mass.values()) == {Fraction(51, 256)}
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_uniformity_small_dice(self, n):
+        result = enumerate_uniform(n, 16)
+        assert len(result.outcome_mass) == n
+        assert len(set(result.outcome_mass.values())) == 1
+        assert result.terminated_mass() + result.live_mass == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_conditional_uniformity_within_every_m_group(self, n):
+        # at each depth, states sharing m must spread their path mass equally
+        # over all x in {1..m}
+        depth = 12
+        states = walk(_die(n), depth)[0]
+        for level in range(depth + 1):
+            groups: dict[int, dict[int, Fraction]] = defaultdict(dict)
+            for history, state in states.items():
+                if len(history) == level:
+                    mass = Fraction(1, 1 << level)
+                    group = groups[state.m]
+                    group[state.x] = group.get(state.x, Fraction(0)) + mass
+            for m, masses in groups.items():
+                assert set(masses) == set(range(1, m + 1)), (n, level, m)
+                assert len(set(masses.values())) == 1, (n, level, m)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    def test_live_mass_decays_geometrically(self, n):
+        # each window long enough to double any state past n gives at least
+        # one acceptance chance of probability >= 1/(2n)
+        window = (2 * n - 1).bit_length()
+        base = enumerate_uniform(n, 8).live_mass
+        for k in (1, 2):
+            deeper = enumerate_uniform(n, 8 + k * window).live_mass
+            assert deeper <= base * Fraction(2 * n - 1, 2 * n) ** k
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_oracle_agrees_with_replayed_rolls(self, n):
+        # every trie-walk leaf and live path reproduces exactly under roll()
+        depth = 10
+        result = enumerate_uniform(n, depth)
+        for history, outcome in result.leaf_histories.items():
+            bits = history_bits(history)
+            replay = ReplaySource(bits)
+            traced = roll(n, replay)
+            assert traced.outcome == outcome
+            assert traced.flips == len(bits) == replay.flips_consumed
+
+    def test_discrete_state_tree_matches_uniform_structure(self):
+        # a uniform dyadic distribution drives the same acceptance layout as
+        # the plain four-sided roller
+        p = ProbabilityVector(["1/4"] * 4)
+        states, result = walk(p._runs, 2)
+        assert result.outcome_mass == {i: Fraction(1, 4) for i in (1, 2, 3, 4)}
+        assert result.flip_mass == {2: Fraction(1)}
+        assert states["01"] == RecyclerState(3, 4)  # x = 1 + 0*1, then + 1*2
+
+    @pytest.mark.parametrize(
+        "probs", [["3/8", "1/2", "1/8"], ["1/3", "2/3"], ["1/5", "2/5", "2/5"]]
+    )
+    def test_discrete_conditional_uniformity_within_m_groups(self, probs):
+        # the recycled pair stays conditionally uniform for loaded dice too
+        p = ProbabilityVector(probs)
+        depth = 10
+        states = walk(p._runs, depth)[0]
+        for level in range(depth + 1):
+            groups: dict[int, dict[int, Fraction]] = defaultdict(dict)
+            for history, state in states.items():
+                if len(history) == level:
+                    group = groups[state.m]
+                    group[state.x] = group.get(state.x, Fraction(0)) + Fraction(
+                        1, 1 << level
+                    )
+            for m, masses in groups.items():
+                assert set(masses) == set(range(1, m + 1)), (probs, level, m)
+                assert len(set(masses.values())) == 1, (probs, level, m)
+
+    def test_discrete_oracle_agrees_with_replayed_samples(self):
+        p = ProbabilityVector(["3/8", "1/2", "1/8"])
+        result = walk(p._runs, 3)[1]
+        for history, outcome in result.leaf_histories.items():
+            bits = history_bits(history)
+            traced = sample(p, ReplaySource(bits))
+            assert traced.outcome == outcome
+            assert traced.flips == len(bits)
+        # live prefixes really are still running
+        states, deeper = walk(ProbabilityVector(["1/3", "2/3"])._runs, 5)
+        live = [h for h in states if len(h) == 5 and h not in deeper.leaf_histories]
+        for history in live:
+            with pytest.raises(SourceExhausted):
+                sample(ProbabilityVector(["1/3", "2/3"]), ReplaySource(history_bits(history)))

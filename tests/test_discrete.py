@@ -12,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coindice import (
-    BitSource,
     InvalidDistribution,
     ProbabilityVector,
     SeededSource,
     build_from_discrete,
     check_optimal,
     discrete,
+    enumerate_uniform,
     parse_distribution,
     roll,
+    roll_many,
     sample,
 )
 from coindice.analysis import _entropy
@@ -28,12 +29,21 @@ from coindice.ddg import DdgTree, _flip_distribution, expansion_bit
 from coindice.discrete import RecyclerState, TracedRoll, _die, _levels
 from conftest import (
     HUGE_DIE,
-    ReplaySource,
     TWIN_HUGE_RUNS,
     Unwalkable,
-    acceptance_set,
     dyadic_suite,
+    split_shallowest_leaf,
+    uniform_probs,
     walk,
+)
+from reference import (
+    ReplaySource,
+    SourceExhausted,
+    acceptance_set,
+    entry_record,
+    history_bits,
+    reference_roll,
+    reference_sample,
 )
 
 
@@ -57,12 +67,7 @@ def level_state(p: ProbabilityVector, level: int) -> LevelState:
 
 EIGHTHS = ProbabilityVector(["3/8", "1/2", "1/8"])
 THIRDS = ProbabilityVector(["1/3", "2/3"])
-UNIFORM_997 = ProbabilityVector([Fraction(1, 997)] * 997)
-
-
-def expansion_levels(p: ProbabilityVector, depth: int) -> list[tuple[int, ...]]:
-    """Acceptance sets of levels 0..depth by random-access expansion bits."""
-    return [acceptance_set(p, j) for j in range(depth + 1)]
+UNIFORM_997 = uniform_probs(997)
 
 
 def rule_levels(record, depth: int) -> list[tuple[int, ...]]:
@@ -136,7 +141,7 @@ class TestProbabilityVector:
         for name in ("__add__", "__radd__"):
             op = getattr(Fraction, name)
             monkeypatch.setattr(Fraction, name, lambda a, b, op=op: added.append(b) or op(a, b))
-        p = ProbabilityVector([Fraction(1, 100003)] * 100003)
+        p = uniform_probs(100003)
         nums, _, _ = p._runs
         assert len(nums) == 1
         assert len(added) <= len(nums)
@@ -425,7 +430,7 @@ class TestLevelRule:
         total = sum(weights)
         p = ProbabilityVector([w / total for w in weights])
         depth = rule_depth(p)
-        assert rule_levels(p._runs, depth) == expansion_levels(p, depth)
+        assert rule_levels(p._runs, depth) == [acceptance_set(p, j) for j in range(depth + 1)]
 
     @given(weighted_runs)
     @settings(max_examples=100)
@@ -442,7 +447,7 @@ class TestLevelRule:
         p = ProbabilityVector(entries)
         depth = rule_depth(p)
         record = tuple(nums), tuple(dens), tuple(spans)
-        assert rule_levels(record, depth) == expansion_levels(p, depth)
+        assert rule_levels(record, depth) == [acceptance_set(p, j) for j in range(depth + 1)]
 
     @pytest.mark.parametrize(
         "p",
@@ -458,18 +463,18 @@ class TestLevelRule:
     )
     def test_residual_rule_on_fixed_targets(self, p):
         depth = rule_depth(p)
-        assert rule_levels(p._runs, depth) == expansion_levels(p, depth)
+        assert rule_levels(p._runs, depth) == [acceptance_set(p, j) for j in range(depth + 1)]
 
     def test_residual_rule_on_the_dyadic_suite(self):
         for p in dyadic_suite():
             depth = rule_depth(p)
-            assert rule_levels(p._runs, depth) == expansion_levels(p, depth)
+            assert rule_levels(p._runs, depth) == [acceptance_set(p, j) for j in range(depth + 1)]
 
     def test_die_rule_is_the_rule_of_the_uniform_distribution(self):
         for n in range(1, 301):
-            p = ProbabilityVector([Fraction(1, n)] * n)
+            p = uniform_probs(n)
             depth = rule_depth(p)
-            assert rule_levels(_die(n), depth) == expansion_levels(p, depth), n
+            assert rule_levels(_die(n), depth) == [acceptance_set(p, j) for j in range(depth + 1)], n
 
     @given(
         st.one_of(
@@ -512,20 +517,11 @@ class TestSampleTrace:
         leaves = result.leaf_histories
         assert leaves
         for history, outcome in leaves.items():
-            result = sample(p, ReplaySource([int(b) for b in history]), trace=True)
+            result = sample(p, ReplaySource(history_bits(history)), trace=True)
             assert (result.outcome, result.flips) == (outcome, len(history))
             assert result.trace[0] == (1, 1)
             assert result.trace[-1] == states[history]
             assert all(1 <= x <= m for x, m in result.trace)
-
-
-def entry_record(p: ProbabilityVector):
-    """The one-run-per-entry record, the reference for merged blocks."""
-    return (
-        tuple(q.numerator for q in p.probs),
-        tuple(q.denominator for q in p.probs),
-        tuple((i, 1) for i in range(1, len(p) + 1)),
-    )
 
 
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
@@ -541,15 +537,6 @@ def blocks_vector(weighted) -> ProbabilityVector:
     return ProbabilityVector([w / total for w, k in weighted for _ in range(k)])
 
 
-def deepened(tree: DdgTree) -> DdgTree:
-    """``tree`` with its first leaf split into two leaves of the same
-    outcome: the same masses, but not optimal."""
-    history, outcome = min(tree.leaves())
-    nodes = dict(tree.nodes)
-    nodes.update({history: None, history + "0": outcome, history + "1": outcome})
-    return DdgTree(nodes, max(tree.depth_bound, len(history) + 1))
-
-
 def walk_results(p: ProbabilityVector, depth: int):
     """Every output of the layers that read ``p._runs``, in insertion order."""
     streams = []
@@ -561,7 +548,7 @@ def walk_results(p: ProbabilityVector, depth: int):
             streams.append(source.flips_consumed)
     states, enumeration = walk(p._runs, depth)
     tree = build_from_discrete(p, depth)
-    verdicts = [check_optimal(t, p) for t in (tree, deepened(tree))]
+    verdicts = [check_optimal(t, p) for t in (tree, split_shallowest_leaf(tree))]
     return (
         streams,
         enumeration,
@@ -639,62 +626,16 @@ class TestBlockCompile:
 
     def test_uniform_vector_compiles_to_the_die(self):
         for n in range(1, 301):
-            assert ProbabilityVector([Fraction(1, n)] * n)._runs == _die(n), n
+            assert uniform_probs(n)._runs == _die(n), n
 
     def test_sampling_a_huge_uniform_vector_costs_one_run(self):
         n = 100003
-        p = ProbabilityVector([Fraction(1, n)] * n)
+        p = uniform_probs(n)
         source = SeededSource(11)
         start = perf_counter()
         outcomes = [sample(p, source).outcome for _ in range(20)]
         assert perf_counter() - start < 1.0
         assert all(1 <= x <= n for x in outcomes)
-
-
-def reference_levels(record):
-    """The level rule as a list of acceptance sets, one per level 0, 1,
-    2, ..., from the runs of a compiled record, copying every accepted
-    outcome: the reference for the run walk."""
-    nums, dens, spans = record
-    residuals = list(nums)
-    indices = range(len(dens))
-    while True:
-        accept = []
-        for i in indices:
-            r = residuals[i]
-            if r >= dens[i]:
-                first, length = spans[i]
-                accept += range(first, first + length)
-                r -= dens[i]
-            residuals[i] = 2 * r
-        yield accept
-
-
-def reference_sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
-    """``sample`` over ``reference_levels``, indexing each level's list."""
-    levels = reference_levels(p._runs)
-    certain = next(levels)
-    if certain:
-        return TracedRoll(certain[0], 0, [RecyclerState(1, 1)] if trace else None)
-
-    x, m = 1, 1
-    states = [RecyclerState(1, 1)] if trace else None
-    for level, accept in enumerate(levels, start=1):
-        k = len(accept)
-        bit = source.next_bit()
-        x += bit * m
-        m *= 2
-        if states is not None:
-            states.append(RecyclerState(x, m))
-        if k:
-            if x <= k:
-                if states is not None and states[-1] != (x, k):
-                    states.append(RecyclerState(x, k))
-                return TracedRoll(accept[x - 1], level, states)
-            x -= k
-            m -= k
-            if states is not None:
-                states.append(RecyclerState(x, m))
 
 
 def assert_draws_match_the_reference(p: ProbabilityVector, count: int) -> None:
@@ -724,7 +665,7 @@ class TestReferenceSampler:
 
     @pytest.mark.parametrize(
         "p, count",
-        [(UNIFORM_997, 30), (ProbabilityVector([Fraction(1, 100003)] * 100003), 3)],
+        [(UNIFORM_997, 30), (uniform_probs(100003), 3)],
         ids=["K997", "K100003"],
     )
     def test_draws_match_the_reference_on_wide_dice(self, p, count):
@@ -734,7 +675,7 @@ class TestReferenceSampler:
         n = 1000003
         # neither the build nor a draw may walk the one run of n outcomes
         monkeypatch.setattr(discrete, "range", Unwalkable, raising=False)
-        p = ProbabilityVector([Fraction(1, n)] * n)
+        p = uniform_probs(n)
         assert p._runs[2] == ((1, n),)
         source = SeededSource(13)
         outcomes = [sample(p, source).outcome for _ in range(100)]
@@ -900,3 +841,164 @@ class TestWarmDraws:
         assert draw.flips == 8
         assert len(p._table) == 9 < table_depth(p) + 1
         assert fast.flips_consumed == len(bits)
+
+
+_REFERENCE_SIDES = list(range(1, 301)) + [2**40 + 15, 2**64 + 1]
+
+
+class TestRoll:
+    """The n-sided die roller, ``roll`` and ``roll_many``."""
+
+    def test_one_sided_die_needs_no_flips(self):
+        result = roll(1, ReplaySource([]))
+        assert result.outcome == 1
+        assert result.flips == 0
+
+    def test_invalid_sides_rejected(self):
+        with pytest.raises(ValueError):
+            roll(0, ReplaySource([]))
+        with pytest.raises(TypeError):
+            roll(2.0, ReplaySource([]))
+
+    def test_five_sided_all_zero_bits_accepts_one(self):
+        result = roll(5, ReplaySource([0, 0, 0]), trace=True)
+        assert result.outcome == 1
+        assert result.flips == 3
+        assert result.trace == [
+            RecyclerState(1, 1),
+            RecyclerState(1, 2),
+            RecyclerState(1, 4),
+            RecyclerState(1, 8),
+            RecyclerState(1, 5),
+        ]
+
+    def test_five_sided_all_one_bits_recycles(self):
+        # x reaches 8 > 5 after three flips, leaving a recycled 3-sided state
+        with pytest.raises(SourceExhausted):
+            roll(5, ReplaySource([1, 1, 1]))
+        result = roll(5, ReplaySource([1, 1, 1, 0]), trace=True)
+        assert RecyclerState(3, 3) in result.trace
+        assert result.outcome == 3
+        assert result.flips == 4
+
+    def test_five_sided_four_one_bits_restarts_then_exhausts(self):
+        source = ReplaySource([1, 1, 1, 1])
+        with pytest.raises(SourceExhausted):
+            roll(5, source, trace=True)
+        assert source.flips_consumed == 4
+        # the restart state is visible through the exhaustive state tree
+        states, _ = walk(_die(5), 4)
+        assert states["111"] == RecyclerState(3, 3)
+        assert states["1111"] == RecyclerState(1, 1)
+
+    def test_four_sided_bits_one_zero(self):
+        # confirmed against the trie walk: history "10" lands on 2
+        result = roll(4, ReplaySource([1, 0]))
+        assert result.outcome == 2
+        assert result.flips == 2
+        assert enumerate_uniform(4, 2).leaf_histories["10"] == 2
+
+    def test_two_sided_die_is_one_flip_per_roll(self):
+        rolls = roll_many(2, 3, ReplaySource([0, 1, 1]))
+        assert [r.outcome for r in rolls] == [1, 2, 2]
+        assert [r.flips for r in rolls] == [1, 1, 1]
+
+    def test_roll_many_one_sided(self):
+        rolls = roll_many(1, 10, ReplaySource([]))
+        assert [r.outcome for r in rolls] == [1] * 10
+        assert sum(r.flips for r in rolls) == 0
+
+    def test_roll_many_checks_sides_once_and_rolls_as_roll_does(self, monkeypatch):
+        source = SeededSource(5)
+        expected = [roll(7, source, trace=True) for _ in range(60)]
+        calls = []
+        monkeypatch.setattr(discrete, "_check_sides", calls.append)
+        assert roll_many(7, 60, SeededSource(5), trace=True) == expected
+        assert calls == [7]
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_roll_many_rejects_bad_sides_before_rolling(self, count):
+        with pytest.raises(ValueError, match="sides must be >= 1"):
+            roll_many(0, count, ReplaySource([]))
+
+    def test_roll_many_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+            roll_many(6, -1, ReplaySource([]))
+
+    def test_roll_many_total_flips_match_source_counter(self):
+        source = SeededSource(3)
+        rolls = roll_many(7, 500, source)
+        assert sum(r.flips for r in rolls) == source.flips_consumed
+
+    def test_empirical_frequencies_five_sided(self):
+        source = SeededSource(11)
+        counts = [0] * 5
+        for r in roll_many(5, 100_000, source):
+            counts[r.outcome - 1] += 1
+        for c in counts:
+            assert abs(c / 100_000 - 0.2) < 0.01  # ~3 sigma is 0.0038
+
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_replay_fidelity(self, n, seed):
+        # the same bit script always produces the same outcome and flip count
+        probe = SeededSource(seed)
+        bits = [probe.next_bit() for _ in range(64)]
+        first = roll(n, ReplaySource(bits))
+        second = roll(n, ReplaySource(bits))
+        assert (first.outcome, first.flips) == (second.outcome, second.flips)
+        assert 1 <= first.outcome <= n
+
+    @given(st.integers(2, 32), st.integers(0, 2**32 - 1))
+    def test_state_bounds_hold_along_the_trace(self, n, seed):
+        # doubling keeps m <= 2n-1 until resolution pulls it back to <= n
+        result = roll(n, SeededSource(seed), trace=True)
+        for x, m in result.trace:
+            assert 1 <= x <= m
+            assert m <= 2 * n - 1
+        assert result.trace[-1] == RecyclerState(result.outcome, n)
+
+    @given(st.integers(2, 32), st.integers(0, 2**32 - 1))
+    def test_flips_equal_loop_iterations(self, n, seed):
+        source = SeededSource(seed)
+        before = source.flips_consumed
+        result = roll(n, source)
+        assert result.flips == source.flips_consumed - before
+
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [257, 997])
+    def test_roll_is_sample_of_the_uniform_distribution(self, n):
+        # roll is the arithmetic fast path of sample(1/n x n): same outcomes,
+        # flip counts and traces on the same bit stream
+        p = uniform_probs(n)
+        for seed in (0, 1, 2):
+            for trace in (False, True):
+                rolls = roll_many(n, 40, SeededSource(seed), trace=trace)
+                source = SeededSource(seed)
+                samples = [sample(p, source, trace=trace) for _ in range(40)]
+                assert rolls == samples
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_roll_matches_the_reference_loop(self, trace):
+        for n in _REFERENCE_SIDES:
+            source, reference = SeededSource(n), SeededSource(n)
+            for _ in range(20):
+                assert discrete._roll(n, source, trace) == reference_roll(n, reference, trace)
+            assert source.flips_consumed == reference.flips_consumed
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 100, 2**40 + 15, 2**64 + 1])
+    def test_roll_runs_dry_at_the_reference_bit(self, n):
+        # a replay cut at every length inside one roll raises from both loops
+        # after the same bits, and counts only the bits handed out
+        probe = SeededSource(n)
+        bits = [probe.next_bit() for _ in range(4 * n.bit_length() + 8)]
+        for cut in range(len(bits) + 1):
+            outcomes = []
+            for roller in (discrete._roll, reference_roll):
+                source = ReplaySource(bits[:cut])
+                try:
+                    outcomes.append(roller(n, source, True))
+                except SourceExhausted:
+                    outcomes.append(None)
+                outcomes.append(source.flips_consumed)
+            assert outcomes[:2] == outcomes[2:]
+            if outcomes[0] is None:
+                assert outcomes[1] == cut
