@@ -2,15 +2,18 @@
 
 Every sampler here pulls single bits from a ``BitSource`` and reads its
 entropy cost off ``flips_consumed``: the base class counts each ``_draw``,
-while ``SeededSource`` flips in one call and counts by position.
+while ``SeededSource`` flips in one C call and counts by position.
 ``SeededSource`` takes SplitMix64's steps with 0x9E3779B97F4A7C15,
 0xBF58476D1ED4CE4B and 0x94D049BB133111EB; splitmix64.c has
 0xBF58476D1CE4E5B9 second, so the streams are not its.
 """
 
 import abc
+from itertools import chain
+from operator import length_hint
 
 _MASK64 = (1 << 64) - 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to the bits 0 and 1
 
 
 class BitSource(abc.ABC):
@@ -38,29 +41,38 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _words(cell: list):
+    """Each word's bits, least significant first; ``cell`` is [state, words, bits], no source."""
+    while True:
+        cell[0], word = _splitmix64(cell[0])
+        cell[1] += 1
+        cell[2] = bits = iter(format(word, "064b").encode()[::-1].translate(_BITS))
+        yield bits
+
+
 class SeededSource(BitSource):
     """Deterministic pseudorandom bit stream.
 
     Generator: ``_splitmix64`` with 0x9E3779B97F4A7C15, 0xBF58476D1ED4CE4B
     and 0x94D049BB133111EB over a 64-bit state set to ``seed`` mod 2**64.
-    Words go out least significant bit first; ``_word`` keeps the unread
-    bits below a stop bit and ``_words`` counts the words drawn.  Seed 0
-    starts 0x5b3408bf8c8e5572, bit 0 first.
+    ``next_bit`` is a chain over ``_words``: a flip is one C call, and
+    Python runs once per 64 bits.  ``flips_consumed`` is 64 per word drawn
+    less the current word's unread bits.  Seed 0 starts
+    0x5b3408bf8c8e5572, bit 0 first.
     """
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-        self._word = 1
-        self._words = 0
+        self._cell = cell = [seed & _MASK64, 0, iter(b"")]
+        self.next_bit = chain.from_iterable(_words(cell)).__next__
 
-    def next_bit(self) -> int:
-        word = self._word
-        if word == 1:
-            self._state, word = _splitmix64(self._state)
-            word |= 1 << 64
-            self._words += 1
-        self._word = word >> 1
-        return word & 1
+    def __reduce__(self):  # a copy or pickle starts one word back and skips the bits read
+        state, words, bits = self._cell
+        return SeededSource, (state - 0x9E3779B97F4A7C15,), (words, 64 - length_hint(bits))
 
-    _draw = next_bit
-    flips_consumed = property(lambda self: 64 * self._words - self._word.bit_length() + 1)
+    def __setstate__(self, position: tuple[int, int]) -> None:
+        for _ in range(position[1]):
+            self.next_bit()
+        self._cell[1] = position[0]
+
+    _draw = lambda self: self.next_bit()  # fills the abstract hook
+    flips_consumed = property(lambda self: 64 * self._cell[1] - length_hint(self._cell[2]))

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -87,9 +92,39 @@ def test_seed_is_taken_mod_2_64():
 
 
 def test_seeded_source_keeps_one_word_and_its_state():
+    # the cell (state, words drawn, current word's bits) and the stream over it
     source = SeededSource(3)
     source.next_bit()
-    assert sorted(vars(source)) == ["_state", "_word", "_words"]
+    assert sorted(vars(source)) == ["_cell", "next_bit"]
+
+
+def test_a_dropped_source_is_freed_without_the_cycle_collector():
+    source = SeededSource(3)
+    [source.next_bit() for _ in range(100)]
+    ref = weakref.ref(source)
+    gc.disable()
+    try:
+        del source
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda source: pickle.loads(pickle.dumps(source))}
+
+
+@pytest.mark.parametrize("how", _COPIES)
+@pytest.mark.parametrize("drawn", [0, 1, 63, 64, 65])
+def test_a_copy_resumes_at_the_same_position_on_its_own(how, drawn):
+    source = SeededSource(17)
+    [source.next_bit() for _ in range(drawn)]
+    twin = _COPIES[how](source)
+    assert twin.flips_consumed == drawn
+    assert [twin.next_bit() for _ in range(70)] == _reference_bits(17, drawn + 70)[drawn:]
+    assert source.flips_consumed == drawn
+    assert [source.next_bit() for _ in range(5)] == _reference_bits(17, drawn + 5)[drawn:]
+    assert twin.flips_consumed == drawn + 70
 
 
 @pytest.mark.parametrize("source", [SeededSource(3), ReplaySource([1, 0])])
@@ -124,6 +159,16 @@ def test_bits_and_count_match_a_bit_at_a_time_reference(seed, count):
         bits.append(source.next_bit())
         assert source.flips_consumed == drawn
     assert bits == _reference_bits(seed, count)
+
+
+def test_a_next_bit_bound_before_a_roll_reads_the_stream_after_it():
+    source = SeededSource(11)
+    bound = source.next_bit
+    roll_many(6, 10, source)
+    used = source.flips_consumed
+    bits = [bound() for _ in range(40)] + [source.next_bit() for _ in range(40)]
+    assert bits == _reference_bits(11, used + 80)[used:]
+    assert source.flips_consumed == used + 80
 
 
 class _DrawOnly(BitSource):

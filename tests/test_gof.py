@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from coindice import (
-    ProbabilityVector,
     SeededSource,
     chi_square_test,
     roll_many,

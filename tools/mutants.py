@@ -8,9 +8,10 @@ the tests read (README.md, perfbench/, .github/), so no stale bytecode,
 .hypothesis/ or .pytest_cache/ of the tree is read or written.  Prints
 path:line, the change and killed, survived or timeout (a hang cannot pass,
 so it counts as detected), then the totals; exits 1 if any mutant
-survived.  ``--list`` prints the mutants and runs none.  Every run first
-checks TESTS against tests/ and exits 1 if a mapped file is missing or a
-test file is mapped by no module.
+survived.  A mutant times out after ten times as long as its module's
+unmutated tests took, and never before a minute.  ``--list`` prints the
+mutants and runs none.  Every run first checks TESTS against tests/ and
+exits 1 if a mapped file is missing or a test file is mapped by no module.
 """
 
 import ast
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TIMEOUT = 300  # seconds per mutant
+TIMEOUT = 300  # seconds for a module's unmutated tests
 PYTEST = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
@@ -58,7 +59,7 @@ def mutants(source: bytes):
         yield line, change, source[:start] + text + source[stop:]
 
 
-def run(path: Path, source: bytes) -> str:
+def run(path: Path, source: bytes, timeout: float) -> str:
     """killed, survived or timeout: the module's tests on a copy with ``source`` at ``path``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("src", "tests", "perfbench", ".github"):
@@ -70,7 +71,7 @@ def run(path: Path, source: bytes) -> str:
         tests = [f"tests/{name}.py" for name in TESTS[path.stem]]
         try:
             done = subprocess.run(PYTEST + tests, cwd=tmp, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+                                  stderr=subprocess.DEVNULL, timeout=timeout)
         except subprocess.TimeoutExpired:
             return "timeout"
         return "killed" if done.returncode else "survived"
@@ -95,10 +96,15 @@ def main(argv: list[str]) -> int:
         if path.stem not in TESTS:
             sys.exit(f"no test files mapped for {path}")
         source = (ROOT / path).read_bytes()
-        if not listing and run(path, source) != "survived":  # the unmutated source must pass
-            sys.exit(f"the tests of {path} fail on the unmutated source")
+        if not listing:
+            begun = time.perf_counter()
+            if run(path, source, TIMEOUT) != "survived":  # the unmutated source must pass
+                sys.exit(f"the tests of {path} fail on the unmutated source")
+            clean = time.perf_counter() - begun
+            timeout = max(60, 10 * clean)
+            print(f"{path}: unmutated tests {clean:.0f} s, {timeout:.0f} s per mutant", flush=True)
         for line, change, mutated in mutants(source):
-            verdicts.append("listed" if listing else run(path, mutated))
+            verdicts.append("listed" if listing else run(path, mutated, timeout))
             print(f"{path}:{line}  {change}  {verdicts[-1]}", flush=True)
     counts = ", ".join(f"{verdicts.count(v)} {v}" for v in sorted(set(verdicts))) or "none"
     print(f"{len(verdicts)} mutants: {counts} in {time.perf_counter() - started:.0f} s")
