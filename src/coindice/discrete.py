@@ -24,8 +24,8 @@ sampler finds the x-th accepted outcome by walking their lengths.
 ``_roll`` is ``sample``'s arithmetic fast path on the die's one run, which
 accepts all n sides at a level exactly when the doubled m reaches n: as in
 Lumbroso's Fast Dice Roller, it flips while m < n, then resolves, so m
-stays below 2n.  Through ``sample`` a roll keeps every outcome, flip and
-trace but takes 1.00-1.63x the time (ROADMAP aim 2, route (a)).
+stays below 2n.  Through ``sample`` a roll keeps every outcome and flip
+but takes 1.00-1.63x the time (ROADMAP aim 2, route (a)).
 """
 
 import json
@@ -34,30 +34,18 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple
 
 from .bitsource import BitSource
 
 
-class RecyclerState(NamedTuple):
-    """State pair of a draw: x is uniform on {1..m} given m."""
-
-    x: int
-    m: int
-
-
 @dataclass(slots=True)
 class TracedRoll:
-    """One sample outcome plus its exact entropy cost.
-
-    ``trace`` (opt-in) lists every intermediate state: the pair after
-    each doubling, and the pair after an accept/recycle resolution when
-    one fired.
-    """
+    """One sample outcome and its exact entropy cost, the flips it read.
+    A draw records no (x, m) states: the trie walk (``ddg._expand``,
+    ``coindice oracle-dump``) gives the state of every bit history."""
 
     outcome: int
     flips: int
-    trace: list[RecyclerState] | None = None
 
 
 class InvalidDistribution(Exception):
@@ -249,7 +237,7 @@ def _deeper(p: ProbabilityVector, table):
         yield level
 
 
-def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
+def sample(p: ProbabilityVector, source: BitSource) -> TracedRoll:
     """Draw one outcome with exactly the probabilities in ``p``.
 
     Level by level from level 0: if the recycled pair (x, m) covers the
@@ -263,30 +251,23 @@ def sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> Trac
     table = p._table
     next_bit = source.next_bit
     x, m, level, levels = 1, 1, 0, table
-    states = [RecyclerState(1, 1)] if trace else None
     while True:  # the table's levels, then, once a draw outruns them, _deeper's
         for k, accepted in levels:
             if k:
                 if x <= k:
-                    if states is not None and states[-1] != (x, k):
-                        states.append(RecyclerState(x, k))
                     for first, length in accepted:
                         if x <= length:
-                            return TracedRoll(first + x - 1, level, states)
+                            return TracedRoll(first + x - 1, level)
                         x -= length
                 x -= k
                 m -= k
-                if states is not None:
-                    states.append(RecyclerState(x, m))
             level += 1
             x += next_bit() * m
             m *= 2
-            if states is not None:
-                states.append(RecyclerState(x, m))
         levels = _deeper(p, table)
 
 
-def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
+def roll(n: int, source: BitSource) -> TracedRoll:
     """Roll a fair n-sided die, consuming bits from ``source``.
 
     Returns the outcome in {1..n} together with the number of bits
@@ -295,35 +276,28 @@ def roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
     run (``_die``) inlined as arithmetic on m.
     """
     _check_sides(n)
-    return _roll(n, source, trace)
+    return _roll(n, source)
 
 
-def _roll(n: int, source: BitSource, trace: bool = False) -> TracedRoll:
+def _roll(n: int, source: BitSource) -> TracedRoll:
     """``roll`` of an n its caller has checked once for many rolls."""
     next_bit = source.next_bit
     x, m = 1, 1
     flips = 0
-    states = [RecyclerState(1, 1)] if trace else None
     while True:
         while m < n:
             x += next_bit() * m
             m *= 2
             flips += 1
-            if states is not None:
-                states.append(RecyclerState(x, m))
         if x <= n:
-            if states is not None and m != n:
-                states.append(RecyclerState(x, n))
-            return TracedRoll(x, flips, states)
+            return TracedRoll(x, flips)
         x -= n
         m -= n
-        if states is not None:
-            states.append(RecyclerState(x, m))
 
 
-def roll_many(n: int, count: int, source: BitSource, trace: bool = False) -> list[TracedRoll]:
+def roll_many(n: int, count: int, source: BitSource) -> list[TracedRoll]:
     """Roll ``count`` times, drawing bits sequentially from one source."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     _check_sides(n)
-    return [_roll(n, source, trace) for _ in range(count)]
+    return [_roll(n, source) for _ in range(count)]

@@ -6,7 +6,7 @@ import pytest
 
 from coindice import ProbabilityVector
 from coindice.ddg import DdgTree, _expand, _tally
-from coindice.discrete import RecyclerState
+from reference import RecyclerState
 
 
 def random_dyadic_distribution(

@@ -2,6 +2,7 @@
 second, independent route, without calling the function it checks."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from coindice import BitSource, ProbabilityVector
 from coindice.ddg import (
@@ -12,7 +13,14 @@ from coindice.ddg import (
     census,
     expansion_bit,
 )
-from coindice.discrete import RecyclerState, TracedRoll
+from coindice.discrete import TracedRoll
+
+
+class RecyclerState(NamedTuple):
+    """State pair of a draw: x is uniform on {1..m} given m."""
+
+    x: int
+    m: int
 
 
 def history_bits(history: str) -> list[int]:
@@ -94,55 +102,57 @@ def reference_levels(record):
         yield accept
 
 
-def reference_sample(p: ProbabilityVector, source: BitSource, trace: bool = False) -> TracedRoll:
-    """``sample`` over ``reference_levels``, indexing each level's list."""
+def reference_sample(
+    p: ProbabilityVector, source: BitSource
+) -> tuple[TracedRoll, list[RecyclerState]]:
+    """``sample`` over ``reference_levels``, indexing each level's list,
+    and its trace: every (x, m) the draw passes through, the pair after
+    each doubling and after an accept/recycle resolution when one fired."""
     levels = reference_levels(p._runs)
+    states = [RecyclerState(1, 1)]
     certain = next(levels)
     if certain:
-        return TracedRoll(certain[0], 0, [RecyclerState(1, 1)] if trace else None)
+        return TracedRoll(certain[0], 0), states
 
     x, m = 1, 1
-    states = [RecyclerState(1, 1)] if trace else None
     for level, accept in enumerate(levels, start=1):
         k = len(accept)
         bit = source.next_bit()
         x += bit * m
         m *= 2
-        if states is not None:
-            states.append(RecyclerState(x, m))
+        states.append(RecyclerState(x, m))
         if k:
             if x <= k:
-                if states is not None and states[-1] != (x, k):
+                if states[-1] != (x, k):
                     states.append(RecyclerState(x, k))
-                return TracedRoll(accept[x - 1], level, states)
+                return TracedRoll(accept[x - 1], level), states
             x -= k
             m -= k
-            if states is not None:
-                states.append(RecyclerState(x, m))
+            states.append(RecyclerState(x, m))
 
 
-def reference_roll(n, source, trace=False):
+def reference_roll(n: int, source: BitSource) -> tuple[TracedRoll, list[RecyclerState]]:
     """The roller as it was before it tested each flip once: after every
-    doubling it checks m >= n and resolves there.  Kept as the reference."""
+    doubling it checks m >= n and resolves there.  Kept as the reference,
+    with its trace as ``reference_sample`` keeps it."""
     next_bit = source.next_bit
     x, m = 1, 1
     flips = 0
-    states = [RecyclerState(1, 1)] if trace else None
+    states = [RecyclerState(1, 1)]
     while m < n:
         x += next_bit() * m
         flips += 1
         m *= 2
-        if states is not None:
-            states.append(RecyclerState(x, m))
+        states.append(RecyclerState(x, m))
         if m >= n:
             if x <= n:
                 m = n
             else:
                 x -= n
                 m -= n
-            if states is not None and states[-1] != (x, m):
+            if states[-1] != (x, m):
                 states.append(RecyclerState(x, m))
-    return TracedRoll(x, flips, states)
+    return TracedRoll(x, flips), states
 
 
 def replay_tree(run, depth_bound):

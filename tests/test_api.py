@@ -1,7 +1,9 @@
 """The public API is what the CLI, the README and the benchmark reach."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import re
 import shlex
@@ -21,7 +23,7 @@ PERFBENCH = ROOT / "perfbench"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 REMOVED = (
     "LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete",
-    "acceptance_set", "ReplaySource", "SourceExhausted", "Bit", "INTERNAL",
+    "acceptance_set", "ReplaySource", "SourceExhausted", "Bit", "INTERNAL", "RecyclerState",
 )
 # the errors that public calls raise on a caller's input
 ERRORS = {"InvalidDistribution", "MassMismatch"}
@@ -172,10 +174,15 @@ def _loaded_by(script: str) -> list[str]:
 def test_the_die_and_both_draw_loops_live_in_discrete():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("coindice.uniform")
-    for name in ("roll", "roll_many", "_roll", "RecyclerState", "TracedRoll", "_check_sides",
-                 "ceil_log2"):
+    for name in ("roll", "roll_many", "_roll", "TracedRoll", "_check_sides", "ceil_log2"):
         assert getattr(discrete, name).__module__ == "coindice.discrete", name
     assert analysis.ceil_log2 is discrete.ceil_log2  # imported, not a copy
+
+
+def test_the_draw_loops_record_no_trace():
+    for draw in (discrete.roll, discrete.roll_many, discrete.sample, discrete._roll):
+        assert "trace" not in inspect.signature(draw).parameters, draw.__name__
+    assert [f.name for f in dataclasses.fields(discrete.TracedRoll)] == ["outcome", "flips"]
 
 
 def test_importing_the_cli_loads_only_bitsource_and_discrete():

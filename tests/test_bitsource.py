@@ -187,7 +187,7 @@ class _DrawOnly(BitSource):
 def test_a_draw_only_source_counts_the_same_bits_and_rolls(n):
     direct = SeededSource(9)
     wrapped = _DrawOnly(SeededSource(9))
-    assert roll_many(n, 200, wrapped, trace=True) == roll_many(n, 200, direct, trace=True)
+    assert roll_many(n, 200, wrapped) == roll_many(n, 200, direct)
     assert wrapped.flips_consumed == wrapped.inner.flips_consumed == direct.flips_consumed
 
 

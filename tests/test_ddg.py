@@ -30,7 +30,7 @@ from coindice.ddg import (
     _tally,
     census,
 )
-from coindice.discrete import RecyclerState, _die, ceil_log2
+from coindice.discrete import _die, ceil_log2
 from conftest import (
     HUGE_DIE,
     TWIN_HUGE_RUNS,
@@ -45,6 +45,7 @@ from conftest import (
     walk,
 )
 from reference import (
+    RecyclerState,
     ReplaySource,
     SourceExhausted,
     acceptance_set,

@@ -26,7 +26,7 @@ from coindice import (
 )
 from coindice.analysis import _entropy
 from coindice.ddg import DdgTree, _flip_distribution, expansion_bit
-from coindice.discrete import RecyclerState, TracedRoll, _die, _levels
+from coindice.discrete import TracedRoll, _die, _levels
 from conftest import (
     HUGE_DIE,
     TWIN_HUGE_RUNS,
@@ -37,6 +37,7 @@ from conftest import (
     walk,
 )
 from reference import (
+    RecyclerState,
     ReplaySource,
     SourceExhausted,
     acceptance_set,
@@ -512,16 +513,21 @@ class TestSampleTrace:
         + dyadic_suite()[:5],
     )
     def test_every_leaf_replays_to_its_oracle_state(self, p):
+        # sample lands on the walk's leaf, and the reference's trace of the
+        # same bits ends on the walk's final state
         depth = 12
         states, result = walk(p._runs, depth)
         leaves = result.leaf_histories
         assert leaves
         for history, outcome in leaves.items():
-            result = sample(p, ReplaySource(history_bits(history)), trace=True)
+            bits = history_bits(history)
+            result = sample(p, ReplaySource(bits))
             assert (result.outcome, result.flips) == (outcome, len(history))
-            assert result.trace[0] == (1, 1)
-            assert result.trace[-1] == states[history]
-            assert all(1 <= x <= m for x, m in result.trace)
+            reference, trace = reference_sample(p, ReplaySource(bits))
+            assert reference == result
+            assert trace[0] == (1, 1)
+            assert trace[-1] == states[history]
+            assert all(1 <= x <= m for x, m in trace)
 
 
 def compiled_per_entry(p: ProbabilityVector) -> ProbabilityVector:
@@ -541,11 +547,9 @@ def walk_results(p: ProbabilityVector, depth: int):
     """Every output of the layers that read ``p._runs``, in insertion order."""
     streams = []
     for seed in (1, 2, 3):
-        for trace in (False, True):
-            source = SeededSource(seed)
-            rolls = [sample(p, source, trace=trace) for _ in range(40)]
-            streams.append([(r.outcome, r.flips, r.trace) for r in rolls])
-            streams.append(source.flips_consumed)
+        source = SeededSource(seed)
+        streams.append([sample(p, source) for _ in range(40)])
+        streams.append(source.flips_consumed)
     states, enumeration = walk(p._runs, depth)
     tree = build_from_discrete(p, depth)
     verdicts = [check_optimal(t, p) for t in (tree, split_shallowest_leaf(tree))]
@@ -639,14 +643,13 @@ class TestBlockCompile:
 
 
 def assert_draws_match_the_reference(p: ProbabilityVector, count: int) -> None:
-    """Outcomes, flips, traces and consumed bits of ``sample`` equal the
-    reference's, traced and untraced, over three seeds."""
+    """Outcomes, flips and consumed bits of ``sample`` equal the
+    reference's over three seeds."""
     for seed in (1, 2, 3):
-        for trace in (False, True):
-            fast, slow = SeededSource(seed), SeededSource(seed)
-            for _ in range(count):
-                assert sample(p, fast, trace) == reference_sample(p, slow, trace)
-            assert fast.flips_consumed == slow.flips_consumed
+        fast, slow = SeededSource(seed), SeededSource(seed)
+        for _ in range(count):
+            assert sample(p, fast) == reference_sample(p, slow)[0]
+        assert fast.flips_consumed == slow.flips_consumed
 
 
 certain_vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
@@ -700,22 +703,19 @@ class TestHugeRuns:
         assert levels[71] == (1 << 71, list(TWIN_HUGE_RUNS[2]))
         assert [k for k, _ in levels[:71] + levels[72:]] == [0] * 80
 
-    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize(
         "record, sides",
         [(_die(HUGE_DIE), HUGE_DIE), (TWIN_HUGE_RUNS, 1 << 71)],
         ids=["die", "twin_runs"],
     )
-    def test_sample_a_huge_record_as_the_die_roller_rolls(self, record, sides, trace):
+    def test_sample_a_huge_record_as_the_die_roller_rolls(self, record, sides):
         # both records are uniform: the twin runs are the die 2^71 split in two
         p = copy.copy(ProbabilityVector(["1/2", "1/2"]))
         p._runs = record
         p._table = ()
         for seed in (1, 2, 3):
             fast, slow = SeededSource(seed), SeededSource(seed)
-            assert [sample(p, fast, trace) for _ in range(20)] == [
-                roll(sides, slow, trace) for _ in range(20)
-            ]
+            assert [sample(p, fast) for _ in range(20)] == [roll(sides, slow) for _ in range(20)]
             assert fast.flips_consumed == slow.flips_consumed
         assert len(p._table) == table_depth(p) + 1
 
@@ -726,9 +726,9 @@ def table_depth(p: ProbabilityVector) -> int:
     return discrete._TABLE_BITS + len(p).bit_length()
 
 
-def traced_stream(p: ProbabilityVector, seed: int, count: int = 200) -> list[TracedRoll]:
+def draw_stream(p: ProbabilityVector, seed: int, count: int = 200) -> list[TracedRoll]:
     source = SeededSource(seed)
-    return [sample(p, source, trace=True) for _ in range(count)]
+    return [sample(p, source) for _ in range(count)]
 
 
 class TestLevelTable:
@@ -744,8 +744,7 @@ class TestLevelTable:
         assert sample(p, ReplaySource([0])) == TracedRoll(2, 1)
         assert len(p._table) == 4
 
-    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-    def test_draws_past_the_table_match_the_reference(self, trace):
+    def test_draws_past_the_table_match_the_reference(self):
         p = ProbabilityVector(["1/3", "2/3"])
         cap = table_depth(p)
         # each level accepts one outcome, and a 1 always recycles: x = 2 > k = 1.
@@ -754,8 +753,8 @@ class TestLevelTable:
         past = [1] * (cap + 10) + [0]
         bits = past + past + [0, 1, 1, 0]
         fast, slow = ReplaySource(bits), ReplaySource(bits)
-        draws = [sample(p, fast, trace) for _ in range(4)]
-        assert draws == [reference_sample(p, slow, trace) for _ in range(4)]
+        draws = [sample(p, fast) for _ in range(4)]
+        assert draws == [reference_sample(p, slow)[0] for _ in range(4)]
         assert [r.flips for r in draws] == [cap + 11, cap + 11, 1, 3]
         assert len(p._table) == cap + 1
         assert fast.flips_consumed == len(bits)
@@ -768,20 +767,20 @@ class TestLevelTable:
     @pytest.mark.parametrize("draws_before", [0, 50])
     def test_a_duplicate_draws_the_stream_of_its_original(self, duplicate, draws_before):
         p = ProbabilityVector(["1/3", "1/5", "7/15"])
-        expected = traced_stream(ProbabilityVector(["1/3", "1/5", "7/15"]), 9)
-        traced_stream(p, 4, draws_before)
+        expected = draw_stream(ProbabilityVector(["1/3", "1/5", "7/15"]), 9)
+        draw_stream(p, 4, draws_before)
         twin = duplicate(p)
         assert twin == p
-        assert traced_stream(twin, 9) == expected
-        assert traced_stream(p, 9) == expected
+        assert draw_stream(twin, 9) == expected
+        assert draw_stream(p, 9) == expected
 
     def test_threads_sharing_a_vector_each_draw_their_own_stream(self):
         entries = [Fraction(i, 4950) for i in range(1, 100)]
-        expected = {seed: traced_stream(ProbabilityVector(entries), seed) for seed in range(6)}
+        expected = {seed: draw_stream(ProbabilityVector(entries), seed) for seed in range(6)}
         p = ProbabilityVector(entries)
         streams = {}
         workers = [
-            threading.Thread(target=lambda seed=seed: streams.update({seed: traced_stream(p, seed)}))
+            threading.Thread(target=lambda seed=seed: streams.update({seed: draw_stream(p, seed)}))
             for seed in expected
         ]
         interval = sys.getswitchinterval()
@@ -828,16 +827,15 @@ class TestWarmDraws:
         assert sample(p, ReplaySource([1] * cap + [0])).flips == cap + 1
         assert started == [cap + 1]
 
-    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-    def test_a_draw_that_outruns_the_table_grows_it_mid_draw(self, trace):
+    def test_a_draw_that_outruns_the_table_grows_it_mid_draw(self):
         p = ProbabilityVector(["1/3", "2/3"])
         sample(p, ReplaySource([1, 1, 0]))
         assert len(p._table) == 4
         # a 1 always recycles (x = 2 > k = 1), so seven of them carry the draw to level 8
         bits = [1] * 7 + [0]
         fast, slow = ReplaySource(bits), ReplaySource(bits)
-        draw = sample(p, fast, trace)
-        assert draw == reference_sample(p, slow, trace)
+        draw = sample(p, fast)
+        assert draw == reference_sample(p, slow)[0]
         assert draw.flips == 8
         assert len(p._table) == 9 < table_depth(p) + 1
         assert fast.flips_consumed == len(bits)
@@ -861,10 +859,12 @@ class TestRoll:
             roll(2.0, ReplaySource([]))
 
     def test_five_sided_all_zero_bits_accepts_one(self):
-        result = roll(5, ReplaySource([0, 0, 0]), trace=True)
+        result = roll(5, ReplaySource([0, 0, 0]))
         assert result.outcome == 1
         assert result.flips == 3
-        assert result.trace == [
+        reference, trace = reference_roll(5, ReplaySource([0, 0, 0]))
+        assert reference == result
+        assert trace == [
             RecyclerState(1, 1),
             RecyclerState(1, 2),
             RecyclerState(1, 4),
@@ -876,15 +876,17 @@ class TestRoll:
         # x reaches 8 > 5 after three flips, leaving a recycled 3-sided state
         with pytest.raises(SourceExhausted):
             roll(5, ReplaySource([1, 1, 1]))
-        result = roll(5, ReplaySource([1, 1, 1, 0]), trace=True)
-        assert RecyclerState(3, 3) in result.trace
+        result = roll(5, ReplaySource([1, 1, 1, 0]))
         assert result.outcome == 3
         assert result.flips == 4
+        reference, trace = reference_roll(5, ReplaySource([1, 1, 1, 0]))
+        assert reference == result
+        assert RecyclerState(3, 3) in trace
 
     def test_five_sided_four_one_bits_restarts_then_exhausts(self):
         source = ReplaySource([1, 1, 1, 1])
         with pytest.raises(SourceExhausted):
-            roll(5, source, trace=True)
+            roll(5, source)
         assert source.flips_consumed == 4
         # the restart state is visible through the exhaustive state tree
         states, _ = walk(_die(5), 4)
@@ -910,10 +912,10 @@ class TestRoll:
 
     def test_roll_many_checks_sides_once_and_rolls_as_roll_does(self, monkeypatch):
         source = SeededSource(5)
-        expected = [roll(7, source, trace=True) for _ in range(60)]
+        expected = [roll(7, source) for _ in range(60)]
         calls = []
         monkeypatch.setattr(discrete, "_check_sides", calls.append)
-        assert roll_many(7, 60, SeededSource(5), trace=True) == expected
+        assert roll_many(7, 60, SeededSource(5)) == expected
         assert calls == [7]
 
     @pytest.mark.parametrize("count", [0, 3])
@@ -950,12 +952,14 @@ class TestRoll:
 
     @given(st.integers(2, 32), st.integers(0, 2**32 - 1))
     def test_state_bounds_hold_along_the_trace(self, n, seed):
-        # doubling keeps m <= 2n-1 until resolution pulls it back to <= n
-        result = roll(n, SeededSource(seed), trace=True)
-        for x, m in result.trace:
+        # doubling keeps m <= 2n-1 until resolution pulls it back to <= n;
+        # the reference traces the roll that roll makes of the same bits
+        result, trace = reference_roll(n, SeededSource(seed))
+        assert roll(n, SeededSource(seed)) == result
+        for x, m in trace:
             assert 1 <= x <= m
             assert m <= 2 * n - 1
-        assert result.trace[-1] == RecyclerState(result.outcome, n)
+        assert trace[-1] == RecyclerState(result.outcome, n)
 
     @given(st.integers(2, 32), st.integers(0, 2**32 - 1))
     def test_flips_equal_loop_iterations(self, n, seed):
@@ -966,22 +970,19 @@ class TestRoll:
 
     @pytest.mark.parametrize("n", list(range(1, 65)) + [257, 997])
     def test_roll_is_sample_of_the_uniform_distribution(self, n):
-        # roll is the arithmetic fast path of sample(1/n x n): same outcomes,
-        # flip counts and traces on the same bit stream
+        # roll is the arithmetic fast path of sample(1/n x n): same outcomes
+        # and flip counts on the same bit stream
         p = uniform_probs(n)
         for seed in (0, 1, 2):
-            for trace in (False, True):
-                rolls = roll_many(n, 40, SeededSource(seed), trace=trace)
-                source = SeededSource(seed)
-                samples = [sample(p, source, trace=trace) for _ in range(40)]
-                assert rolls == samples
+            rolls = roll_many(n, 40, SeededSource(seed))
+            source = SeededSource(seed)
+            assert rolls == [sample(p, source) for _ in range(40)]
 
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_roll_matches_the_reference_loop(self, trace):
+    def test_roll_matches_the_reference_loop(self):
         for n in _REFERENCE_SIDES:
             source, reference = SeededSource(n), SeededSource(n)
             for _ in range(20):
-                assert discrete._roll(n, source, trace) == reference_roll(n, reference, trace)
+                assert discrete._roll(n, source) == reference_roll(n, reference)[0]
             assert source.flips_consumed == reference.flips_consumed
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 100, 2**40 + 15, 2**64 + 1])
@@ -992,10 +993,10 @@ class TestRoll:
         bits = [probe.next_bit() for _ in range(4 * n.bit_length() + 8)]
         for cut in range(len(bits) + 1):
             outcomes = []
-            for roller in (discrete._roll, reference_roll):
+            for roller in (discrete._roll, lambda n, s: reference_roll(n, s)[0]):
                 source = ReplaySource(bits[:cut])
                 try:
-                    outcomes.append(roller(n, source, True))
+                    outcomes.append(roller(n, source))
                 except SourceExhausted:
                     outcomes.append(None)
                 outcomes.append(source.flips_consumed)

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Mutation runner: python tools/mutants.py [--list] src/coindice/MODULE.py ...
 
-One mutant per ``raise`` (to ``pass``) and per comparison operator (< <=,
-> >=, == != swapped).  Each runs its module's test files (TESTS) under
-``python -B`` in a throwaway copy of src/, tests/, pyproject.toml and what
-the tests read (README.md, perfbench/, .github/), so no stale bytecode,
-.hypothesis/ or .pytest_cache/ of the tree is read or written.  Prints
-path:line, the change and killed, survived or timeout (a hang cannot pass,
-so it counts as detected), then the totals; exits 1 if any mutant
-survived.  A mutant times out after ten times as long as its module's
-unmutated tests took, and never before a minute.  ``--list`` prints the
-mutants and runs none.  Every run first checks TESTS against tests/ and
-exits 1 if a mapped file is missing or a test file is mapped by no module.
+One mutant per ``raise`` (to ``pass``), per comparison operator (< <=,
+> >=, == != swapped), per binary + and - (swapped) and per unary minus
+(dropped, so ``[::-1]`` reads ``[::1]``).  Each runs its module's test
+files (TESTS) under ``python -B`` in a throwaway copy of src/, tests/,
+pyproject.toml and what the tests read (README.md, perfbench/, .github/),
+so no stale bytecode, .hypothesis/ or .pytest_cache/ of the tree is read
+or written.  Prints path:line, the change and killed, survived or timeout
+(a hang cannot pass, so it counts as detected), then the totals; exits 1
+if any mutant survived.  A mutant times out after ten times as long as
+its module's unmutated tests took, and never before a minute.  ``--list``
+prints the mutants and runs none.  Every run first checks TESTS against
+tests/ and exits 1 if a mapped file is missing or a test file is mapped
+by no module.
 """
 
 import ast
@@ -27,6 +29,7 @@ TIMEOUT = 300  # seconds for a module's unmutated tests
 PYTEST = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
 TESTS = {  # module -> the test files that run on its mutants
     "__init__": ["test_api"],
     "analysis": ["test_analysis", "test_acceptance"],
@@ -46,15 +49,23 @@ def mutants(source: bytes):
     begin = lambda node: starts[node.lineno - 1] + node.col_offset
     end = lambda node: starts[node.end_lineno - 1] + node.end_col_offset
     found = []
+
+    def swap(left, right, old, new):  # the operator is the one token between its operands
+        text = source[end(left) : begin(right)].replace(old.encode(), new.encode(), 1)
+        found.append((end(left), left.end_lineno, f"{old} -> {new}", begin(right), text))
+
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise):
             found.append((begin(node), node.lineno, "raise -> pass", end(node), b"pass"))
         elif isinstance(node, ast.Compare):
             for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
-                if type(op) in SWAP:  # the operator is the one token between its operands
-                    old, new = SWAP[type(op)]
-                    text = source[end(left) : begin(right)].replace(old.encode(), new.encode(), 1)
-                    found.append((end(left), left.end_lineno, f"{old} -> {new}", begin(right), text))
+                if type(op) in SWAP:
+                    swap(left, right, *SWAP[type(op)])
+        elif isinstance(node, ast.BinOp) and type(node.op) in ARITHMETIC:
+            swap(node.left, node.right, *ARITHMETIC[type(node.op)])
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            text = source[begin(node) : begin(node.operand)].replace(b"-", b"", 1)
+            found.append((begin(node), node.lineno, "-x -> x", begin(node.operand), text))
     for start, line, change, stop, text in sorted(found):
         yield line, change, source[:start] + text + source[stop:]
 
