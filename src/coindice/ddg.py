@@ -10,11 +10,12 @@ trie, at a cost of the live states per level (at most 2n - 1 for a die)
 times the depth, not 2^depth: the recycled pair (x, m) of both samplers
 stepped through the level rule of ``discrete._levels``.  It checks
 ``WALK_BUDGET`` from the level counts alone, then yields one level at a
-time to readers that write, tally or keep it.  One verdict checks leaf
-counts per (level, outcome) against ``expansion_bit``, the random-access
-bits of the binary expansions by which ``build_canonical`` places its
-leaves, and one writer turns nodes into DOT lines.  A
-``FlipDistribution`` holds leaf and live counts per level.
+time to readers that write, tally or keep it.  A tally, an
+``EnumerationResult``, keeps the walk's ``FlipDistribution`` of leaf and
+live counts per level.  ``check_optimal`` passes a tree's census and
+frontier to the one verdict, ``_verdict``, which checks leaf counts per
+(level, outcome) against ``expansion_bit``, the bits by which
+``build_canonical`` places leaves; one writer turns nodes into DOT lines.
 """
 
 from bisect import bisect_right
@@ -58,15 +59,6 @@ class FlipDistribution:
         self.mass = {j: Fraction(k, 1 << j) for j, k in enumerate(self.leaves) if k}
         self.residual = Fraction(self.live, 1 << depth)
 
-    def expectation(self) -> Fraction:
-        """Exact E[N]; requires the distribution to be fully materialised."""
-        if self.residual != 0:
-            raise ValueError(
-                f"distribution truncated with residual {self.residual}; "
-                "use partial_expectation()"
-            )
-        return self.partial_expectation()
-
     def partial_expectation(self) -> Fraction:
         """Sum of j * P(N = j) over the materialised levels only."""
         depth = len(self.leaves) - 1
@@ -76,12 +68,13 @@ class FlipDistribution:
 
 @dataclass
 class EnumerationResult:
-    """Exact tallies from walking all bit strings up to a depth bound."""
+    """Exact tallies of a walk to a depth bound; its flip masses are those of ``flips``."""
 
     outcome_mass: dict[int, Fraction]
-    flip_mass: dict[int, Fraction]
-    live_mass: Fraction
+    flips: FlipDistribution
     leaf_histories: dict[str, int]
+    flip_mass = property(lambda self: self.flips.mass)
+    live_mass = property(lambda self: self.flips.residual)
 
     def terminated_mass(self) -> Fraction:
         return sum(self.outcome_mass.values(), Fraction(0))
@@ -148,8 +141,7 @@ def _tally(walk, depth: int) -> EnumerationResult:
                 outcome_weight[outcome] = outcome_weight.get(outcome, 0) + weight
     masses = {w: Fraction(w, 1 << depth) for w in set(outcome_weight.values())}
     outcome_mass = {o: masses[w] for o, w in outcome_weight.items()}
-    flips = FlipDistribution(counts, m)
-    return EnumerationResult(outcome_mass, flips.mass, flips.residual, leaves)
+    return EnumerationResult(outcome_mass, FlipDistribution(counts, m), leaves)
 
 
 def enumerate_uniform(n: int, depth: int) -> EnumerationResult:
@@ -197,9 +189,6 @@ class DdgTree:
         """Internal nodes whose children were never materialised."""
         nodes = self.nodes
         return [h for h, payload in nodes.items() if payload is None and h + "0" not in nodes]
-
-    def is_complete(self) -> bool:
-        return not self.frontier()
 
 
 class MassMismatch(Exception):
@@ -265,11 +254,10 @@ def census(tree: DdgTree) -> dict[tuple[int, int], int]:
 
 @dataclass
 class OptimalityVerdict:
-    ok: bool
     violations: list[str]
 
-    def __bool__(self) -> bool:
-        return self.ok
+    ok = property(lambda self: not self.violations)
+    __bool__ = ok.fget  # a failed verdict is false
 
 
 def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
@@ -280,12 +268,7 @@ def check_optimal(tree: DdgTree, p: ProbabilityVector) -> OptimalityVerdict:
     materialised depth.  Raises MassMismatch first if the leaf masses do
     not reproduce ``p`` at all.
     """
-    return _check_optimal(tree, p._runs)
-
-
-def _check_optimal(tree: DdgTree, record) -> OptimalityVerdict:
-    """``check_optimal`` against a target's compiled ``record`` (see ``discrete``)."""
-    return _verdict(census(tree), tree.is_complete(), tree.depth_bound, record)
+    return _verdict(census(tree), not tree.frontier(), tree.depth_bound, p._runs)
 
 
 def _verdict(counts, complete: bool, depth_bound: int, record) -> OptimalityVerdict:
@@ -339,7 +322,7 @@ def _verdict(counts, complete: bool, depth_bound: int, record) -> OptimalityVerd
         violations.append(
             f"outcome {i} has {got} leaves at level {level}, expansion bit is {1 - got}"
         )
-    return OptimalityVerdict(not violations, violations)
+    return OptimalityVerdict(violations)
 
 
 def flip_distribution(tree: DdgTree) -> FlipDistribution:

@@ -82,15 +82,11 @@ def _as_exact_fraction(value) -> Fraction:
 
 
 def _exact(v: int) -> int | str:
-    """v, or v in hex when it has more digits than str() may print."""
+    """v, or v in hex when it has more digits than str() may print: |v| >= 10^limit."""
     limit = sys.get_int_max_str_digits()
-    if not limit or v.bit_length() <= 3 * limit:  # below 2^(3·limit) < 10^limit, str() fits
-        return v
-    try:
-        str(v)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return hex(v)
-    return v
+    # a part of at most 3·limit bits is below 2^(3·limit) < 10^limit: no power of ten is built
+    fits = not limit or v.bit_length() <= 3 * limit or abs(v) < 10**limit
+    return v if fits else hex(v)
 
 
 def _frac(q: Fraction) -> str:

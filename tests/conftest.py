@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coindice import ProbabilityVector
-from coindice.ddg import DdgTree, _expand, _tally
+from coindice.ddg import DdgTree, _expand, _tally, _verdict, census
 from reference import RecyclerState
 
 
@@ -85,6 +85,12 @@ def walk(record, depth: int):
         for h, x, outcome in nodes
     }
     return states, _tally(expanded, depth)
+
+
+def check_record(tree, record):
+    """``check_optimal`` against a compiled ``record`` (see ``discrete``), which can hold
+    targets no ``ProbabilityVector`` can list, such as the die 2^64 + 1."""
+    return _verdict(census(tree), not tree.frontier(), tree.depth_bound, record)
 
 
 def shallowest_leaf(tree) -> tuple[str, int]:

@@ -7,7 +7,6 @@ from typing import NamedTuple
 from coindice import BitSource, ProbabilityVector
 from coindice.ddg import (
     DdgTree,
-    EnumerationResult,
     MassMismatch,
     OptimalityVerdict,
     census,
@@ -178,7 +177,16 @@ def replay_tree(run, depth_bound):
     return DdgTree(nodes, depth_bound)
 
 
-def replay_tally(tree: DdgTree) -> EnumerationResult:
+class Tally(NamedTuple):
+    """The exact tallies of a walk, named as ``ddg.EnumerationResult`` reads them."""
+
+    outcome_mass: dict[int, Fraction]
+    flip_mass: dict[int, Fraction]
+    live_mass: Fraction
+    leaf_histories: dict[str, int]
+
+
+def replay_tally(tree: DdgTree) -> Tally:
     """The exact tallies of a tree's leaves and frontier, one leaf at a time."""
     leaves = dict(tree.leaves())
     outcome_mass: dict[int, Fraction] = {}
@@ -187,11 +195,11 @@ def replay_tally(tree: DdgTree) -> EnumerationResult:
         mass = Fraction(1, 1 << len(history))
         outcome_mass[outcome] = outcome_mass.get(outcome, Fraction(0)) + mass
         flip_mass[len(history)] = flip_mass.get(len(history), Fraction(0)) + mass
-    return EnumerationResult(outcome_mass, flip_mass, live_mass(tree), leaves)
+    return Tally(outcome_mass, flip_mass, live_mass(tree), leaves)
 
 
 def dense_check_optimal(tree, record):
-    """Reference for ``ddg._check_optimal``: visits every outcome of every
+    """Reference for ``check_optimal``'s verdict: visits every outcome of every
     run of ``record``, and every level for each, so it costs
     O(outcomes x depth)."""
     nums, dens, spans = record
@@ -208,7 +216,7 @@ def dense_check_optimal(tree, record):
         if not 1 <= outcome <= outcomes:
             raise MassMismatch(f"leaf outcome {outcome} outside 1..{outcomes}")
         weight[outcome] += count << (depth - level)
-    complete = tree.is_complete()
+    complete = not tree.frontier()
     probs = [Fraction(num, den) for num, den, _ in runs]
     for (num, den, run), q in zip(runs, probs):
         target = num << depth
@@ -237,4 +245,4 @@ def dense_check_optimal(tree, record):
                     violations.append(
                         f"outcome {i} has {got} leaves at level {level}, expansion bit is {want}"
                     )
-    return OptimalityVerdict(not violations, violations)
+    return OptimalityVerdict(violations)

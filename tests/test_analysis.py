@@ -355,7 +355,7 @@ class TestFlipDistributionUniform:
     def test_one_sided(self):
         fd = flip_distribution_uniform(1, 4)
         assert fd.mass == {0: Fraction(1)}
-        assert fd.expectation() == 0
+        assert (fd.partial_expectation(), fd.residual) == (0, 0)
 
     def test_largest_admitted_depth_passes_and_the_next_raises(self):
         assert ddg.DEPTH_BUDGET == 1 << 14
@@ -509,14 +509,7 @@ class TestFlipDistributionType:
     def test_a_zero_mass_is_allowed(self):
         fd = FlipDistribution([0, 0, 4])
         assert fd.mass == {2: Fraction(1)}
-        assert fd.expectation() == 2
-
-    def test_a_truncated_distribution_has_no_exact_expectation(self):
-        with pytest.raises(ValueError) as exc:
-            FlipDistribution([0, 1], 1).expectation()
-        assert str(exc.value) == (
-            "distribution truncated with residual 1/2; use partial_expectation()"
-        )
+        assert (fd.partial_expectation(), fd.residual) == (2, 0)
 
     def test_negative_mass_is_rejected(self):
         # these counts fill the tree, so only the sign check rejects them

@@ -24,6 +24,7 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 REMOVED = (
     "LevelCensus", "state_tree_uniform", "state_tree_discrete", "enumerate_discrete",
     "acceptance_set", "ReplaySource", "SourceExhausted", "Bit", "INTERNAL", "RecyclerState",
+    "_check_optimal",
 )
 # the errors that public calls raise on a caller's input
 ERRORS = {"InvalidDistribution", "MassMismatch"}
@@ -59,6 +60,8 @@ def test_test_only_names_are_gone():
         assert not any(hasattr(module, name) for module in modules), name
     assert not hasattr(coindice.ProbabilityVector, "prob")
     assert not hasattr(ReplaySource, "remaining")
+    assert not hasattr(ddg.FlipDistribution, "expectation")  # partial_expectation is the one
+    assert not hasattr(ddg.DdgTree, "is_complete")
     assert type(ddg.census(ddg.build_from_uniform(3, 2))) is dict
 
 

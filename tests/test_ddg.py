@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -17,14 +19,16 @@ from coindice import (
     exact_expected_flips,
     export_dot,
     flip_distribution,
+    flip_distribution_uniform,
     roll,
     sample,
 )
 from coindice import ddg
 from coindice.ddg import (
     DdgTree,
+    EnumerationResult,
     FlipDistribution,
-    _check_optimal,
+    OptimalityVerdict,
     _expand,
     _flip_distribution,
     _tally,
@@ -35,6 +39,7 @@ from conftest import (
     HUGE_DIE,
     TWIN_HUGE_RUNS,
     Unwalkable,
+    check_record,
     dyadic_suite,
     flip_tail,
     level_multisets,
@@ -162,7 +167,7 @@ def checked_trees(draw):
 class TestBuildCanonical:
     def test_eighths_matches_known_optimal_shape(self):
         tree = build_canonical(EIGHTHS, 3)
-        assert tree.is_complete()
+        assert not tree.frontier()
         assert census(tree) == {(1, 2): 1, (2, 1): 1, (3, 1): 1, (3, 3): 1}
 
     def test_half_half(self):
@@ -270,8 +275,8 @@ class TestBuildFromAlgorithm:
         with pytest.raises(AssertionError):
             ReplaySource([0])
         p = NON_DYADIC[1]
-        assert not build_from_uniform(37, 16).is_complete()
-        assert not build_from_discrete(p, 12).is_complete()
+        assert build_from_uniform(37, 16).frontier()
+        assert build_from_discrete(p, 12).frontier()
         assert enumerate_uniform(97, 24).live_mass > 0
         assert flip_distribution(build_canonical(p, 20)).residual > 0
 
@@ -316,7 +321,8 @@ class TestTrieWalk:
         assert len(walk) == depth + 1 or live_counts[-1] == 0
         tally = _tally(walk, depth)
         reference = replay_tally(replay_tree(run, depth))
-        assert tally == reference
+        for name in reference._fields:
+            assert getattr(tally, name) == getattr(reference, name), name
         assert list(tally.leaf_histories) == list(reference.leaf_histories)
 
 
@@ -325,6 +331,17 @@ class TestCheckOptimal:
         verdict = check_optimal(FLAT_DEPTH3_TREE, EIGHTHS)
         assert not verdict.ok
         assert any("outcome 1 appears 3 times at level 3" in v for v in verdict.violations)
+
+    def test_a_verdict_holds_only_its_violations_and_is_ok_without_any(self):
+        failed = OptimalityVerdict(["v"])
+        assert not failed
+        assert failed.ok is False
+        assert [f.name for f in dataclasses.fields(OptimalityVerdict)] == ["violations"]
+        with pytest.raises(TypeError):
+            OptimalityVerdict(False, ["v"])
+        assert OptimalityVerdict([]).ok is True and OptimalityVerdict([])
+        with pytest.raises(AttributeError):
+            failed.ok = True
 
     def test_verdict_is_its_truth_value(self):
         tree = build_from_uniform(3, 12)
@@ -402,7 +419,7 @@ class TestCheckOptimal:
     @settings(max_examples=300, deadline=None)
     def test_sparse_check_matches_the_dense_reference(self, tree_and_record):
         tree, record = tree_and_record
-        sparse = verdict_of(_check_optimal, tree, record)
+        sparse = verdict_of(check_record, tree, record)
         assert sparse == verdict_of(dense_check_optimal, tree, record)
 
     def test_a_stray_leaf_at_the_depth_bound_is_named(self):
@@ -416,25 +433,25 @@ class TestCheckOptimal:
             "outcome 1 has 0 leaves at level 4, expansion bit is 1",
             "outcome 2 has 1 leaves at level 4, expansion bit is 0",
         ]
-        for check in (_check_optimal, dense_check_optimal):
+        for check in (check_record, dense_check_optimal):
             assert verdict_of(check, DdgTree(nodes, 4), thirds._runs) == (False, violations)
 
     def test_check_never_walks_every_side_of_a_shallow_tree(self, monkeypatch):
         n = 1000003
         tree = build_from_uniform(n, 1)
         monkeypatch.setattr(ddg, "range", Unwalkable, raising=False)
-        assert _check_optimal(tree, _die(n)).ok
+        assert check_record(tree, _die(n)).ok
 
     def test_check_of_runs_longer_than_len_can_count(self):
-        assert _check_optimal(build_from_uniform(HUGE_DIE, 1), _die(HUGE_DIE)).ok
+        assert check_record(build_from_uniform(HUGE_DIE, 1), _die(HUGE_DIE)).ok
         shallow = {"": None, "0": None, "1": None}
-        assert _check_optimal(DdgTree(shallow, 1), TWIN_HUGE_RUNS).ok
+        assert check_record(DdgTree(shallow, 1), TWIN_HUGE_RUNS).ok
         second = (1 << 70) + 5
         with pytest.raises(MassMismatch) as exc:
-            _check_optimal(DdgTree({**shallow, "0": second}, 1), TWIN_HUGE_RUNS)
+            check_record(DdgTree({**shallow, "0": second}, 1), TWIN_HUGE_RUNS)
         assert str(exc.value) == f"outcome {second} has leaf mass 1/2 exceeding 1/{1 << 71}"
         with pytest.raises(MassMismatch) as exc:
-            _check_optimal(DdgTree({**shallow, "0": (1 << 71) + 1}, 1), TWIN_HUGE_RUNS)
+            check_record(DdgTree({**shallow, "0": (1 << 71) + 1}, 1), TWIN_HUGE_RUNS)
         assert str(exc.value) == f"leaf outcome {(1 << 71) + 1} outside 1..{1 << 71}"
 
 
@@ -442,7 +459,7 @@ class TestFlipDistribution:
     def test_known_optimal_tree(self):
         fd = flip_distribution(build_canonical(EIGHTHS, 3))
         assert fd.mass == {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
-        assert fd.expectation() == Fraction(7, 4)
+        assert (fd.partial_expectation(), fd.residual) == (Fraction(7, 4), 0)
 
     def test_flat_tree_always_three_flips(self):
         fd = flip_distribution(FLAT_DEPTH3_TREE)
@@ -451,11 +468,6 @@ class TestFlipDistribution:
     def test_five_sided_deep_tree_expectation_converges(self):
         fd = flip_distribution(build_from_uniform(5, 24))
         assert abs(fd.partial_expectation() - exact_expected_flips(5)) < Fraction(1, 2**18)
-
-    def test_truncated_expectation_refuses_exactness(self):
-        fd = flip_distribution(build_from_uniform(5, 6))
-        with pytest.raises(ValueError):
-            fd.expectation()
 
 
 def fills_the_tree(leaves: list[int], live: int) -> bool:
@@ -618,6 +630,12 @@ class TestExportDot:
         assert dot.count("shape=box") == 10
         assert dot.count("shape=circle") == len(tree.nodes) - 10
 
+    def test_every_edge_joins_a_node_to_its_parent_under_its_bit(self):
+        tree = build_from_uniform(5, 4)
+        edges = re.findall(r'  r([01]*) -> r([01]+) \[label="([01])"\];\n', export_dot(tree))
+        assert sorted(child for _, child, _ in edges) == sorted(h for h in tree.nodes if h)
+        assert all((parent, bit) == (child[:-1], child[-1]) for parent, child, bit in edges)
+
     def test_deterministic(self):
         a = export_dot(build_from_uniform(6, 8))
         b = export_dot(build_from_uniform(6, 8))
@@ -727,6 +745,16 @@ class TestStateTree:
         by_level = Counter(len(h) for h in result.leaf_histories)
         assert by_level == {3: 5, 4: 5}
         assert result.live_mass == Fraction(1, 16)
+
+    def test_a_tally_keeps_its_walks_flip_distribution(self):
+        result = enumerate_uniform(5, 16)
+        assert result.flip_mass is result.flips.mass
+        assert result.live_mass == result.flips.residual == Fraction(1, 1 << 16)
+        assert result.flips == flip_distribution_uniform(5, 16)
+        fields = [f.name for f in dataclasses.fields(EnumerationResult)]
+        assert fields == ["outcome_mass", "flips", "leaf_histories"]
+        with pytest.raises(AttributeError):
+            result.live_mass = 0
 
     def test_five_sided_depth_eight_masses_equal(self):
         result = enumerate_uniform(5, 8)

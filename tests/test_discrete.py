@@ -241,6 +241,23 @@ class TestProbabilityVector:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    def test_exact_builds_no_power_of_ten_up_to_3_limit_bits(self, monkeypatch):
+        # the shortcut spares every part of at most 3·limit bits the 10^limit
+        # comparison, which costs a power of ten per printed numerator
+        def compared(v):
+            raise AssertionError("a part below 2^(3·limit) compared with 10^limit")
+
+        monkeypatch.setattr(discrete, "abs", compared, raising=False)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for v in [2**1920 - 1, 1 - 2**1920, 2**1919]:
+                assert discrete._exact(v) == v
+            with pytest.raises(AssertionError):
+                discrete._exact(2**1920)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestParseDistribution:
     def test_comma_fractions(self):

@@ -134,6 +134,18 @@ def test_biased_counts_fail():
     assert result.p_value < 1e-9
 
 
+def test_a_p_value_equal_to_its_significance_does_not_pass():
+    # the test passes only when p exceeds the significance, at any level
+    halves = [Fraction(1, 2)] * 2
+    p_value = chi_square_test([60, 40], halves).p_value
+    assert 0.04 < p_value < 0.05
+    result = chi_square_test([60, 40], halves, significance=p_value)
+    assert result.p_value == result.significance
+    assert not result.passed
+    assert chi_square_test([60, 40], halves, significance=math.nextafter(p_value, 0)).passed
+    assert not chi_square_test([100] * 4, [Fraction(1, 4)] * 4, significance=1.0).passed
+
+
 def test_single_category_is_trivially_uniform():
     result = chi_square_test([100], [Fraction(1)])
     assert result.df == 0

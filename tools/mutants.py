@@ -7,7 +7,8 @@ One mutant per ``raise`` (to ``pass``), per comparison operator (< <=,
 files (TESTS) under ``python -B`` in a throwaway copy of src/, tests/,
 pyproject.toml and what the tests read (README.md, perfbench/, .github/),
 so no stale bytecode, .hypothesis/ or .pytest_cache/ of the tree is read
-or written.  Prints path:line, the change and killed, survived or timeout
+or written.  Prints path:line:column (1-based, of the mutated token, so
+two mutants of one line differ), the change and killed, survived or timeout
 (a hang cannot pass, so it counts as detected), then the totals; exits 1
 if any mutant survived.  A mutant times out after ten times as long as
 its module's unmutated tests took, and never before a minute.  ``--list``
@@ -17,6 +18,7 @@ by no module.
 """
 
 import ast
+import bisect
 import shutil
 import subprocess
 import sys
@@ -42,7 +44,8 @@ TESTS = {  # module -> the test files that run on its mutants
 
 
 def mutants(source: bytes):
-    """(line, change, mutated source) in source order; ast columns count UTF-8 bytes."""
+    """(line, column, change, mutated source) in source order, at the mutated token;
+    ast columns count UTF-8 bytes, the column counts characters."""
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -51,12 +54,14 @@ def mutants(source: bytes):
     found = []
 
     def swap(left, right, old, new):  # the operator is the one token between its operands
-        text = source[end(left) : begin(right)].replace(old.encode(), new.encode(), 1)
-        found.append((end(left), left.end_lineno, f"{old} -> {new}", begin(right), text))
+        gap = source[end(left) : begin(right)]
+        token = end(left) + gap.index(old.encode())
+        text = gap.replace(old.encode(), new.encode(), 1)
+        found.append((end(left), token, f"{old} -> {new}", begin(right), text))
 
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise):
-            found.append((begin(node), node.lineno, "raise -> pass", end(node), b"pass"))
+            found.append((begin(node), begin(node), "raise -> pass", end(node), b"pass"))
         elif isinstance(node, ast.Compare):
             for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
                 if type(op) in SWAP:
@@ -65,9 +70,11 @@ def mutants(source: bytes):
             swap(node.left, node.right, *ARITHMETIC[type(node.op)])
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             text = source[begin(node) : begin(node.operand)].replace(b"-", b"", 1)
-            found.append((begin(node), node.lineno, "-x -> x", begin(node.operand), text))
-    for start, line, change, stop, text in sorted(found):
-        yield line, change, source[:start] + text + source[stop:]
+            found.append((begin(node), begin(node), "-x -> x", begin(node.operand), text))
+    for start, token, change, stop, text in sorted(found):
+        line = bisect.bisect_right(starts, token) - 1
+        column = len(source[starts[line] : token].decode()) + 1
+        yield line + 1, column, change, source[:start] + text + source[stop:]
 
 
 def run(path: Path, source: bytes, timeout: float) -> str:
@@ -114,9 +121,9 @@ def main(argv: list[str]) -> int:
             clean = time.perf_counter() - begun
             timeout = max(60, 10 * clean)
             print(f"{path}: unmutated tests {clean:.0f} s, {timeout:.0f} s per mutant", flush=True)
-        for line, change, mutated in mutants(source):
+        for line, column, change, mutated in mutants(source):
             verdicts.append("listed" if listing else run(path, mutated, timeout))
-            print(f"{path}:{line}  {change}  {verdicts[-1]}", flush=True)
+            print(f"{path}:{line}:{column}  {change}  {verdicts[-1]}", flush=True)
     counts = ", ".join(f"{verdicts.count(v)} {v}" for v in sorted(set(verdicts))) or "none"
     print(f"{len(verdicts)} mutants: {counts} in {time.perf_counter() - started:.0f} s")
     return 1 if "survived" in verdicts else 0
